@@ -4,17 +4,19 @@
  *
  * Runs the src/lint/ checks over the repository tree: TLV chunk-tag
  * uniqueness, DBT X-macro handler/dispatch parity, counter-name
- * registry consistency against docs/COUNTERS.md, and sim::Mutex
- * annotation coverage.  CI runs it on every push; the seeded-
- * violation fixtures under tests/simlint_fixtures/ prove each check
- * actually fires (tests/test_simlint.cc).
+ * registry consistency against docs/COUNTERS.md, sim::Mutex
+ * annotation coverage, and no raw writable pointers into guest RAM
+ * outside the written-page choke points.  CI runs it on every push;
+ * the seeded-violation fixtures under tests/simlint_fixtures/ prove
+ * each check actually fires (tests/test_simlint.cc).
  *
  * Usage:
  *   simlint [--root <repo-root>] [--check <name>]
  *
  * --root defaults to the current directory and must contain src/.
  * --check limits the run to one of: tlv-tag, dbt-parity, counters,
- * mutex-coverage.  Diagnostics print as "file:line: [check] message".
+ * mutex-coverage, raw-ram-write.  Diagnostics print as
+ * "file:line: [check] message".
  *
  * Exit status: 0 clean, 1 findings, 2 usage error.
  */
@@ -33,7 +35,8 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: simlint [--root <repo-root>] [--check "
-                 "tlv-tag|dbt-parity|counters|mutex-coverage]\n");
+                 "tlv-tag|dbt-parity|counters|mutex-coverage|"
+                 "raw-ram-write]\n");
     return 2;
 }
 
@@ -67,6 +70,8 @@ main(int argc, char **argv)
         diags = lint::checkCounterRegistry(opts);
     } else if (only == "mutex-coverage") {
         diags = lint::checkMutexCoverage(opts);
+    } else if (only == "raw-ram-write") {
+        diags = lint::checkRawRamWrites(opts);
     } else {
         return usage();
     }

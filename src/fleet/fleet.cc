@@ -304,9 +304,9 @@ FleetServer::runJob(rt::Session &s, uint32_t session_id,
             m.readback.insert(m.readback.end(), tmp.begin(), tmp.end());
         }
         if (req.wantRamCrc) {
-            PhysMem &mem = s.system().mem();
+            const PhysMem &mem = s.system().mem();
             m.ramCrc = snapshot::crc32(
-                mem.hostPtr(rt::System::kRamBase), mem.size());
+                mem.readPtr(rt::System::kRamBase), mem.size());
         }
         m.status = JobStatus::Ok;
     } catch (const SimError &e) {

@@ -59,6 +59,12 @@ GpuMmu::walkFill(uint32_t va, bool write, GpuTlb &tlb)
     Addr frame = static_cast<Addr>(e.ppn) << kGpuPageShift;
     e.host = mem_.contains(frame, kGpuPageBytes) ? mem_.hostPtr(frame)
                                                  : nullptr;
+    // Stores through a cached writable host pointer bypass PhysMem, so
+    // the page counts as written from the fill on (PhysMem written-page
+    // tracking; a consumer's epoch bump forces the re-walk that
+    // re-marks it).
+    if (e.host && e.writable)
+        mem_.markWritten(frame, kGpuPageBytes);
 
     if (write && !e.writable)
         return nullptr;

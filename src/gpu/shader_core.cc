@@ -390,6 +390,7 @@ WorkgroupExecutor::atomicHostPtr(uint32_t va, bool fast)
                              "atomic translation fault");
             return nullptr;
         }
+        job_->mem->markWritten(pa, 4);
         return reinterpret_cast<uint32_t *>(job_->mem->hostPtr(pa));
     }
     Addr pa = 0;
@@ -401,6 +402,7 @@ WorkgroupExecutor::atomicHostPtr(uint32_t va, bool fast)
     }
     if (job_->collect)
         coll_.pages.insert(va >> 12);
+    job_->mem->markWritten(pa, 4);
     return reinterpret_cast<uint32_t *>(job_->mem->hostPtr(pa));
 }
 

@@ -27,6 +27,13 @@ const std::string kStdCondVar = std::string("std::") + "condition_variable";
 const std::string kStdSharedMutex = std::string("std::") + "shared_mutex";
 const std::string kSimMutex = std::string("sim::") + "Mutex";
 const std::string kConstexprU32 = "constexpr uint32_t";
+const std::string kHostPtrNeedle = std::string("host") + "Ptr(";
+
+/** The only files allowed to take a writable host pointer into guest
+ *  RAM (check 5): PhysMem itself and the GPU paths that mark what
+ *  they hand out. */
+const char *const kHostPtrOwners[] = {"phys_mem.h", "phys_mem.cc",
+                                      "gmmu.cc", "shader_core.cc"};
 
 /** Annotation macros that count as "references" a sim::Mutex member
  *  must have (check 4). */
@@ -502,6 +509,47 @@ checkMutexCoverage(const Options &opts)
     return diags;
 }
 
+// -------------------------------------------- check 5: raw RAM writes
+
+std::vector<Diag>
+checkRawRamWrites(const Options &opts)
+{
+    std::vector<Diag> diags;
+    std::vector<std::string> lines;
+    for (const fs::path &p : sourceFiles(opts)) {
+        std::string name = p.filename().string();
+        if (std::find(std::begin(kHostPtrOwners), std::end(kHostPtrOwners),
+                      name) != std::end(kHostPtrOwners))
+            continue;
+        if (!readLines(p, lines))
+            continue;
+        for (size_t i = 0; i < lines.size(); ++i) {
+            // Code only: a comment may name the accessor.
+            std::string l = lines[i].substr(0, lines[i].find("//"));
+            size_t first = l.find_first_not_of(" \t");
+            if (first == std::string::npos || l[first] == '*' ||
+                l.compare(first, 2, "/*") == 0)
+                continue;
+            for (size_t pos = 0; (pos = l.find(kHostPtrNeedle, pos)) !=
+                                 std::string::npos;
+                 pos += kHostPtrNeedle.size()) {
+                if (pos > 0 && isIdentChar(l[pos - 1]))
+                    continue;
+                diags.push_back(
+                    Diag{rel(opts, p), static_cast<int>(i + 1),
+                         "raw-ram-write",
+                         "writable host pointer into guest RAM: stores "
+                         "through it bypass PhysMem's written-page "
+                         "tracking, so recordings and snapshots miss "
+                         "them — read through readPtr(), write through "
+                         "write/writeBlock/fill"});
+                break;
+            }
+        }
+    }
+    return diags;
+}
+
 // ----------------------------------------------------------- top level
 
 std::vector<Diag>
@@ -509,7 +557,8 @@ runAllChecks(const Options &opts)
 {
     std::vector<Diag> all;
     for (auto check : {checkTagUniqueness, checkDbtParity,
-                       checkCounterRegistry, checkMutexCoverage}) {
+                       checkCounterRegistry, checkMutexCoverage,
+                       checkRawRamWrites}) {
         std::vector<Diag> d = check(opts);
         all.insert(all.end(), d.begin(), d.end());
     }

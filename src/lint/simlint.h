@@ -22,6 +22,11 @@
  *     src/ outside thread_annotations.h, and every `sim::Mutex`
  *     member is referenced by at least one thread-safety annotation
  *     in its file.
+ *  5. Raw RAM writes: no code in src/ takes PhysMem's writable
+ *     `hostPtr(` outside phys_mem.*, gpu/gmmu.cc and
+ *     gpu/shader_core.cc — the places that mark the pages they hand
+ *     out — so every store to guest RAM reaches the written-page
+ *     tracking (DESIGN.md §5h).  Comments are not code.
  *
  * The checks are deliberately lexical (line-oriented scans, no real
  * C++ parse): the guarded patterns are themselves lexical idioms the
@@ -44,7 +49,7 @@ struct Diag
     std::string file;
     int line = 0;           ///< 1-based; 0 = whole-file/cross-file.
     std::string check;      ///< "tlv-tag", "dbt-parity", "counters",
-                            ///< "mutex-coverage".
+                            ///< "mutex-coverage", "raw-ram-write".
     std::string message;
 };
 
@@ -68,6 +73,7 @@ std::vector<Diag> checkTagUniqueness(const Options &opts);
 std::vector<Diag> checkDbtParity(const Options &opts);
 std::vector<Diag> checkCounterRegistry(const Options &opts);
 std::vector<Diag> checkMutexCoverage(const Options &opts);
+std::vector<Diag> checkRawRamWrites(const Options &opts);
 ///@}
 
 /** Runs every check; findings in check order, file/line order within

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <span>
 
 #if defined(__linux__)
 #include <fcntl.h>
@@ -128,7 +129,10 @@ RamImage::sealFromSnapshot(const snapshot::Image &image)
         ::memfd_create("bifsim-warm-ram", MFD_CLOEXEC | MFD_ALLOW_SEALING));
     if (fd < 0)
         return nullptr;
-    if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+    // The file also covers the tracking bytes PhysMem keeps after RAM
+    // (a hole: zero, never materialised), so one mapping holds both.
+    if (::ftruncate(fd, static_cast<off_t>(PhysMem::mappedBytes(
+                            static_cast<size_t>(size)))) != 0) {
         ::close(fd);
         return nullptr;
     }
@@ -148,11 +152,20 @@ RamImage::sealFromSnapshot(const snapshot::Image &image)
     ::fcntl(fd, F_ADD_SEALS,
             F_SEAL_WRITE | F_SEAL_SHRINK | F_SEAL_GROW);
 
+    std::vector<PageRun> page_runs;
+    page_runs.reserve(runs.size());
+    for (const ParsedRun &run : runs)
+        page_runs.push_back(PageRun{
+            static_cast<uint32_t>(run.off / PhysMem::kPageBytes),
+            static_cast<uint32_t>((run.len + PhysMem::kPageBytes - 1) /
+                                  PhysMem::kPageBytes)});
+
     snap::ChunkReader crc_r = image.chunk(snap::kTagMem);
     size_t mem_len = crc_r.remaining();
     return std::shared_ptr<RamImage>(
         new RamImage(static_cast<Addr>(base), static_cast<size_t>(size),
-                     fd, image.chunkCrc(snap::kTagMem), mem_len));
+                     fd, image.chunkCrc(snap::kTagMem), mem_len,
+                     std::move(page_runs)));
 #else
     (void)image;
     return nullptr;
@@ -165,40 +178,46 @@ PhysMem::PhysMem(Addr base, size_t size,
                  std::shared_ptr<const RamImage> image)
     : base_(base), size_(size)
 {
-    const size_t alloc = size_ ? size_ : 1;
+    // One mapping holds RAM and its tracking bytes, so tracking costs
+    // no extra set-up work and is materialised only as pages are
+    // written.
+    const size_t alloc = std::max<size_t>(mappedBytes(size_), 1);
 #if defined(__linux__)
     if (image && image->base() == base_ && image->size() == size_ &&
         size_ != 0) {
-        void *p = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+        void *p = ::mmap(nullptr, alloc, PROT_READ | PROT_WRITE,
                          MAP_PRIVATE, image->fd(), 0);
         if (p != MAP_FAILED) {
             data_ = static_cast<uint8_t *>(p);
             mmapped_ = true;
             cowMapped_ = true;
             image_ = std::move(image);
-            return;
         }
     }
-    void *p = ::mmap(nullptr, alloc, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-        data_ = static_cast<uint8_t *>(p);
-        mmapped_ = true;
-        return;
+    if (!data_) {
+        void *p = ::mmap(nullptr, alloc, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p != MAP_FAILED) {
+            data_ = static_cast<uint8_t *>(p);
+            mmapped_ = true;
+        }
     }
 #else
     (void)image;
 #endif
-    data_ = static_cast<uint8_t *>(std::calloc(alloc, 1));
-    if (!data_)
-        throw std::bad_alloc();
+    if (!data_) {
+        data_ = static_cast<uint8_t *>(std::calloc(alloc, 1));
+        if (!data_)
+            throw std::bad_alloc();
+    }
+    written_ = data_ + pageCount() * kPageBytes;
 }
 
 PhysMem::~PhysMem()
 {
 #if defined(__linux__)
     if (mmapped_) {
-        ::munmap(data_, size_ ? size_ : 1);
+        ::munmap(data_, std::max<size_t>(mappedBytes(size_), 1));
         return;
     }
 #endif
@@ -208,13 +227,17 @@ PhysMem::~PhysMem()
 void
 PhysMem::clear()
 {
+    // The tracking bytes share the mapping, so every path below drops
+    // the written marks together with the RAM content.
+    resets_++;
+    const size_t len = mappedBytes(size_);
 #if defined(__linux__)
     if (cowMapped_) {
         // MADV_DONTNEED on a private file mapping would repopulate
         // from the *file*, not with zeroes; replace the view with a
         // fresh anonymous mapping instead.  resetToImage() re-attaches
         // the image later if wanted.
-        void *p = ::mmap(data_, size_, PROT_READ | PROT_WRITE,
+        void *p = ::mmap(data_, len, PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0);
         if (p != MAP_FAILED) {
             cowMapped_ = false;
@@ -226,10 +249,10 @@ PhysMem::clear()
     // pages stay unmapped and re-fault as zero on next access, so the
     // cost tracks the guest's working set, not the RAM size.
     if (!cowMapped_ && mmapped_ && size_ &&
-        ::madvise(data_, size_, MADV_DONTNEED) == 0)
+        ::madvise(data_, len, MADV_DONTNEED) == 0)
         return;
 #endif
-    std::memset(data_, 0, size_);
+    std::memset(data_, 0, len);
 }
 
 bool
@@ -239,10 +262,12 @@ PhysMem::resetToImage()
     if (image_ && mmapped_ && size_) {
         // Remapping the sealed file over the same range drops every
         // private (dirtied) page and re-establishes the shared view:
-        // O(dirtied pages) page-table work, no RAM copy.
-        void *p = ::mmap(data_, size_, PROT_READ | PROT_WRITE,
+        // O(dirtied pages) page-table work, no RAM copy.  The file's
+        // tracking tail is a hole, so the marks reset to clean too.
+        void *p = ::mmap(data_, mappedBytes(size_), PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_FIXED, image_->fd(), 0);
         if (p != MAP_FAILED) {
+            resets_++;
             cowMapped_ = true;
             return true;
         }
@@ -252,26 +277,61 @@ PhysMem::resetToImage()
     return false;
 }
 
+std::vector<uint32_t>
+PhysMem::takeWritten()
+{
+    std::vector<uint32_t> pages;
+    const size_t n = pageCount();
+    for (size_t p = 0; p < n; ++p) {
+        if (pageState(p) != kWritten)
+            continue;
+        std::atomic_ref<uint8_t>(written_[p])
+            .store(kTaken, std::memory_order_relaxed);
+        pages.push_back(static_cast<uint32_t>(p));
+    }
+    return pages;
+}
+
+std::vector<uint32_t>
+PhysMem::writtenSinceClear() const
+{
+    // While the CoW view is attached, the image's non-zero pages count
+    // as written: they were never marked, but they are not zero.
+    std::span<const RamImage::PageRun> runs;
+    if (cowMapped_)
+        runs = image_->pageRuns();
+    auto run = runs.begin();
+
+    std::vector<uint32_t> pages;
+    const size_t n = pageCount();
+    for (size_t p = 0; p < n; ++p) {
+        while (run != runs.end() && run->start + run->count <= p)
+            ++run;
+        bool in_image = run != runs.end() && run->start <= p;
+        if (in_image || pageState(p) != kClean)
+            pages.push_back(static_cast<uint32_t>(p));
+    }
+    return pages;
+}
+
 void
 PhysMem::saveState(snapshot::ChunkWriter &w) const
 {
-    const size_t n_pages =
-        (size_ + kPageBytes - 1) / kPageBytes;
-
     w.u64(base_);
     w.u64(size_);
     w.u32(static_cast<uint32_t>(kPageBytes));
 
     // First pass: build the run table (start page + page count of each
-    // maximal stretch of non-zero pages).
+    // maximal stretch of non-zero pages).  Pages never written since
+    // clear() are zero without looking at them.
     struct Run
     {
         uint32_t start;
         uint32_t count;
     };
     std::vector<Run> runs;
-    for (size_t p = 0; p < n_pages; ++p) {
-        size_t off = p * kPageBytes;
+    for (uint32_t p : writtenSinceClear()) {
+        size_t off = static_cast<size_t>(p) * kPageBytes;
         size_t len = std::min(kPageBytes, size_ - off);
         if (pageIsZero(data_ + off, len))
             continue;
@@ -279,7 +339,7 @@ PhysMem::saveState(snapshot::ChunkWriter &w) const
             runs.back().start + runs.back().count == p) {
             ++runs.back().count;
         } else {
-            runs.push_back(Run{static_cast<uint32_t>(p), 1});
+            runs.push_back(Run{p, 1});
         }
     }
 
@@ -304,7 +364,7 @@ PhysMem::restoreState(snapshot::ChunkReader &r)
 
     clear();
     for (const ParsedRun &run : runs)
-        std::memcpy(data_ + run.off, run.payload, run.len);
+        writeBlock(base_ + run.off, run.payload, run.len);
 }
 
 } // namespace bifsim

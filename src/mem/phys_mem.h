@@ -7,9 +7,11 @@
  * exactly as on the modelled SoC (unified memory).
  */
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "mem/device.h"
 #include "snapshot/snapshot.h"
@@ -60,11 +62,22 @@ class RamImage
     /** Length of that MEM chunk payload. */
     size_t memLen() const { return memLen_; }
 
+    /** A stretch of image pages that may be non-zero. */
+    struct PageRun
+    {
+        uint32_t start;
+        uint32_t count;
+    };
+
+    /** The MEM chunk's run table, ascending: every page outside these
+     *  runs is zero in the image. */
+    const std::vector<PageRun> &pageRuns() const { return pageRuns_; }
+
   private:
     RamImage(Addr base, size_t size, int fd, uint32_t mem_crc,
-             size_t mem_len)
+             size_t mem_len, std::vector<PageRun> page_runs)
         : base_(base), size_(size), fd_(fd), memCrc_(mem_crc),
-          memLen_(mem_len)
+          memLen_(mem_len), pageRuns_(std::move(page_runs))
     {
     }
 
@@ -73,6 +86,7 @@ class RamImage
     int fd_ = -1;
     uint32_t memCrc_;
     size_t memLen_;
+    std::vector<PageRun> pageRuns_;
 };
 
 /**
@@ -93,6 +107,24 @@ class RamImage
  * sessions spawned from one warm-boot image then share every clean
  * RAM page, and resetToImage() recycles a dirty session back to the
  * image content by remapping — O(dirtied pages), no copy of RAM.
+ *
+ * Written-page tracking (DESIGN.md §5h) is the one primitive for "what
+ * changed in RAM": one byte per page, stored with a relaxed atomic
+ * byte store (no branch, no read-modify-write), always on.  It is
+ * marked at the write choke points:
+ *  - write<T>, writeBlock and fill (CPU interpreter and DBT stores via
+ *    Bus::write, runtime copies, the assembler, the guest driver,
+ *    restoreState, replay delta apply);
+ *  - GpuMmu::walkFill for every writable entry it caches a host
+ *    pointer for (shader stores and atomics through the GPU TLB);
+ *  - the shader core's physical-address atomic slow path.
+ * Nothing else may write through hostPtr() (simlint `raw-ram-write`).
+ * Cached writable GPU translations keep writing without re-marking,
+ * so a consumer that takes the written set must bump the GPU MMU epoch
+ * (GpuMmu::bumpEpoch) while the GPU is quiescent: the next store
+ * through each page then re-walks and re-marks it.  The tracking bytes
+ * live in the same lazily materialised mapping as RAM, right after it,
+ * so construction stays O(1) and clear() drops them with the RAM.
  */
 class PhysMem
 {
@@ -123,13 +155,15 @@ class PhysMem
                addr - base_ <= size_ - len;
     }
 
-    /** Raw host pointer to guest physical address @p addr (must be
-     *  in range). */
+    /** Raw writable host pointer to guest physical address @p addr
+     *  (must be in range).  Stores through it are invisible to the
+     *  written-page tracking: the caller must markWritten() what it
+     *  may write.  Only the GPU MMU and shader core may call it. */
     uint8_t *hostPtr(Addr addr) { return data_ + (addr - base_); }
 
-    /** Raw const host pointer to guest physical address @p addr. */
+    /** Read-only host pointer to guest physical address @p addr. */
     const uint8_t *
-    hostPtr(Addr addr) const
+    readPtr(Addr addr) const
     {
         return data_ + (addr - base_);
     }
@@ -140,7 +174,7 @@ class PhysMem
     read(Addr addr) const
     {
         T v;
-        std::memcpy(&v, hostPtr(addr), sizeof(T));
+        std::memcpy(&v, readPtr(addr), sizeof(T));
         return v;
     }
 
@@ -149,20 +183,24 @@ class PhysMem
     void
     write(Addr addr, T value)
     {
-        std::memcpy(hostPtr(addr), &value, sizeof(T));
+        size_t off = addr - base_;
+        markPage(off / kPageBytes);
+        markPage((off + sizeof(T) - 1) / kPageBytes);
+        std::memcpy(data_ + off, &value, sizeof(T));
     }
 
     /** Copies a block out of guest memory. */
     void
     readBlock(Addr addr, void *dst, size_t len) const
     {
-        std::memcpy(dst, hostPtr(addr), len);
+        std::memcpy(dst, readPtr(addr), len);
     }
 
     /** Copies a block into guest memory. */
     void
     writeBlock(Addr addr, const void *src, size_t len)
     {
+        markWritten(addr, len);
         std::memcpy(hostPtr(addr), src, len);
     }
 
@@ -170,12 +208,14 @@ class PhysMem
     void
     fill(Addr addr, uint8_t byte, size_t len)
     {
+        markWritten(addr, len);
         std::memset(hostPtr(addr), byte, len);
     }
 
-    /** Zeroes all of RAM (cold boot / restore baseline).  In CoW mode
-     *  the file backing is replaced by a fresh anonymous mapping; a
-     *  later resetToImage() re-attaches the image. */
+    /** Zeroes all of RAM (cold boot / restore baseline) and forgets
+     *  every written mark.  In CoW mode the file backing is replaced by
+     *  a fresh anonymous mapping; a later resetToImage() re-attaches
+     *  the image. */
     void clear();
 
     /** True when this RAM is a copy-on-write view of a RamImage. */
@@ -187,19 +227,64 @@ class PhysMem
     /**
      * Resets RAM content to the backing image: private (dirtied) pages
      * are dropped and the CoW mapping is re-established, so the cost
-     * tracks the session's dirtied working set.  Falls back to clear()
-     * when there is no backing image (callers must then restore RAM
-     * by other means).  @return true when image content was restored.
+     * tracks the session's dirtied working set.  Written marks are
+     * forgotten; the image's non-zero pages count as written since
+     * then.  Falls back to clear() when there is no backing image
+     * (callers must then restore RAM by other means).  @return true
+     * when image content was restored.
      */
     bool resetToImage();
 
-    /** Snapshot page granule. */
+    /** Snapshot and tracking page granule. */
     static constexpr size_t kPageBytes = 4096;
+
+    /** Number of tracked pages. */
+    size_t pageCount() const { return pagesFor(size_); }
+
+    /** Marks every page overlapping [addr, addr+len) as written (must
+     *  be in range).  Threading: any thread. */
+    void
+    markWritten(Addr addr, size_t len)
+    {
+        size_t off = addr - base_;
+        size_t end = pagesFor(off + len);
+        for (size_t p = off / kPageBytes; p < end; ++p)
+            markPage(p);
+    }
+
+    /**
+     * Returns, ascending, the pages written since the previous call
+     * (or since clear()/resetToImage() for the first one), and makes
+     * them "taken".  Taken pages still count in writtenSinceClear().
+     * Threading: the caller must hold RAM quiescent (no concurrent
+     * writer) and then bump the GPU MMU epoch, see the class comment.
+     */
+    std::vector<uint32_t> takeWritten();
+
+    /** Returns, ascending, every page that may be non-zero: written
+     *  since clear(), or a non-zero page of the CoW image.  All other
+     *  pages are zero.  Threading: RAM quiescent. */
+    std::vector<uint32_t> writtenSinceClear() const;
+
+    /** Count of clear()/resetToImage() calls.  They change pages
+     *  without marking them, so a consumer holding per-page state from
+     *  before one must fall back to writtenSinceClear(). */
+    uint64_t resets() const { return resets_; }
+
+    /** Bytes mapped for @p ram bytes of RAM: whole pages of RAM, then
+     *  one tracking byte per page rounded up to whole pages.  A
+     *  RamImage file is sized to match so one mapping covers both. */
+    static size_t
+    mappedBytes(size_t ram)
+    {
+        return (pagesFor(ram) + pagesFor(pagesFor(ram))) * kPageBytes;
+    }
 
     /**
      * Serialises RAM into @p w using a sparse run-length encoding:
      * all-zero pages are elided and consecutive non-zero pages coalesce
-     * into runs, so a mostly-empty guest image stays small.
+     * into runs, so a mostly-empty guest image stays small.  Only pages
+     * in writtenSinceClear() are inspected; the rest are known zero.
      */
     void saveState(snapshot::ChunkWriter &w) const;
 
@@ -211,9 +296,40 @@ class PhysMem
     void restoreState(snapshot::ChunkReader &r);
 
   private:
+    /** Tracking byte states. */
+    enum : uint8_t
+    {
+        kClean = 0,     ///< Not written since clear().
+        kWritten = 1,   ///< Written since the last takeWritten().
+        kTaken = 2,     ///< Written since clear(), already taken.
+    };
+
+    static constexpr size_t
+    pagesFor(size_t bytes)
+    {
+        return (bytes + kPageBytes - 1) / kPageBytes;
+    }
+
+    void
+    markPage(size_t page)
+    {
+        std::atomic_ref<uint8_t>(written_[page])
+            .store(kWritten, std::memory_order_relaxed);
+    }
+
+    uint8_t
+    pageState(size_t page) const
+    {
+        return std::atomic_ref<uint8_t>(written_[page])
+            .load(std::memory_order_relaxed);
+    }
+
     Addr base_;
     size_t size_;
     uint8_t *data_ = nullptr;
+    uint8_t *written_ = nullptr;   ///< Tracking bytes, inside data_'s
+                                   ///< mapping after the RAM pages.
+    uint64_t resets_ = 0;
     bool mmapped_ = false;
     bool cowMapped_ = false;   ///< Current mapping is MAP_PRIVATE
                                ///< over image_'s fd.

@@ -136,7 +136,11 @@ LogWriter::event(uint32_t kind)
 std::vector<uint8_t>
 LogWriter::finish()
 {
+    size_t total = 16;
+    for (const Pending &e : events_)
+        total += 12 + e.payload.size();
     std::vector<uint8_t> out;
+    out.reserve(total);
     put32(out, kMagic);
     put32(out, kVersion);
     put32(out, static_cast<uint32_t>(events_.size()));
@@ -352,25 +356,58 @@ Recorder::onChainComplete()
 {
     // Resync the shadow with the GPU's own writes so they don't bleed
     // into the next CPU delta, then fingerprint the result state.
-    const uint8_t *base = mem_.hostPtr(mem_.base());
-    for (size_t i = 0; i < shadow_.size(); ++i)
-        shadow_[i] = snap::crc32(base + i * kPage, kPage);
+    syncShadow();
     emitFingerprint();
+    if (observer_)
+        observer_(mem_, *this);
+}
+
+std::vector<uint32_t>
+Recorder::syncShadow()
+{
+    // Only pages written since the last sync can differ from the
+    // shadow.  After a clear()/resetToImage() (and on the first sync)
+    // that no longer holds: any page written since the clear or still
+    // non-zero in the shadow may have changed.
+    std::vector<uint32_t> candidates = mem_.takeWritten();
+    if (!synced_ || mem_.resets() != resets_) {
+        std::vector<uint32_t> written = mem_.writtenSinceClear();
+        candidates.clear();
+        auto next = written.begin();
+        for (uint32_t i = 0; i < shadow_.size(); ++i) {
+            bool w = next != written.end() && *next == i;
+            if (w)
+                ++next;
+            if (w || shadow_[i] != zeroPageCrc())
+                candidates.push_back(i);
+        }
+        resets_ = mem_.resets();
+        synced_ = true;
+    }
+    // Cached writable GPU translations must re-walk (and re-mark their
+    // page) before their next store.
+    gpu_.mmu().bumpEpoch();
+
+    const uint8_t *base = mem_.readPtr(mem_.base());
+    std::vector<uint32_t> changed;
+    for (uint32_t i : candidates) {
+        uint32_t crc =
+            snap::crc32(base + static_cast<size_t>(i) * kPage, kPage);
+        if (crc != shadow_[i]) {
+            shadow_[i] = crc;
+            changed.push_back(i);
+        }
+    }
+    return changed;
 }
 
 void
 Recorder::captureDelta()
 {
-    const uint8_t *base = mem_.hostPtr(mem_.base());
-    std::vector<uint32_t> changed;
-    for (size_t i = 0; i < shadow_.size(); ++i) {
-        uint32_t crc = snap::crc32(base + i * kPage, kPage);
-        if (crc != shadow_[i]) {
-            shadow_[i] = crc;
-            changed.push_back(static_cast<uint32_t>(i));
-        }
-    }
+    const uint8_t *base = mem_.readPtr(mem_.base());
+    std::vector<uint32_t> changed = syncShadow();
     snap::ChunkWriter &w = log_.event(kEvMemDelta);
+    w.reserve(1 + 4 + changed.size() * (4 + kPage));
     w.u8(first_ ? 1 : 0);   // full: replayer clears RAM first, so
                             // pages equal to zero need no bytes.
     w.u32(static_cast<uint32_t>(changed.size()));
@@ -623,12 +660,14 @@ replay(const Log &log, const ReplayOptions &opt)
     gcfg.verify = static_cast<analysis::Strictness>(c.verify);
     gpu::GpuDevice dev(mem, gcfg, nullptr);
 
-    // Validation re-records the run through the same hooks (paying the
-    // per-chain RAM scans); without it, replay just applies the inputs
-    // — the fast path for reproducing a workload.
+    // Validation re-records the run through the same hooks (paying a
+    // CRC of every page written per chain); without it, replay just
+    // applies the inputs — the fast path for reproducing a workload.
     std::optional<Recorder> rec;
-    if (opt.validate)
+    if (opt.validate) {
         rec.emplace(mem, dev, RecordInfo{});
+        rec->setChainObserver(opt.onChain);
+    }
     const size_t npages = mem.size() / kPage;
     size_t submits = 0;
 
@@ -658,10 +697,9 @@ replay(const Log &log, const ReplayOptions &opt)
                                       idx));
                     prev = idx;
                     const uint8_t *src = r.raw(kPage);
-                    std::memcpy(mem.hostPtr(mem.base() +
-                                            static_cast<Addr>(idx) *
-                                                kPage),
-                                src, kPage);
+                    mem.writeBlock(mem.base() +
+                                       static_cast<Addr>(idx) * kPage,
+                                   src, kPage);
                 }
                 r.expectEnd();
                 break;

@@ -36,6 +36,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -186,12 +187,21 @@ struct RecordInfo
  * priming enqueues): cumulative state — JOB_COUNT, merged kernel
  * statistics, the last job result — is baselined at attach so
  * fingerprints carry only what happened *during* the recording, which
- * is exactly what a fresh replay device reproduces.  RAM
- * dirtied by the CPU is discovered by a per-page CRC shadow diffed at
- * each JS_SUBMIT; the first delta is emitted against a zeroed shadow
- * with the `full` flag set (replayers clear RAM first), which makes
- * logs self-contained even when recording starts on a warm-booted /
- * snapshot-restored session.
+ * is exactly what a fresh replay device reproduces.
+ *
+ * RAM changes come from PhysMem's written-page tracking (DESIGN.md
+ * §5h), never from a whole-RAM scan.  The Recorder keeps a per-page
+ * CRC-32 shadow of RAM.  At each JS_SUBMIT it takes the pages written
+ * since its last sync, re-CRCs only those, and logs the ones whose CRC
+ * moved (the CPU's delta); after each chain it takes and re-CRCs the
+ * pages the GPU wrote.  Every take bumps the GPU MMU epoch so cached
+ * writable translations re-walk and re-mark.  The first delta is
+ * emitted against a zeroed shadow with the `full` flag set (replayers
+ * clear RAM first) and covers every page written since the last
+ * PhysMem::clear() plus a CoW image's non-zero pages, which makes logs
+ * self-contained even when recording starts on a warm-booted /
+ * snapshot-restored session.  The RFPR RAM CRC is the CRC of the
+ * shadow.
  *
  * Threading: all hooks fire on the submitting thread (guaranteed by
  * the syncSubmit requirement); construction, finish() and destruction
@@ -220,6 +230,17 @@ class Recorder
     /** Chains (JS_SUBMIT writes) recorded so far. */
     size_t chains() const { return chains_; }
 
+    /** Per-page CRC-32 of RAM as of the last capture (page i at [i]);
+     *  the RFPR RAM CRC is the CRC of this table. */
+    const std::vector<uint32_t> &shadow() const { return shadow_; }
+
+    /** Called at the end of every chain, once the shadow is synced:
+     *  the point where shadow() must equal a full scan of RAM (the
+     *  tests' cross-check of the written-page tracking). */
+    using ChainObserver =
+        std::function<void(const PhysMem &, const Recorder &)>;
+    void setChainObserver(ChainObserver fn) { observer_ = std::move(fn); }
+
     // GpuDevice hooks — called by the device only.
     void onMmioWrite(uint32_t offset, uint32_t value);
     void onIrqRaise(uint32_t bits, uint32_t raw_after);
@@ -232,12 +253,18 @@ class Recorder
     LogWriter log_;
     std::vector<uint32_t> shadow_;   ///< Per-page CRC32 of last capture.
     bool first_ = true;              ///< Next delta carries `full`.
+    bool synced_ = false;            ///< Shadow synced at least once.
+    uint64_t resets_ = 0;            ///< PhysMem::resets() at last sync.
     bool attached_ = false;
     bool finished_ = false;
     size_t chains_ = 0;
     uint32_t baseJobCount_ = 0;      ///< JOB_COUNT at attach.
     gpu::KernelStats baseTotal_;     ///< Cumulative stats at attach.
+    ChainObserver observer_;
 
+    /** Brings the shadow up to date; returns the pages whose CRC
+     *  changed, ascending. */
+    std::vector<uint32_t> syncShadow();
     void captureDelta();
     void emitFingerprint();
     uint32_t ramCrc() const;
@@ -272,8 +299,10 @@ struct ReplayOptions
     bool trace = false;
     bool validate = true;   ///< Re-record and diff against the source;
                             ///< false applies the inputs only (no
-                            ///< per-chain RAM scans — the fast path
+                            ///< per-chain RAM CRCs — the fast path
                             ///< for reproducing a workload).
+    Recorder::ChainObserver onChain;   ///< Validated replays: handed to
+                                       ///< the re-recording Recorder.
 };
 
 /** Outcome of one replay. */

@@ -16,23 +16,67 @@ snapshotError(const char *fmt, ...)
     throw SnapshotError("snapshot: " + msg);
 }
 
+namespace {
+
+/** Slice-by-8 tables: t[0] is the classic byte-wise table; t[k][b] is
+ *  the CRC of byte b followed by k zero bytes, so eight table lookups
+ *  advance the CRC by eight input bytes at once.  Built at compile
+ *  time. */
+struct CrcTables
+{
+    uint32_t t[8][256];
+};
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables tab{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        tab.t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+        for (int k = 1; k < 8; ++k) {
+            uint32_t prev = tab.t[k - 1][i];
+            tab.t[k][i] = tab.t[0][prev & 0xff] ^ (prev >> 8);
+        }
+    }
+    return tab;
+}
+
+constexpr CrcTables kCrc = makeCrcTables();
+
+/** Little-endian 32-bit load (the CRC consumes bytes in address
+ *  order, whatever the host byte order). */
+inline uint32_t
+le32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           (static_cast<uint32_t>(p[1]) << 8) |
+           (static_cast<uint32_t>(p[2]) << 16) |
+           (static_cast<uint32_t>(p[3]) << 24);
+}
+
+} // namespace
+
 uint32_t
 crc32(const void *data, size_t len)
 {
-    static const auto table = [] {
-        std::vector<uint32_t> t(256);
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    const auto &t = kCrc.t;
     uint32_t crc = 0xffffffffu;
     const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        uint32_t lo = le32(p) ^ crc;
+        uint32_t hi = le32(p + 4);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+              t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 

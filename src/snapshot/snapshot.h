@@ -87,6 +87,10 @@ class ChunkWriter
     /** Appends raw bytes. */
     void bytes(const void *data, size_t len);
 
+    /** Makes room for @p len more bytes (large payloads of known size
+     *  then fill without regrowing). */
+    void reserve(size_t len) { buf_.reserve(buf_.size() + len); }
+
     /** Appends a u32 length followed by the string bytes. */
     void str(const std::string &s);
 

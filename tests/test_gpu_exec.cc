@@ -521,6 +521,73 @@ TEST_F(GpuRawDeviceTest, DecodeCacheInvalidatedOnRootSwitch)
     EXPECT_EQ(mem.read<uint32_t>(out_pa), 222u);
 }
 
+TEST(GpuWrittenPages, PhysicalPathAtomicsMarkTheirPage)
+{
+    // RAM ends half-way into its last page, so the TLB caches no host
+    // pointer for that frame (nothing to mark at the fill) and atomics
+    // on it take the shader core's physical-address path, which must
+    // mark the page itself.
+    constexpr Addr kBase = 0x80000000;
+    constexpr size_t kRam = (1u << 20) + 2048;
+    constexpr Addr kRoot = kBase + 0x4000, kL0 = kBase + 0x5000;
+    constexpr Addr kShaderPa = kBase + 0x8000, kDescPa = kBase + 0x9000;
+    constexpr Addr kCounterPa = kBase + (1u << 20) + 16;
+    constexpr uint32_t kBinVa = 0x00100000, kDescVa = 0x00101000;
+    constexpr uint32_t kCounterVa = 0x00200000 + 16;
+    constexpr uint32_t kLastPage = (1u << 20) / PhysMem::kPageBytes;
+
+    for (bool fast : {true, false}) {
+        PhysMem mem(kBase, kRam);
+        mem.fill(kRoot, 0, 0x2000);
+        auto map = [&](uint32_t va, Addr pa, bool writable) {
+            mem.write<uint32_t>(kRoot + (va >> 22) * 4,
+                                static_cast<uint32_t>((kL0 >> 12) << 10) |
+                                    gpu::kGpuPteValid);
+            mem.write<uint32_t>(
+                kL0 + ((va >> 12) & 0x3ff) * 4,
+                static_cast<uint32_t>((pa >> 12) << 10) |
+                    gpu::kGpuPteValid |
+                    (writable ? static_cast<uint32_t>(gpu::kGpuPteWrite)
+                              : 0u));
+        };
+        map(kBinVa, kShaderPa, false);
+        map(kDescVa, kDescPa, false);
+        map(kCounterVa, kCounterPa & ~Addr{0xfff}, true);
+
+        std::vector<uint8_t> bin = bif::encode(buildModule({{
+            mk(Op::MovImm, 1, kNone, kNone, kNone, kCounterVa),
+            mk(Op::MovImm, 2, kNone, kNone, kNone, 1),
+            mk(Op::AtomAddG, 3, 1, 2, kNone, 0),
+            mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
+        }}));
+        mem.writeBlock(kShaderPa, bin.data(), bin.size());
+        gpu::JobDescriptor d;
+        d.jobType = gpu::JobDescriptor::kTypeCompute;
+        d.binaryVa = kBinVa;
+        d.grid[0] = 8;
+        d.wg[0] = 8;
+        uint8_t raw[gpu::JobDescriptor::kSizeBytes];
+        d.writeTo(raw);
+        mem.writeBlock(kDescPa, raw, sizeof(raw));
+        mem.takeWritten();   // Only the job's own writes from here on.
+
+        gpu::GpuConfig cfg;
+        cfg.hostThreads = 1;
+        cfg.fastPath = fast;
+        gpu::GpuDevice dev(mem, cfg, [](bool) {});
+        dev.mmioWrite(gpu::kRegAsTranstab, static_cast<uint32_t>(kRoot));
+        dev.mmioWrite(gpu::kRegJsSubmit, kDescVa);
+        dev.waitIdle();
+        ASSERT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsDone)
+            << "fast=" << fast;
+        EXPECT_EQ(mem.read<uint32_t>(kCounterPa), 8u) << "fast=" << fast;
+        std::vector<uint32_t> written = mem.takeWritten();
+        EXPECT_NE(std::find(written.begin(), written.end(), kLastPage),
+                  written.end())
+            << "fast=" << fast;
+    }
+}
+
 TEST_F(GpuExecTest, InstrumentationCountsExact)
 {
     // One thread, one clause: 2 arith + 1 store + ret.

@@ -1,14 +1,17 @@
 /** @file Record/replay of the CPU<->GPU boundary (DESIGN.md §5h):
  *  BRPL round trips across interpreter tiers and worker counts,
  *  faulting-workload replay, restore-then-trace/record, the
- *  worker-count fault-determinism regression, and log-mutation fuzz
- *  (truncation, bit flips, hostile counts). */
+ *  worker-count fault-determinism regression, the full-scan oracle
+ *  over every RAM writer the written-page tracking must see, and
+ *  log-mutation fuzz (truncation, bit flips, hostile counts). */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 
+#include "cpu/asm/assembler.h"
+#include "fleet/warm_image.h"
 #include "gpu/gpu.h"
 #include "gpu/isa/bif.h"
 #include "replay/replay.h"
@@ -516,6 +519,385 @@ TEST(Replay, RestoredSessionRecordsSelfContainedLog)
     ASSERT_FALSE(r.faulted);
     replay::Log log = replay::Log::fromBytes(s2->stopRecording());
     expectReplaysEverywhere(log);
+}
+
+// ------------------------------------- Written-page tracking oracle
+
+constexpr size_t kPage = PhysMem::kPageBytes;
+
+/** The full-scan oracle: rebuilds the per-page CRC table by reading
+ *  every page of RAM and returns the pages where it disagrees with the
+ *  recorder's shadow.  Called at the end of a chain, any entry is a
+ *  write the written-page tracking missed. */
+std::vector<uint32_t>
+shadowMismatches(const PhysMem &mem, const replay::Recorder &rec)
+{
+    std::vector<uint32_t> bad;
+    const std::vector<uint32_t> &shadow = rec.shadow();
+    for (uint32_t i = 0; i < shadow.size(); ++i) {
+        const uint8_t *page =
+            mem.readPtr(mem.base() + static_cast<Addr>(i) * kPage);
+        if (snap::crc32(page, kPage) != shadow[i])
+            bad.push_back(i);
+    }
+    return bad;
+}
+
+/** Runs the oracle after every chain of the recorder it observes. */
+struct Oracle
+{
+    size_t chains = 0;
+    std::vector<uint32_t> missed;   ///< Mismatching pages, all chains.
+
+    replay::Recorder::ChainObserver
+    observer()
+    {
+        return [this](const PhysMem &mem, const replay::Recorder &rec) {
+            chains++;
+            std::vector<uint32_t> bad = shadowMismatches(mem, rec);
+            missed.insert(missed.end(), bad.begin(), bad.end());
+        };
+    }
+};
+
+const char *kStoreAtomicSrc = R"(
+kernel void storeatom(global int* out, global int* counts, int n,
+                      int salt) {
+    int i = get_global_id(0);
+    if (i < n) {
+        out[i] = i * 5 + salt;
+        atomic_add(counts[i & 7], 1);
+    }
+}
+)";
+
+TEST(WrittenPages, HostWritesAreTracked)
+{
+    rt::Session s(recordableConfig(8u << 20, 1), rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+    rt::Buffer in = s.alloc(64 * 4);
+    rt::Buffer out = s.alloc(64 * 4);
+    rt::Buffer side = s.alloc(8 * kPage);   // Never touched by the GPU.
+    PhysMem &mem = s.system().mem();
+
+    Oracle o;
+    s.startRecording().setChainObserver(o.observer());
+    auto run = [&] {
+        gpu::JobResult r = s.enqueue(
+            k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
+            {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
+        ASSERT_FALSE(r.faulted);
+    };
+    run();
+    mem.write<uint32_t>(side.pa + 12, 0xabcd1234u);
+    // A scalar straddling a page boundary marks both pages.
+    mem.write<uint64_t>(side.pa + 2 * kPage - 4, 0x1122334455667788ull);
+    std::vector<uint8_t> block(2 * kPage + 100, 0x5a);
+    mem.writeBlock(side.pa + 3 * kPage + 50, block.data(), block.size());
+    mem.fill(side.pa + 6 * kPage, 0xc3, kPage);
+    run();
+    mem.fill(side.pa + 6 * kPage, 0, kPage);   // Back to zero.
+    run();
+
+    EXPECT_EQ(o.chains, 3u);
+    EXPECT_TRUE(o.missed.empty()) << "first missed page " << o.missed[0];
+    expectReplaysEverywhere(replay::Log::fromBytes(s.stopRecording()));
+}
+
+TEST(WrittenPages, OracleCatchesAnUnmarkedWrite)
+{
+    // The same shape as above, but one write goes through a raw host
+    // pointer and is never marked: the recorder cannot see it, and the
+    // oracle must name exactly that page.  Proves the oracle is
+    // load-bearing.
+    rt::Session s(recordableConfig(8u << 20, 1), rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+    rt::Buffer in = s.alloc(64 * 4);
+    rt::Buffer out = s.alloc(64 * 4);
+    rt::Buffer side = s.alloc(kPage);
+    PhysMem &mem = s.system().mem();
+
+    Oracle o;
+    s.startRecording().setChainObserver(o.observer());
+    for (int c = 0; c < 2; ++c) {
+        if (c == 1) {
+            const uint32_t v = 0xdeadbeefu;
+            std::memcpy(mem.hostPtr(side.pa + 8), &v, sizeof v);
+        }
+        gpu::JobResult r = s.enqueue(
+            k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
+            {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
+        ASSERT_FALSE(r.faulted);
+    }
+    s.stopRecording();
+    EXPECT_EQ(o.chains, 2u);
+    const uint32_t side_page =
+        static_cast<uint32_t>((side.pa - rt::System::kRamBase) / kPage);
+    EXPECT_EQ(o.missed, std::vector<uint32_t>{side_page});
+}
+
+/** Guest-side store loop for the CPU-tier tests: fills `count` words
+ *  at `buf` with a seeded pattern, then halts (machine mode, paging
+ *  off, so addresses are physical). */
+const char *kFillProgram = R"(
+        .org 0x81800000
+        j    start
+params:
+        .word 0             # buffer PA
+        .word 0             # word count
+        .word 0             # seed
+start:
+        la   s0, params
+        lw   t0, 0(s0)
+        lw   t1, 4(s0)
+        lw   t2, 8(s0)
+loop:
+        sw   t2, 0(t0)
+        addi t0, t0, 4
+        addi t2, t2, 7
+        addi t1, t1, -1
+        bnez t1, loop
+        halt
+)";
+
+TEST(WrittenPages, CpuStoresAreTrackedUnderBothTiers)
+{
+    constexpr Addr kFillPa = 0x81800000;
+    constexpr uint32_t kWords = 3000;   // Spans three pages.
+    for (bool dbt : {false, true}) {
+        rt::SystemConfig cfg = recordableConfig(32u << 20, 1);
+        cfg.cpuDbt = dbt;
+        rt::Session s(cfg, rt::Mode::FullSystem);
+        rt::System &sys = s.system();
+        rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+        rt::Buffer in = s.alloc(kWords * 4);
+        rt::Buffer out = s.alloc(kWords * 4);
+        sa32::Program fill = sa32::assemble(kFillProgram);
+        sys.mem().writeBlock(kFillPa, fill.bytes.data(), fill.bytes.size());
+
+        Oracle o;
+        s.startRecording().setChainObserver(o.observer());
+        for (uint32_t c = 0; c < 2; ++c) {
+            sys.mem().write<uint32_t>(kFillPa + 4,
+                                      static_cast<uint32_t>(in.pa));
+            sys.mem().write<uint32_t>(kFillPa + 8, kWords);
+            sys.mem().write<uint32_t>(kFillPa + 12, c * 13 + 1);
+            sys.cpu().setPc(kFillPa);
+            sys.runCpu(static_cast<uint64_t>(kWords) * 6 + 1000);
+            sys.cpu().setPc(rt::System::kRamBase);   // Back to the OS.
+            sys.runCpu(10000);
+            gpu::JobResult r = s.enqueue(
+                k, rt::NDRange{kWords, 1, 1}, rt::NDRange{40, 1, 1},
+                {rt::Arg::buf(in), rt::Arg::buf(out),
+                 rt::Arg::i32(static_cast<int32_t>(kWords))});
+            ASSERT_FALSE(r.faulted) << "dbt=" << dbt;
+            std::vector<int32_t> got(kWords);
+            s.read(out, got.data(), kWords * 4);
+            EXPECT_EQ(got[kWords - 1],
+                      static_cast<int32_t>((c * 13 + 1) +
+                                           7 * (kWords - 1)) * 3 + 1)
+                << "the guest store loop did not run (dbt=" << dbt << ")";
+        }
+        replay::Log log = replay::Log::fromBytes(s.stopRecording());
+        EXPECT_EQ(o.chains, 2u) << "dbt=" << dbt;
+        EXPECT_TRUE(o.missed.empty())
+            << "dbt=" << dbt << ": first missed page " << o.missed[0];
+        replay::ReplayResult rep = replay::replay(log, {});
+        EXPECT_TRUE(rep.ok) << rep.divergence;
+    }
+}
+
+TEST(WrittenPages, GpuStoresAndAtomicsAreTracked)
+{
+    // fastPath stores and atomics go through host pointers cached by
+    // GPU TLB fills; the legacy interpreter takes the physical-address
+    // path on every access.  Both, on one and four workers.
+    constexpr uint32_t kItems = 4096;   // out spans four pages.
+    for (bool fast : {true, false}) {
+        for (unsigned threads : {1u, 4u}) {
+            rt::SystemConfig cfg = recordableConfig(8u << 20, threads);
+            cfg.gpu.fastPath = fast;
+            rt::Session s(cfg, rt::Mode::Direct);
+            rt::KernelHandle k = s.compile(kStoreAtomicSrc, "storeatom");
+            rt::Buffer out = s.alloc(kItems * 4);
+            rt::Buffer counts = s.alloc(8 * 4);
+
+            Oracle o;
+            s.startRecording().setChainObserver(o.observer());
+            // Every chain stores new values, so a page whose cached
+            // writable translation outlived the take would go unmarked
+            // with different content.
+            for (int c = 0; c < 2; ++c) {
+                gpu::JobResult r = s.enqueue(
+                    k, rt::NDRange{kItems, 1, 1}, rt::NDRange{64, 1, 1},
+                    {rt::Arg::buf(out), rt::Arg::buf(counts),
+                     rt::Arg::i32(static_cast<int32_t>(kItems)),
+                     rt::Arg::i32(c + 2)});
+                ASSERT_FALSE(r.faulted) << r.fault.detail;
+            }
+            replay::Log log = replay::Log::fromBytes(s.stopRecording());
+            std::vector<int32_t> got(8);
+            s.read(counts, got.data(), 8 * 4);
+            EXPECT_EQ(got[3], static_cast<int32_t>(2 * kItems / 8));
+            EXPECT_EQ(o.chains, 2u);
+            EXPECT_TRUE(o.missed.empty())
+                << "fast=" << fast << " threads=" << threads
+                << ": first missed page " << o.missed[0];
+            replay::ReplayOptions opt;
+            opt.hostThreads = threads;
+            opt.fastPath = fast;
+            replay::ReplayResult rep = replay::replay(log, opt);
+            EXPECT_TRUE(rep.ok) << rep.divergence;
+        }
+    }
+}
+
+TEST(WrittenPages, ReplayApplyIsTracked)
+{
+    rt::Session s(recordableConfig(8u << 20, 1), rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+    rt::Buffer in = s.alloc(64 * 4);
+    rt::Buffer out = s.alloc(64 * 4);
+    s.startRecording();
+    for (uint32_t c = 0; c < 3; ++c) {
+        for (uint32_t i = 0; i < 64; ++i) {
+            int32_t v = static_cast<int32_t>(i * 11 + c);
+            s.write(in, &v, 4, i * 4);
+        }
+        s.enqueue(k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
+                  {rt::Arg::buf(in), rt::Arg::buf(out),
+                   rt::Arg::i32(64)});
+    }
+    replay::Log log = replay::Log::fromBytes(s.stopRecording());
+
+    // The validated replay's own recorder sees RAM only through the
+    // written marks the delta apply leaves.
+    for (unsigned threads : {1u, 4u}) {
+        Oracle o;
+        replay::ReplayOptions opt;
+        opt.hostThreads = threads;
+        opt.onChain = o.observer();
+        replay::ReplayResult rep = replay::replay(log, opt);
+        EXPECT_TRUE(rep.ok) << rep.divergence;
+        EXPECT_EQ(o.chains, 3u);
+        EXPECT_TRUE(o.missed.empty())
+            << "threads=" << threads << ": first missed page "
+            << o.missed[0];
+    }
+}
+
+TEST(WrittenPages, SnapshotRestoreIsTracked)
+{
+    rt::SystemConfig cfg = recordableConfig(8u << 20, 1);
+    rt::Session s(cfg, rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+    rt::Buffer in = s.alloc(64 * 4);
+    rt::Buffer out = s.alloc(64 * 4);
+    for (uint32_t i = 0; i < 64; ++i) {
+        int32_t v = static_cast<int32_t>(i + 9);
+        s.write(in, &v, 4, i * 4);
+    }
+    s.enqueue(k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
+              {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
+    snap::Writer w;
+    s.saveSnapshot(w);
+    snap::Image img = snap::Image::fromBytes(w.finish());
+
+    // Restored pages were written by restoreState, not by the guest:
+    // the first (full) delta must still carry them.
+    std::unique_ptr<rt::Session> s2 = rt::Session::fromSnapshot(img, cfg);
+    Oracle o;
+    s2->startRecording().setChainObserver(o.observer());
+    for (int c = 0; c < 2; ++c) {
+        gpu::JobResult r = s2->enqueue(
+            s2->kernels()[0], rt::NDRange{64, 1, 1},
+            rt::NDRange{16, 1, 1},
+            {rt::Arg::buf(s2->buffers()[0]),
+             rt::Arg::buf(s2->buffers()[1]), rt::Arg::i32(64)});
+        ASSERT_FALSE(r.faulted);
+    }
+    replay::Log log = replay::Log::fromBytes(s2->stopRecording());
+    EXPECT_EQ(o.chains, 2u);
+    EXPECT_TRUE(o.missed.empty()) << "first missed page " << o.missed[0];
+    replay::ReplayResult rep = replay::replay(log, {});
+    EXPECT_TRUE(rep.ok) << rep.divergence;
+}
+
+TEST(WrittenPages, RamRestoredMidRecordingIsTracked)
+{
+    // restoreState() clears RAM before it writes the image pages back,
+    // and the clear is not a marked write: pages that were non-zero
+    // and are zero in the image change without a mark.  The recorder
+    // must notice the clear and fall back to everything that may
+    // differ.
+    rt::Session s(recordableConfig(8u << 20, 1), rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+    rt::Buffer in = s.alloc(64 * 4);
+    rt::Buffer out = s.alloc(64 * 4);
+    rt::Buffer side = s.alloc(kPage);
+    PhysMem &mem = s.system().mem();
+    snap::ChunkWriter saved;
+    mem.saveState(saved);
+
+    Oracle o;
+    s.startRecording().setChainObserver(o.observer());
+    auto run = [&] {
+        gpu::JobResult r = s.enqueue(
+            k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
+            {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
+        ASSERT_FALSE(r.faulted);
+    };
+    mem.write<uint32_t>(side.pa, 0x600df00du);
+    run();
+    snap::ChunkReader r(snap::kTagMem, saved.data().data(), saved.size());
+    mem.restoreState(r);   // side's page is zero again.
+    run();
+    s.stopRecording();
+    EXPECT_EQ(o.chains, 2u);
+    EXPECT_TRUE(o.missed.empty()) << "first missed page " << o.missed[0];
+}
+
+TEST(WrittenPages, CowWarmSessionIsTracked)
+{
+    constexpr uint32_t kN = 32;
+    snap::Image img = snap::Image::fromBytes(
+        fleet::buildSgemmWarmImage(kN, 16u << 20, 2));
+    rt::SystemConfig cfg = recordableConfig(16u << 20, 2);
+    cfg.ramImage = RamImage::sealFromSnapshot(img);
+    if (!cfg.ramImage)
+        GTEST_SKIP() << "no sealed shared memory on this host";
+    std::unique_ptr<rt::Session> s = rt::Session::fromSnapshot(img, cfg);
+    ASSERT_TRUE(s->system().mem().hasImage());
+
+    // Once on the fresh CoW view, once after an in-place recycle (the
+    // remap path): the image's pages were never marked, yet the first
+    // delta and every shadow must account for them.
+    for (int round = 0; round < 2; ++round) {
+        if (round == 1)
+            s->resetFromSnapshot(img);
+        const std::vector<rt::Buffer> &bufs = s->buffers();
+        std::vector<float> a(kN * kN, 1.5f), b(kN * kN, 2.0f);
+        Oracle o;
+        s->startRecording().setChainObserver(o.observer());
+        for (int c = 0; c < 2; ++c) {
+            a[c] = 3.0f;
+            s->write(bufs[0], a.data(), a.size() * 4);
+            s->write(bufs[1], b.data(), b.size() * 4);
+            gpu::JobResult r = s->enqueue(
+                s->kernels().front(), rt::NDRange{kN, kN, 1},
+                rt::NDRange{8, 8, 1},
+                {rt::Arg::buf(bufs[0]), rt::Arg::buf(bufs[1]),
+                 rt::Arg::buf(bufs[2]),
+                 rt::Arg::i32(static_cast<int32_t>(kN))});
+            ASSERT_FALSE(r.faulted) << r.fault.detail;
+        }
+        replay::Log log = replay::Log::fromBytes(s->stopRecording());
+        EXPECT_EQ(o.chains, 2u);
+        EXPECT_TRUE(o.missed.empty())
+            << "round " << round << ": first missed page " << o.missed[0];
+        replay::ReplayResult rep = replay::replay(log, {});
+        EXPECT_TRUE(rep.ok) << rep.divergence;
+    }
 }
 
 // ------------------------------------------------------- Mutation fuzz

@@ -147,6 +147,19 @@ TEST(Simlint, MutexCoverageFlagsRawAndUnreferencedMutexes)
         EXPECT_FALSE(contains(diag.message, "guarded_"));
 }
 
+TEST(Simlint, RawRamWriteFlaggedOutsideOwners)
+{
+    std::vector<Diag> d =
+        bifsim::lint::checkRawRamWrites(fixture("raw_ram_write"));
+    // phys_mem.h and gmmu.cc own the accessor; comments, readPtr and a
+    // longer identifier ending in the name are not uses.
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].file, "src/replay/apply.cc");
+    EXPECT_EQ(d[0].line, 14);
+    EXPECT_EQ(d[0].check, "raw-ram-write");
+    EXPECT_TRUE(contains(d[0].message, "written-page tracking"));
+}
+
 TEST(Simlint, MissingInputFilesAreFindingsNotSkips)
 {
     // Point the dbt check at a fixture that has no src/cpu/dbt.cc:

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,38 @@ TEST(SnapshotFormat, Crc32KnownVector)
     EXPECT_EQ(snapshot::crc32("123456789", 9), 0xcbf43926u);
 }
 
+/** Bit-at-a-time CRC-32: the definition, kept here as the reference
+ *  the library's slice-by-8 implementation must match. */
+uint32_t
+bitwiseCrc32(const uint8_t *p, size_t len)
+{
+    uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(SnapshotFormat, Crc32MatchesBitwiseReference)
+{
+    // Random lengths around and across the 8-byte stride (plus the
+    // occasional multi-page buffer) at every start misalignment.
+    std::mt19937_64 rng(0xc0ffee);
+    std::vector<uint8_t> buf(3 * 4096 + 16);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng());
+    for (int iter = 0; iter < 10000; ++iter) {
+        size_t len = iter % 100 == 0 ? rng() % (3 * 4096) : rng() % 200;
+        size_t off = rng() % 16;
+        buf[off + len / 2] = static_cast<uint8_t>(rng());
+        ASSERT_EQ(snapshot::crc32(buf.data() + off, len),
+                  bitwiseCrc32(buf.data() + off, len))
+            << "len " << len << " offset " << off;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Component round-trips
 // ---------------------------------------------------------------------
@@ -178,6 +211,131 @@ TEST(PhysMemSnapshot, SparseRoundTripElidesZeroPages)
     b.restoreState(r);
     EXPECT_EQ(0, std::memcmp(a.hostPtr(a.base()), b.hostPtr(b.base()),
                              a.size()));
+}
+
+/** The MEM chunk as a full scan of every page encodes it: the
+ *  reference PhysMem::saveState, which inspects only written pages,
+ *  must reproduce byte for byte. */
+std::vector<uint8_t>
+fullScanMemChunk(const PhysMem &m)
+{
+    constexpr size_t kPage = PhysMem::kPageBytes;
+    static const std::vector<uint8_t> zero(kPage, 0);
+    ChunkWriter w;
+    w.u64(m.base());
+    w.u64(m.size());
+    w.u32(static_cast<uint32_t>(kPage));
+    std::vector<std::pair<uint32_t, uint32_t>> runs;
+    for (uint32_t p = 0; p < m.pageCount(); ++p) {
+        size_t off = static_cast<size_t>(p) * kPage;
+        size_t len = std::min(kPage, m.size() - off);
+        if (std::memcmp(m.readPtr(m.base() + off), zero.data(), len) == 0)
+            continue;
+        if (!runs.empty() && runs.back().first + runs.back().second == p)
+            runs.back().second++;
+        else
+            runs.push_back({p, 1});
+    }
+    w.u32(static_cast<uint32_t>(runs.size()));
+    for (auto [start, count] : runs) {
+        size_t off = static_cast<size_t>(start) * kPage;
+        size_t end = std::min(off + count * kPage, m.size());
+        w.u32(start);
+        w.u32(count);
+        w.bytes(m.readPtr(m.base() + off), end - off);
+    }
+    return w.data();
+}
+
+std::vector<uint8_t>
+savedMemChunk(const PhysMem &m)
+{
+    ChunkWriter w;
+    m.saveState(w);
+    return w.data();
+}
+
+TEST(PhysMemSnapshot, TrackedSaveMatchesFullScan)
+{
+    PhysMem a(0x80000000u, 1u << 20);
+    EXPECT_EQ(savedMemChunk(a), fullScanMemChunk(a));
+    a.write<uint32_t>(0x80000000u + 40, 0x11111111u);
+    a.write<uint64_t>(0x80003000u - 4, 0x2222222233333333ull);
+    a.write<uint32_t>(0x80010000u, 0);   // Written, but still zero.
+    std::vector<uint8_t> block(3 * 4096, 0x77);
+    a.writeBlock(0x80020000u + 100, block.data(), block.size());
+    a.fill(0x800ff000u, 0xab, 4096);
+    EXPECT_EQ(savedMemChunk(a), fullScanMemChunk(a));
+
+    // Pages zeroed again after being written are elided again.
+    a.fill(0x80020000u, 0, 4 * 4096);
+    EXPECT_EQ(savedMemChunk(a), fullScanMemChunk(a));
+
+    // clear() forgets everything; restoreState marks what it writes.
+    ChunkWriter w;
+    a.saveState(w);
+    PhysMem b(0x80000000u, 1u << 20);
+    b.fill(0x80050000u, 0x42, 8192);
+    b.clear();
+    EXPECT_EQ(savedMemChunk(b), fullScanMemChunk(b));
+    ChunkReader r(snapshot::kTagMem, w.data().data(), w.size());
+    b.restoreState(r);
+    EXPECT_EQ(savedMemChunk(b), w.data());
+    EXPECT_EQ(savedMemChunk(b), fullScanMemChunk(b));
+}
+
+TEST(PhysMemSnapshot, TrackedSaveMatchesFullScanOnCowImage)
+{
+    PhysMem a(0x80000000u, 1u << 20);
+    a.fill(0x80001000u, 0x11, 3 * 4096);
+    a.write<uint32_t>(0x800a0000u, 0x5a5a5a5au);
+    Writer iw;
+    a.saveState(iw.chunk(snapshot::kTagMem));
+    Image img = Image::fromBytes(iw.finish());
+    std::shared_ptr<RamImage> ram = RamImage::sealFromSnapshot(img);
+    if (!ram)
+        GTEST_SKIP() << "no sealed shared memory on this host";
+
+    // The image's non-zero pages were never marked in the CoW view.
+    PhysMem c(ram->base(), ram->size(), ram);
+    EXPECT_EQ(savedMemChunk(c), fullScanMemChunk(c));
+    c.write<uint32_t>(0x80070000u, 9);
+    c.fill(0x80002000u, 0, 4096);   // Zero an image page.
+    EXPECT_EQ(savedMemChunk(c), fullScanMemChunk(c));
+    c.clear();
+    EXPECT_EQ(savedMemChunk(c), fullScanMemChunk(c));
+    ASSERT_TRUE(c.resetToImage());
+    EXPECT_EQ(savedMemChunk(c), fullScanMemChunk(c));
+    EXPECT_EQ(savedMemChunk(c), savedMemChunk(a));
+}
+
+TEST(PhysMemSnapshot, TrackedSaveMatchesFullScanAfterGpuStores)
+{
+    // Shader stores land through host pointers the GPU TLB cached; the
+    // tracked save must still see every page they touched.
+    for (bool fast : {true, false}) {
+        rt::SystemConfig cfg;
+        cfg.ramBytes = 8u << 20;
+        cfg.gpu.hostThreads = 4;
+        cfg.gpu.fastPath = fast;
+        rt::Session s(cfg, rt::Mode::Direct);
+        rt::KernelHandle k = s.compile(R"(
+kernel void fill(global int* out, int n) {
+    int i = get_global_id(0);
+    if (i < n) {
+        out[i] = i + 1;
+    }
+}
+)", "fill");
+        rt::Buffer out = s.alloc(5 * 4096);
+        gpu::JobResult r = s.enqueue(k, rt::NDRange{5 * 1024, 1, 1},
+                                     rt::NDRange{64, 1, 1},
+                                     {rt::Arg::buf(out),
+                                      rt::Arg::i32(5 * 1024)});
+        ASSERT_FALSE(r.faulted);
+        const PhysMem &m = s.system().mem();
+        EXPECT_EQ(savedMemChunk(m), fullScanMemChunk(m)) << "fast=" << fast;
+    }
 }
 
 TEST(PhysMemSnapshot, GeometryMismatchRejected)
