@@ -61,8 +61,8 @@ GpuMmu::walkFill(uint32_t va, bool write, GpuTlb &tlb)
                                                  : nullptr;
     // Stores through a cached writable host pointer bypass PhysMem, so
     // the page counts as written from the fill on (PhysMem written-page
-    // tracking; a consumer's epoch bump forces the re-walk that
-    // re-marks it).
+    // tracking; the per-job epoch bump forces the re-walk that re-marks
+    // it in every later job).
     if (e.host && e.writable)
         mem_.markWritten(frame, kGpuPageBytes);
 

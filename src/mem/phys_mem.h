@@ -119,10 +119,8 @@ class RamImage
  *    pointer for (shader stores and atomics through the GPU TLB);
  *  - the shader core's physical-address atomic slow path.
  * Nothing else may write through hostPtr() (simlint `raw-ram-write`).
- * Cached writable GPU translations keep writing without re-marking,
- * so a consumer that takes the written set must bump the GPU MMU epoch
- * (GpuMmu::bumpEpoch) while the GPU is quiescent: the next store
- * through each page then re-walks and re-marks it.  The tracking bytes
+ * The GPU device's per-job MMU epoch bump makes every job re-walk, and
+ * so re-mark, the writable pages it stores to.  The tracking bytes
  * live in the same lazily materialised mapping as RAM, right after it,
  * so construction stays O(1) and clear() drops them with the RAM.
  */
@@ -257,7 +255,7 @@ class PhysMem
      * (or since clear()/resetToImage() for the first one), and makes
      * them "taken".  Taken pages still count in writtenSinceClear().
      * Threading: the caller must hold RAM quiescent (no concurrent
-     * writer) and then bump the GPU MMU epoch, see the class comment.
+     * writer).
      */
     std::vector<uint32_t> takeWritten();
 

@@ -358,19 +358,18 @@ Recorder::onChainComplete()
     // into the next CPU delta, then fingerprint the result state.
     syncShadow();
     emitFingerprint();
-    if (observer_)
-        observer_(mem_, *this);
 }
 
 std::vector<uint32_t>
 Recorder::syncShadow()
 {
     // Only pages written since the last sync can differ from the
-    // shadow.  After a clear()/resetToImage() (and on the first sync)
-    // that no longer holds: any page written since the clear or still
-    // non-zero in the shadow may have changed.
+    // shadow.  After a clear()/resetToImage() (and on the first sync,
+    // which captureDelta runs while first_ is still set) that no longer
+    // holds: any page written since the clear or still non-zero in the
+    // shadow may have changed.
     std::vector<uint32_t> candidates = mem_.takeWritten();
-    if (!synced_ || mem_.resets() != resets_) {
+    if (first_ || mem_.resets() != resets_) {
         std::vector<uint32_t> written = mem_.writtenSinceClear();
         candidates.clear();
         auto next = written.begin();
@@ -382,11 +381,7 @@ Recorder::syncShadow()
                 candidates.push_back(i);
         }
         resets_ = mem_.resets();
-        synced_ = true;
     }
-    // Cached writable GPU translations must re-walk (and re-mark their
-    // page) before their next store.
-    gpu_.mmu().bumpEpoch();
 
     const uint8_t *base = mem_.readPtr(mem_.base());
     std::vector<uint32_t> changed;
@@ -664,10 +659,8 @@ replay(const Log &log, const ReplayOptions &opt)
     // CRC of every page written per chain); without it, replay just
     // applies the inputs — the fast path for reproducing a workload.
     std::optional<Recorder> rec;
-    if (opt.validate) {
+    if (opt.validate)
         rec.emplace(mem, dev, RecordInfo{});
-        rec->setChainObserver(opt.onChain);
-    }
     const size_t npages = mem.size() / kPage;
     size_t submits = 0;
 

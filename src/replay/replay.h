@@ -36,7 +36,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -194,8 +193,8 @@ struct RecordInfo
  * CRC-32 shadow of RAM.  At each JS_SUBMIT it takes the pages written
  * since its last sync, re-CRCs only those, and logs the ones whose CRC
  * moved (the CPU's delta); after each chain it takes and re-CRCs the
- * pages the GPU wrote.  Every take bumps the GPU MMU epoch so cached
- * writable translations re-walk and re-mark.  The first delta is
+ * pages the GPU wrote.  The device's per-job MMU epoch bump makes every
+ * job re-walk, and so re-mark, its writable pages.  The first delta is
  * emitted against a zeroed shadow with the `full` flag set (replayers
  * clear RAM first) and covers every page written since the last
  * PhysMem::clear() plus a CoW image's non-zero pages, which makes logs
@@ -234,13 +233,6 @@ class Recorder
      *  the RFPR RAM CRC is the CRC of this table. */
     const std::vector<uint32_t> &shadow() const { return shadow_; }
 
-    /** Called at the end of every chain, once the shadow is synced:
-     *  the point where shadow() must equal a full scan of RAM (the
-     *  tests' cross-check of the written-page tracking). */
-    using ChainObserver =
-        std::function<void(const PhysMem &, const Recorder &)>;
-    void setChainObserver(ChainObserver fn) { observer_ = std::move(fn); }
-
     // GpuDevice hooks — called by the device only.
     void onMmioWrite(uint32_t offset, uint32_t value);
     void onIrqRaise(uint32_t bits, uint32_t raw_after);
@@ -253,14 +245,12 @@ class Recorder
     LogWriter log_;
     std::vector<uint32_t> shadow_;   ///< Per-page CRC32 of last capture.
     bool first_ = true;              ///< Next delta carries `full`.
-    bool synced_ = false;            ///< Shadow synced at least once.
     uint64_t resets_ = 0;            ///< PhysMem::resets() at last sync.
     bool attached_ = false;
     bool finished_ = false;
     size_t chains_ = 0;
     uint32_t baseJobCount_ = 0;      ///< JOB_COUNT at attach.
     gpu::KernelStats baseTotal_;     ///< Cumulative stats at attach.
-    ChainObserver observer_;
 
     /** Brings the shadow up to date; returns the pages whose CRC
      *  changed, ascending. */
@@ -301,8 +291,6 @@ struct ReplayOptions
                             ///< false applies the inputs only (no
                             ///< per-chain RAM CRCs — the fast path
                             ///< for reproducing a workload).
-    Recorder::ChainObserver onChain;   ///< Validated replays: handed to
-                                       ///< the re-recording Recorder.
 };
 
 /** Outcome of one replay. */

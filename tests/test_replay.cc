@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "cpu/asm/assembler.h"
-#include "fleet/warm_image.h"
 #include "gpu/gpu.h"
 #include "gpu/isa/bif.h"
 #include "replay/replay.h"
@@ -543,20 +542,19 @@ shadowMismatches(const PhysMem &mem, const replay::Recorder &rec)
     return bad;
 }
 
-/** Runs the oracle after every chain of the recorder it observes. */
+/** Collects the oracle's findings over a recording.  check() runs
+ *  right after a Direct-mode enqueue() returns: the recorder synced its
+ *  shadow at the end of the chain and nothing writes RAM between that
+ *  and the return. */
 struct Oracle
 {
-    size_t chains = 0;
     std::vector<uint32_t> missed;   ///< Mismatching pages, all chains.
 
-    replay::Recorder::ChainObserver
-    observer()
+    void
+    check(const PhysMem &mem, const replay::Recorder &rec)
     {
-        return [this](const PhysMem &mem, const replay::Recorder &rec) {
-            chains++;
-            std::vector<uint32_t> bad = shadowMismatches(mem, rec);
-            missed.insert(missed.end(), bad.begin(), bad.end());
-        };
+        std::vector<uint32_t> bad = shadowMismatches(mem, rec);
+        missed.insert(missed.end(), bad.begin(), bad.end());
     }
 };
 
@@ -581,12 +579,13 @@ TEST(WrittenPages, HostWritesAreTracked)
     PhysMem &mem = s.system().mem();
 
     Oracle o;
-    s.startRecording().setChainObserver(o.observer());
+    replay::Recorder &rec = s.startRecording();
     auto run = [&] {
         gpu::JobResult r = s.enqueue(
             k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
             {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
         ASSERT_FALSE(r.faulted);
+        o.check(mem, rec);
     };
     run();
     mem.write<uint32_t>(side.pa + 12, 0xabcd1234u);
@@ -599,7 +598,7 @@ TEST(WrittenPages, HostWritesAreTracked)
     mem.fill(side.pa + 6 * kPage, 0, kPage);   // Back to zero.
     run();
 
-    EXPECT_EQ(o.chains, 3u);
+    EXPECT_EQ(rec.chains(), 3u);
     EXPECT_TRUE(o.missed.empty()) << "first missed page " << o.missed[0];
     expectReplaysEverywhere(replay::Log::fromBytes(s.stopRecording()));
 }
@@ -618,7 +617,7 @@ TEST(WrittenPages, OracleCatchesAnUnmarkedWrite)
     PhysMem &mem = s.system().mem();
 
     Oracle o;
-    s.startRecording().setChainObserver(o.observer());
+    replay::Recorder &rec = s.startRecording();
     for (int c = 0; c < 2; ++c) {
         if (c == 1) {
             const uint32_t v = 0xdeadbeefu;
@@ -628,9 +627,10 @@ TEST(WrittenPages, OracleCatchesAnUnmarkedWrite)
             k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
             {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
         ASSERT_FALSE(r.faulted);
+        o.check(mem, rec);
     }
+    EXPECT_EQ(rec.chains(), 2u);
     s.stopRecording();
-    EXPECT_EQ(o.chains, 2u);
     const uint32_t side_page =
         static_cast<uint32_t>((side.pa - rt::System::kRamBase) / kPage);
     EXPECT_EQ(o.missed, std::vector<uint32_t>{side_page});
@@ -667,7 +667,9 @@ TEST(WrittenPages, CpuStoresAreTrackedUnderBothTiers)
     for (bool dbt : {false, true}) {
         rt::SystemConfig cfg = recordableConfig(32u << 20, 1);
         cfg.cpuDbt = dbt;
-        rt::Session s(cfg, rt::Mode::FullSystem);
+        // Direct mode: no guest driver writes RAM after the chain, so
+        // the oracle can run as soon as enqueue() returns.
+        rt::Session s(cfg, rt::Mode::Direct);
         rt::System &sys = s.system();
         rt::KernelHandle k = s.compile(kScaleSrc, "scale");
         rt::Buffer in = s.alloc(kWords * 4);
@@ -676,7 +678,7 @@ TEST(WrittenPages, CpuStoresAreTrackedUnderBothTiers)
         sys.mem().writeBlock(kFillPa, fill.bytes.data(), fill.bytes.size());
 
         Oracle o;
-        s.startRecording().setChainObserver(o.observer());
+        replay::Recorder &rec = s.startRecording();
         for (uint32_t c = 0; c < 2; ++c) {
             sys.mem().write<uint32_t>(kFillPa + 4,
                                       static_cast<uint32_t>(in.pa));
@@ -684,13 +686,12 @@ TEST(WrittenPages, CpuStoresAreTrackedUnderBothTiers)
             sys.mem().write<uint32_t>(kFillPa + 12, c * 13 + 1);
             sys.cpu().setPc(kFillPa);
             sys.runCpu(static_cast<uint64_t>(kWords) * 6 + 1000);
-            sys.cpu().setPc(rt::System::kRamBase);   // Back to the OS.
-            sys.runCpu(10000);
             gpu::JobResult r = s.enqueue(
                 k, rt::NDRange{kWords, 1, 1}, rt::NDRange{40, 1, 1},
                 {rt::Arg::buf(in), rt::Arg::buf(out),
                  rt::Arg::i32(static_cast<int32_t>(kWords))});
             ASSERT_FALSE(r.faulted) << "dbt=" << dbt;
+            o.check(sys.mem(), rec);
             std::vector<int32_t> got(kWords);
             s.read(out, got.data(), kWords * 4);
             EXPECT_EQ(got[kWords - 1],
@@ -698,8 +699,8 @@ TEST(WrittenPages, CpuStoresAreTrackedUnderBothTiers)
                                            7 * (kWords - 1)) * 3 + 1)
                 << "the guest store loop did not run (dbt=" << dbt << ")";
         }
+        EXPECT_EQ(rec.chains(), 2u) << "dbt=" << dbt;
         replay::Log log = replay::Log::fromBytes(s.stopRecording());
-        EXPECT_EQ(o.chains, 2u) << "dbt=" << dbt;
         EXPECT_TRUE(o.missed.empty())
             << "dbt=" << dbt << ": first missed page " << o.missed[0];
         replay::ReplayResult rep = replay::replay(log, {});
@@ -723,10 +724,10 @@ TEST(WrittenPages, GpuStoresAndAtomicsAreTracked)
             rt::Buffer counts = s.alloc(8 * 4);
 
             Oracle o;
-            s.startRecording().setChainObserver(o.observer());
+            replay::Recorder &rec = s.startRecording();
             // Every chain stores new values, so a page whose cached
-            // writable translation outlived the take would go unmarked
-            // with different content.
+            // writable translation outlived the previous chain would go
+            // unmarked with different content.
             for (int c = 0; c < 2; ++c) {
                 gpu::JobResult r = s.enqueue(
                     k, rt::NDRange{kItems, 1, 1}, rt::NDRange{64, 1, 1},
@@ -734,12 +735,13 @@ TEST(WrittenPages, GpuStoresAndAtomicsAreTracked)
                      rt::Arg::i32(static_cast<int32_t>(kItems)),
                      rt::Arg::i32(c + 2)});
                 ASSERT_FALSE(r.faulted) << r.fault.detail;
+                o.check(s.system().mem(), rec);
             }
+            EXPECT_EQ(rec.chains(), 2u);
             replay::Log log = replay::Log::fromBytes(s.stopRecording());
             std::vector<int32_t> got(8);
             s.read(counts, got.data(), 8 * 4);
             EXPECT_EQ(got[3], static_cast<int32_t>(2 * kItems / 8));
-            EXPECT_EQ(o.chains, 2u);
             EXPECT_TRUE(o.missed.empty())
                 << "fast=" << fast << " threads=" << threads
                 << ": first missed page " << o.missed[0];
@@ -771,18 +773,16 @@ TEST(WrittenPages, ReplayApplyIsTracked)
     replay::Log log = replay::Log::fromBytes(s.stopRecording());
 
     // The validated replay's own recorder sees RAM only through the
-    // written marks the delta apply leaves.
+    // written marks the delta apply leaves: an unmarked apply drops
+    // pages from the re-recorded deltas, and the diff against the
+    // source log fails.
     for (unsigned threads : {1u, 4u}) {
-        Oracle o;
         replay::ReplayOptions opt;
         opt.hostThreads = threads;
-        opt.onChain = o.observer();
         replay::ReplayResult rep = replay::replay(log, opt);
-        EXPECT_TRUE(rep.ok) << rep.divergence;
-        EXPECT_EQ(o.chains, 3u);
-        EXPECT_TRUE(o.missed.empty())
-            << "threads=" << threads << ": first missed page "
-            << o.missed[0];
+        EXPECT_TRUE(rep.ok) << "threads=" << threads << ": "
+                            << rep.divergence;
+        EXPECT_EQ(rep.chains, 3u);
     }
 }
 
@@ -807,7 +807,7 @@ TEST(WrittenPages, SnapshotRestoreIsTracked)
     // the first (full) delta must still carry them.
     std::unique_ptr<rt::Session> s2 = rt::Session::fromSnapshot(img, cfg);
     Oracle o;
-    s2->startRecording().setChainObserver(o.observer());
+    replay::Recorder &rec = s2->startRecording();
     for (int c = 0; c < 2; ++c) {
         gpu::JobResult r = s2->enqueue(
             s2->kernels()[0], rt::NDRange{64, 1, 1},
@@ -815,9 +815,10 @@ TEST(WrittenPages, SnapshotRestoreIsTracked)
             {rt::Arg::buf(s2->buffers()[0]),
              rt::Arg::buf(s2->buffers()[1]), rt::Arg::i32(64)});
         ASSERT_FALSE(r.faulted);
+        o.check(s2->system().mem(), rec);
     }
+    EXPECT_EQ(rec.chains(), 2u);
     replay::Log log = replay::Log::fromBytes(s2->stopRecording());
-    EXPECT_EQ(o.chains, 2u);
     EXPECT_TRUE(o.missed.empty()) << "first missed page " << o.missed[0];
     replay::ReplayResult rep = replay::replay(log, {});
     EXPECT_TRUE(rep.ok) << rep.divergence;
@@ -840,29 +841,42 @@ TEST(WrittenPages, RamRestoredMidRecordingIsTracked)
     mem.saveState(saved);
 
     Oracle o;
-    s.startRecording().setChainObserver(o.observer());
+    replay::Recorder &rec = s.startRecording();
     auto run = [&] {
         gpu::JobResult r = s.enqueue(
             k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},
             {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::i32(64)});
         ASSERT_FALSE(r.faulted);
+        o.check(mem, rec);
     };
     mem.write<uint32_t>(side.pa, 0x600df00du);
     run();
     snap::ChunkReader r(snap::kTagMem, saved.data().data(), saved.size());
     mem.restoreState(r);   // side's page is zero again.
     run();
+    EXPECT_EQ(rec.chains(), 2u);
     s.stopRecording();
-    EXPECT_EQ(o.chains, 2u);
     EXPECT_TRUE(o.missed.empty()) << "first missed page " << o.missed[0];
 }
 
 TEST(WrittenPages, CowWarmSessionIsTracked)
 {
-    constexpr uint32_t kN = 32;
-    snap::Image img = snap::Image::fromBytes(
-        fleet::buildSgemmWarmImage(kN, 16u << 20, 2));
+    // A Direct-mode warm image, so no guest driver writes RAM after a
+    // chain and the oracle can run as soon as enqueue() returns.
     rt::SystemConfig cfg = recordableConfig(16u << 20, 2);
+    snap::Image img = [&] {
+        rt::Session warm(cfg, rt::Mode::Direct);
+        warm.compile(kScaleSrc, "scale");
+        rt::Buffer in = warm.alloc(64 * 4);
+        warm.alloc(64 * 4);
+        for (uint32_t i = 0; i < 64; ++i) {
+            int32_t v = static_cast<int32_t>(i + 1);
+            warm.write(in, &v, 4, i * 4);
+        }
+        snap::Writer w;
+        warm.saveSnapshot(w);
+        return snap::Image::fromBytes(w.finish());
+    }();
     cfg.ramImage = RamImage::sealFromSnapshot(img);
     if (!cfg.ramImage)
         GTEST_SKIP() << "no sealed shared memory on this host";
@@ -876,23 +890,21 @@ TEST(WrittenPages, CowWarmSessionIsTracked)
         if (round == 1)
             s->resetFromSnapshot(img);
         const std::vector<rt::Buffer> &bufs = s->buffers();
-        std::vector<float> a(kN * kN, 1.5f), b(kN * kN, 2.0f);
         Oracle o;
-        s->startRecording().setChainObserver(o.observer());
+        replay::Recorder &rec = s->startRecording();
         for (int c = 0; c < 2; ++c) {
-            a[c] = 3.0f;
-            s->write(bufs[0], a.data(), a.size() * 4);
-            s->write(bufs[1], b.data(), b.size() * 4);
+            int32_t v = 100 + c;
+            s->write(bufs[0], &v, 4, 4 * c);
             gpu::JobResult r = s->enqueue(
-                s->kernels().front(), rt::NDRange{kN, kN, 1},
-                rt::NDRange{8, 8, 1},
+                s->kernels().front(), rt::NDRange{64, 1, 1},
+                rt::NDRange{16, 1, 1},
                 {rt::Arg::buf(bufs[0]), rt::Arg::buf(bufs[1]),
-                 rt::Arg::buf(bufs[2]),
-                 rt::Arg::i32(static_cast<int32_t>(kN))});
+                 rt::Arg::i32(64)});
             ASSERT_FALSE(r.faulted) << r.fault.detail;
+            o.check(s->system().mem(), rec);
         }
+        EXPECT_EQ(rec.chains(), 2u);
         replay::Log log = replay::Log::fromBytes(s->stopRecording());
-        EXPECT_EQ(o.chains, 2u);
         EXPECT_TRUE(o.missed.empty())
             << "round " << round << ": first missed page " << o.missed[0];
         replay::ReplayResult rep = replay::replay(log, {});
