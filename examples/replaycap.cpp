@@ -6,8 +6,7 @@
  *   replaycap record <dir>    regenerate the deterministic scenario
  *                             corpus into <dir>/NAME.brpl
  *   replaycap verify <path>   replay a .brpl file — or every .brpl in
- *                             a directory — across fast/legacy
- *                             interpreters x {1,2,4} worker threads
+ *                             a directory — on {1,2,4} worker threads
  *                             and check every fingerprint
  *   replaycap info <file>     dump the event stream of one log
  *
@@ -64,12 +63,11 @@ kernel void oob(global int* out, int n) {
 )";
 
 rt::SystemConfig
-baseConfig(size_t ram_bytes, unsigned threads, bool fast)
+baseConfig(size_t ram_bytes, unsigned threads)
 {
     rt::SystemConfig cfg;
     cfg.ramBytes = ram_bytes;
     cfg.gpu.hostThreads = threads;
-    cfg.gpu.fastPath = fast;
     cfg.gpu.syncSubmit = true;
     return cfg;
 }
@@ -86,10 +84,10 @@ fillBuffer(rt::Session &s, const rt::Buffer &b, uint32_t n,
 
 /** Two scale chains with a rewritten input in between. */
 std::vector<uint8_t>
-recordScale(rt::Mode mode, unsigned threads, bool fast)
+recordScale(rt::Mode mode, unsigned threads)
 {
     size_t ram = mode == rt::Mode::FullSystem ? 32u << 20 : 8u << 20;
-    rt::Session s(baseConfig(ram, threads, fast), mode);
+    rt::Session s(baseConfig(ram, threads), mode);
     rt::KernelHandle k = s.compile(kScaleSrc, "scale");
     rt::Buffer in = s.alloc(256 * 4);
     rt::Buffer out = s.alloc(256 * 4);
@@ -107,7 +105,7 @@ recordScale(rt::Mode mode, unsigned threads, bool fast)
 std::vector<uint8_t>
 recordBranchy()
 {
-    rt::Session s(baseConfig(8u << 20, 2, true), rt::Mode::Direct);
+    rt::Session s(baseConfig(8u << 20, 2), rt::Mode::Direct);
     rt::KernelHandle k = s.compile(kBranchySrc, "branchy");
     rt::Buffer data = s.alloc(512 * 4);
     fillBuffer(s, data, 512, 5);
@@ -121,7 +119,7 @@ recordBranchy()
 std::vector<uint8_t>
 recordMmuFault()
 {
-    rt::Session s(baseConfig(8u << 20, 2, true), rt::Mode::Direct);
+    rt::Session s(baseConfig(8u << 20, 2), rt::Mode::Direct);
     rt::KernelHandle k = s.compile(kOobSrc, "oob");
     rt::Buffer out = s.alloc(64 * 4);
     s.startRecording();
@@ -134,7 +132,7 @@ recordMmuFault()
 std::vector<uint8_t>
 recordBadDescriptor()
 {
-    rt::Session s(baseConfig(8u << 20, 2, true), rt::Mode::Direct);
+    rt::Session s(baseConfig(8u << 20, 2), rt::Mode::Direct);
     rt::KernelHandle k = s.compile(kScaleSrc, "scale");
     rt::Buffer in = s.alloc(64 * 4);
     rt::Buffer out = s.alloc(64 * 4);
@@ -164,14 +162,10 @@ struct Scenario
 };
 
 const Scenario kScenarios[] = {
-    {"direct_scale",
-     [] { return recordScale(rt::Mode::Direct, 2, true); }},
-    {"direct_legacy",
-     [] { return recordScale(rt::Mode::Direct, 2, false); }},
-    {"direct_mt4",
-     [] { return recordScale(rt::Mode::Direct, 4, true); }},
+    {"direct_scale", [] { return recordScale(rt::Mode::Direct, 2); }},
+    {"direct_mt4", [] { return recordScale(rt::Mode::Direct, 4); }},
     {"fullsystem_scale",
-     [] { return recordScale(rt::Mode::FullSystem, 2, true); }},
+     [] { return recordScale(rt::Mode::FullSystem, 2); }},
     {"branchy", recordBranchy},
     {"fault_mmu", recordMmuFault},
     {"fault_baddesc", recordBadDescriptor},
@@ -196,26 +190,21 @@ int
 verifyOne(const std::string &path)
 {
     replay::Log log = replay::Log::load(path);
-    for (bool fast : {true, false}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            replay::ReplayOptions opt;
-            opt.fastPath = fast;
-            opt.hostThreads = threads;
-            replay::ReplayResult r = replay::replay(log, opt);
-            if (!r.ok) {
-                std::fprintf(stderr,
-                             "%s: DIVERGED (fast=%d threads=%u) at "
-                             "event %llu: %s\n",
-                             path.c_str(), fast ? 1 : 0, threads,
-                             static_cast<unsigned long long>(
-                                 r.divergenceEvent),
-                             r.divergence.c_str());
-                return 1;
-            }
+    for (unsigned threads : {1u, 2u, 4u}) {
+        replay::ReplayOptions opt;
+        opt.hostThreads = threads;
+        replay::ReplayResult r = replay::replay(log, opt);
+        if (!r.ok) {
+            std::fprintf(stderr,
+                         "%s: DIVERGED (threads=%u) at event %llu: %s\n",
+                         path.c_str(), threads,
+                         static_cast<unsigned long long>(
+                             r.divergenceEvent),
+                         r.divergence.c_str());
+            return 1;
         }
     }
-    std::printf("%s: PASS (fast+legacy x 1/2/4 workers)\n",
-                path.c_str());
+    std::printf("%s: PASS (1/2/4 workers)\n", path.c_str());
     return 0;
 }
 

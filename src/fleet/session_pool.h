@@ -46,7 +46,7 @@ struct PoolConfig
 
     /**
      * Host-side knob template for spawned sessions (gpu.hostThreads,
-     * fastPath, trace...).  RAM geometry and shader-core count always
+     * gpu.trace, cpuDbt...).  RAM geometry and shader-core count always
      * come from the image; syncSubmit is forced on so every tenant's
      * results are bit-identical to a solo run regardless of fleet
      * load (PR 8's determinism contract).

@@ -72,15 +72,4 @@ GpuMmu::walkFill(uint32_t va, bool write, GpuTlb &tlb)
     return &e;
 }
 
-bool
-GpuMmu::translate(uint32_t va, bool write, GpuTlb &tlb, Addr &pa_out)
-{
-    const GpuTlb::Entry *e = lookup(va, write, tlb);
-    if (!e)
-        return false;
-    pa_out = (static_cast<Addr>(e->ppn) << kGpuPageShift) |
-             (va & (kGpuPageBytes - 1));
-    return true;
-}
-
 } // namespace bifsim::gpu

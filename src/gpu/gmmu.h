@@ -27,8 +27,8 @@
  *
  * Concurrency model (DESIGN.md §5f): GpuMmu itself is a *stateless*
  * walker over guest memory plus two atomics (root, epoch) — it is safe
- * to call translate()/lookup() from any number of threads as long as
- * each call site passes its *own* GpuTlb.  All mutable per-thread
+ * to call lookup() from any number of threads as long as each call
+ * site passes its *own* GpuTlb.  All mutable per-thread
  * translation state, including the walk/hit counters, lives in the
  * GpuTlb, which must never be shared between threads.  Counters are
  * folded into the job result once at job completion, so the
@@ -66,7 +66,7 @@ constexpr uint32_t kGpuPageBytes = 1u << kGpuPageShift;
 /** A small per-worker TLB; workers own one each so no locking is
  *  needed on the translation fast path.  Strictly thread-local: the
  *  owning thread is the only one that may pass it to
- *  GpuMmu::translate()/lookup() or read its counters. */
+ *  GpuMmu::lookup() or read its counters. */
 struct GpuTlb
 {
     static constexpr size_t kEntries = 64;
@@ -146,25 +146,17 @@ class GpuMmu
     Addr root() const { return root_.load(); }
 
     /**
-     * Translates GPU virtual address @p va.
-     * @param write  Whether the access is a store.
-     * @param tlb    The calling thread's own TLB (never shared).
-     * @param pa_out Receives the physical address.
-     * @return false on translation fault.
-     * Threading: any thread, concurrently; may race with setRoot()/
-     * bumpEpoch() — a stale translation is served until the caller's
-     * next GpuTlb::syncEpoch() (the lazy-shootdown contract).
-     */
-    bool translate(uint32_t va, bool write, GpuTlb &tlb, Addr &pa_out);
-
-    /**
-     * Fast-path lookup: returns the TLB entry covering @p va (filling it
-     * by a walk on miss), or null on a translation/permission fault.
+     * Translates GPU virtual address @p va: returns the TLB entry
+     * covering it (filling it by a walk on miss), or null on a
+     * translation/permission fault.  @p write says whether the access
+     * is a store; @p tlb is the calling thread's own TLB (never shared).
      * On success the entry is also installed as @p tlb's last-page
      * cache.  The entry's host pointer is null when the frame is not
      * entirely inside RAM; callers must then fall back to physical
-     * addressing.
-     * Threading: as translate().
+     * addressing through Entry::ppn.
+     * Threading: any thread, concurrently; may race with setRoot()/
+     * bumpEpoch() — a stale translation is served until the caller's
+     * next GpuTlb::syncEpoch() (the lazy-shootdown contract).
      */
     const GpuTlb::Entry *lookup(uint32_t va, bool write, GpuTlb &tlb);
 

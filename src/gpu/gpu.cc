@@ -454,11 +454,13 @@ GpuDevice::readVaRange(uint32_t va, size_t len, std::vector<uint8_t> &out)
         uint32_t cur = va + static_cast<uint32_t>(done);
         size_t in_page = 4096 - (cur & 0xfff);
         size_t chunk = std::min(in_page, len - done);
-        Addr pa = 0;
-        if (!mmu_.translate(cur, false, tlb, pa) ||
-            !mem_.contains(pa, chunk)) {
+        const GpuTlb::Entry *e = mmu_.lookup(cur, false, tlb);
+        if (!e)
             return false;
-        }
+        Addr pa = (static_cast<Addr>(e->ppn) << kGpuPageShift) |
+                  (cur & (kGpuPageBytes - 1));
+        if (!mem_.contains(pa, chunk))
+            return false;
         mem_.readBlock(pa, out.data() + done, chunk);
         done += chunk;
     }
@@ -603,7 +605,6 @@ GpuDevice::runJob(const JobDescriptor &desc)
     ctx.deques = deques_.get();
     ctx.numWorkers = static_cast<unsigned>(workers_.size());
     ctx.collect = cfg_.instrument;
-    ctx.fastPath = cfg_.fastPath;
     for (int d = 0; d < 3; ++d)
         ctx.groups[d] = desc.grid[d] / desc.wg[d];
     ctx.totalGroups = ctx.groups[0] * ctx.groups[1] * ctx.groups[2];

@@ -201,46 +201,6 @@ cmp3(float a, float b)
 
 } // namespace
 
-uint32_t
-WorkgroupExecutor::readOperand(const Thread &t, uint8_t op) const
-{
-    using namespace bif;
-    if (isGrf(op) || isTemp(op))
-        return t.reg[op];
-    switch (op) {
-      case kSrLaneId:
-        return (t.reg[kSrLocalIdX] + t.reg[kSrLocalIdY] * job_->desc.wg[0] +
-                t.reg[kSrLocalIdZ] * job_->desc.wg[0] * job_->desc.wg[1]) %
-               kWarpWidth;
-      case kSrLocalIdX: return t.reg[kSrLocalIdX];
-      case kSrLocalIdY: return t.reg[kSrLocalIdY];
-      case kSrLocalIdZ: return t.reg[kSrLocalIdZ];
-      case kSrGroupIdX: return groupId_[0];
-      case kSrGroupIdY: return groupId_[1];
-      case kSrGroupIdZ: return groupId_[2];
-      case kSrLocalSizeX: return job_->desc.wg[0];
-      case kSrLocalSizeY: return job_->desc.wg[1];
-      case kSrLocalSizeZ: return job_->desc.wg[2];
-      case kSrGridSizeX: return job_->desc.grid[0];
-      case kSrGridSizeY: return job_->desc.grid[1];
-      case kSrGridSizeZ: return job_->desc.grid[2];
-      case kSrNumGroupsX: return job_->groups[0];
-      case kSrNumGroupsY: return job_->groups[1];
-      case kSrNumGroupsZ: return job_->groups[2];
-      case kSrZero: return 0;
-      default: return 0;
-    }
-}
-
-void
-WorkgroupExecutor::writeOperand(Thread &t, uint8_t op, uint32_t value)
-{
-    if (bif::isGrf(op) || bif::isTemp(op))
-        t.reg[op] = value;
-    // Special and None destinations are rejected by the validator;
-    // silently ignore for safety.
-}
-
 void
 WorkgroupExecutor::notePage(uint32_t vpn)
 {
@@ -323,85 +283,36 @@ WorkgroupExecutor::memAccess(uint32_t va, unsigned size, bool write,
     return true;
 }
 
-bool
-WorkgroupExecutor::memAccessLegacy(uint32_t va, unsigned size, bool write,
-                                   uint32_t &val)
-{
-    if (!isAligned(va, size)) {
-        raiseFault(JobFaultKind::BadAccess, va,
-                         "misaligned global access");
-        return false;
-    }
-    Addr pa = 0;
-    if (!job_->mmu->translate(va, write, tlb_, pa)) {
-        raiseFault(JobFaultKind::MmuFault, va,
-                         write ? "store translation fault"
-                               : "load translation fault");
-        return false;
-    }
-    if (job_->collect)
-        coll_.pages.insert(va >> 12);
-    if (!job_->mem->contains(pa, size)) {
-        raiseFault(JobFaultKind::BadAccess, va,
-                         "physical address outside RAM");
-        return false;
-    }
-    if (write) {
-        if (size == 1)
-            job_->mem->write<uint8_t>(pa, static_cast<uint8_t>(val));
-        else
-            job_->mem->write<uint32_t>(pa, val);
-    } else {
-        val = size == 1 ? job_->mem->read<uint8_t>(pa)
-                        : job_->mem->read<uint32_t>(pa);
-    }
-    return true;
-}
-
 uint32_t *
-WorkgroupExecutor::atomicHostPtr(uint32_t va, bool fast)
+WorkgroupExecutor::atomicHostPtr(uint32_t va)
 {
     if (va & 3u) {
         raiseFault(JobFaultKind::BadAccess, va, "misaligned atomic");
         return nullptr;
     }
-    if (fast) {
-        uint32_t vpn = va >> kGpuPageShift;
-        const GpuTlb::Entry *e = tlb_.last;
-        if (e && e->vpn == vpn && e->writable) {
-            tlb_.lastPageHits++;
-        } else {
-            e = job_->mmu->lookup(va, true, tlb_);
-            if (!e) {
-                raiseFault(JobFaultKind::MmuFault, va,
-                                 "atomic translation fault");
-                return nullptr;
-            }
-        }
-        if (job_->collect)
-            notePage(vpn);
-        if (e->host)
-            return reinterpret_cast<uint32_t *>(
-                e->host + (va & (kGpuPageBytes - 1)));
-        Addr pa = (static_cast<Addr>(e->ppn) << kGpuPageShift) |
-                  (va & (kGpuPageBytes - 1));
-        if (!job_->mem->contains(pa, 4)) {
+    uint32_t vpn = va >> kGpuPageShift;
+    const GpuTlb::Entry *e = tlb_.last;
+    if (e && e->vpn == vpn && e->writable) {
+        tlb_.lastPageHits++;
+    } else {
+        e = job_->mmu->lookup(va, true, tlb_);
+        if (!e) {
             raiseFault(JobFaultKind::MmuFault, va,
-                             "atomic translation fault");
+                       "atomic translation fault");
             return nullptr;
         }
-        job_->mem->markWritten(pa, 4);
-        return reinterpret_cast<uint32_t *>(job_->mem->hostPtr(pa));
-    }
-    Addr pa = 0;
-    if (!job_->mmu->translate(va, true, tlb_, pa) ||
-        !job_->mem->contains(pa, 4)) {
-        raiseFault(JobFaultKind::MmuFault, va,
-                         "atomic translation fault");
-        return nullptr;
     }
     if (job_->collect)
-        coll_.pages.insert(va >> 12);
+        notePage(vpn);
+    if (e->host)
+        return reinterpret_cast<uint32_t *>(
+            e->host + (va & (kGpuPageBytes - 1)));
+    Addr pa = (static_cast<Addr>(e->ppn) << kGpuPageShift) |
+              (va & (kGpuPageBytes - 1));
+    if (!job_->mem->contains(pa, 4)) {
+        raiseFault(JobFaultKind::MmuFault, va, "atomic translation fault");
+        return nullptr;
+    }
     job_->mem->markWritten(pa, 4);
     return reinterpret_cast<uint32_t *>(job_->mem->hostPtr(pa));
 }
@@ -618,7 +529,7 @@ WorkgroupExecutor::execClause(Warp &warp, uint32_t c, uint32_t mask)
                     return false;
                 break;
               case Op::AtomAddG: {
-                uint32_t *p = atomicHostPtr(a + u->imm, true);
+                uint32_t *p = atomicHostPtr(a + u->imm);
                 if (!p) [[unlikely]]
                     return false;
                 r = __atomic_fetch_add(p, b, __ATOMIC_SEQ_CST);
@@ -664,220 +575,9 @@ WorkgroupExecutor::execClause(Warp &warp, uint32_t c, uint32_t mask)
     return commitClause(warp, c, mask, sh.hasCf[c] != 0, next_pc, exits);
 }
 
-bool
-WorkgroupExecutor::execClauseLegacy(Warp &warp, uint32_t c, uint32_t mask)
-{
-    const bif::Clause &cl = job_->shader->mod.clauses[c];
-    const std::vector<uint32_t> &rom = job_->shader->mod.rom;
-
-    uint32_t next_pc[bif::kWarpWidth];
-    bool exits[bif::kWarpWidth] = {};
-    for (unsigned t = 0; t < warp.numThreads; ++t)
-        next_pc[t] = c + 1;
-    bool has_cf = false;
-
-    for (const bif::Tuple &tuple : cl.tuples) {
-        for (const bif::Instr &in : tuple.slot) {
-            if (in.op == Op::Nop)
-                continue;
-            if (bif::category(in.op) == bif::Category::ControlFlow)
-                has_cf = true;
-            for (unsigned t = 0; t < warp.numThreads; ++t) {
-                if (!(mask & (1u << t)))
-                    continue;
-                Thread &th = warp.threads[t];
-                uint32_t a = readOperand(th, in.src0);
-                uint32_t b = readOperand(th, in.src1);
-                uint32_t cc = readOperand(th, in.src2);
-                uint32_t r = 0;
-                switch (in.op) {
-                  case Op::FAdd: r = asU(asF(a) + asF(b)); break;
-                  case Op::FSub: r = asU(asF(a) - asF(b)); break;
-                  case Op::FMul: r = asU(asF(a) * asF(b)); break;
-                  case Op::FFma:
-                    r = asU(asF(a) * asF(b) + asF(cc));
-                    break;
-                  case Op::FMin: r = asU(std::fmin(asF(a), asF(b))); break;
-                  case Op::FMax: r = asU(std::fmax(asF(a), asF(b))); break;
-                  case Op::FAbs: r = asU(std::fabs(asF(a))); break;
-                  case Op::FNeg: r = asU(-asF(a)); break;
-                  case Op::FFloor: r = asU(std::floor(asF(a))); break;
-                  case Op::IAdd: r = a + b; break;
-                  case Op::ISub: r = a - b; break;
-                  case Op::IMul: r = a * b; break;
-                  case Op::IAnd: r = a & b; break;
-                  case Op::IOr:  r = a | b; break;
-                  case Op::IXor: r = a ^ b; break;
-                  case Op::INot: r = ~a; break;
-                  case Op::IShl: r = a << (b & 31); break;
-                  case Op::IShr: r = a >> (b & 31); break;
-                  case Op::IAsr:
-                    r = static_cast<uint32_t>(
-                        static_cast<int32_t>(a) >> (b & 31));
-                    break;
-                  case Op::IMin:
-                    r = static_cast<int32_t>(a) < static_cast<int32_t>(b)
-                            ? a : b;
-                    break;
-                  case Op::IMax:
-                    r = static_cast<int32_t>(a) > static_cast<int32_t>(b)
-                            ? a : b;
-                    break;
-                  case Op::UMin: r = a < b ? a : b; break;
-                  case Op::UMax: r = a > b ? a : b; break;
-                  case Op::FCmp: {
-                    int q = cmp3(asF(a), asF(b));
-                    bif::CmpMode m =
-                        static_cast<bif::CmpMode>(in.imm & 7);
-                    bool res = q == 2
-                        ? m == bif::CmpMode::Ne
-                        : compare(m, q);
-                    r = res ? 1 : 0;
-                    break;
-                  }
-                  case Op::ICmp: {
-                    int32_t sa = static_cast<int32_t>(a);
-                    int32_t sb = static_cast<int32_t>(b);
-                    int q = sa < sb ? -1 : sa > sb ? 1 : 0;
-                    r = compare(static_cast<bif::CmpMode>(in.imm & 7), q);
-                    break;
-                  }
-                  case Op::UCmp: {
-                    int q = a < b ? -1 : a > b ? 1 : 0;
-                    r = compare(static_cast<bif::CmpMode>(in.imm & 7), q);
-                    break;
-                  }
-                  case Op::CSel: r = a != 0 ? b : cc; break;
-                  case Op::Mov: r = a; break;
-                  case Op::MovImm: r = static_cast<uint32_t>(in.imm); break;
-                  case Op::F2I: r = saturatingF2I(asF(a)); break;
-                  case Op::F2U: r = saturatingF2U(asF(a)); break;
-                  case Op::I2F:
-                    r = asU(static_cast<float>(static_cast<int32_t>(a)));
-                    break;
-                  case Op::U2F: r = asU(static_cast<float>(a)); break;
-                  case Op::FRcp: r = asU(1.0f / asF(a)); break;
-                  case Op::FRsqrt:
-                    r = asU(1.0f / std::sqrt(asF(a)));
-                    break;
-                  case Op::FSqrt: r = asU(std::sqrt(asF(a))); break;
-                  case Op::FExp2: r = asU(std::exp2(asF(a))); break;
-                  case Op::FLog2: r = asU(std::log2(asF(a))); break;
-                  case Op::FSin: r = asU(std::sin(asF(a))); break;
-                  case Op::FCos: r = asU(std::cos(asF(a))); break;
-                  case Op::IDiv: {
-                    int32_t sa = static_cast<int32_t>(a);
-                    int32_t sb = static_cast<int32_t>(b);
-                    if (sb == 0)
-                        r = 0;
-                    else if (sa == std::numeric_limits<int32_t>::min() &&
-                             sb == -1)
-                        r = a;
-                    else
-                        r = static_cast<uint32_t>(sa / sb);
-                    break;
-                  }
-                  case Op::IRem: {
-                    int32_t sa = static_cast<int32_t>(a);
-                    int32_t sb = static_cast<int32_t>(b);
-                    if (sb == 0)
-                        r = 0;
-                    else if (sa == std::numeric_limits<int32_t>::min() &&
-                             sb == -1)
-                        r = 0;
-                    else
-                        r = static_cast<uint32_t>(sa % sb);
-                    break;
-                  }
-                  case Op::UDiv: r = b ? a / b : 0; break;
-                  case Op::URem: r = b ? a % b : 0; break;
-                  case Op::LdRom:
-                    r = static_cast<size_t>(in.imm) < rom.size()
-                            ? rom[in.imm] : 0;
-                    break;
-                  case Op::LdArg:
-                    r = job_->args[static_cast<uint32_t>(in.imm) %
-                                   kMaxArgWords];
-                    break;
-                  case Op::LdGlobal:
-                    if (!memAccessLegacy(a + in.imm, 4, false, r))
-                        return false;
-                    break;
-                  case Op::LdGlobalU8:
-                    if (!memAccessLegacy(a + in.imm, 1, false, r))
-                        return false;
-                    break;
-                  case Op::StGlobal:
-                    if (!memAccessLegacy(a + in.imm, 4, true, b))
-                        return false;
-                    break;
-                  case Op::StGlobalU8:
-                    if (!memAccessLegacy(a + in.imm, 1, true, b))
-                        return false;
-                    break;
-                  case Op::LdLocal:
-                    if (!localAccess(a + in.imm, false, r))
-                        return false;
-                    break;
-                  case Op::StLocal:
-                    if (!localAccess(a + in.imm, true, b))
-                        return false;
-                    break;
-                  case Op::AtomAddG: {
-                    uint32_t *p = atomicHostPtr(a + in.imm, false);
-                    if (!p)
-                        return false;
-                    r = __atomic_fetch_add(p, b, __ATOMIC_SEQ_CST);
-                    break;
-                  }
-                  case Op::AtomAddL: {
-                    uint32_t off = a + in.imm;
-                    uint32_t old = 0;
-                    if (!localAccess(off, false, old))
-                        return false;
-                    uint32_t nv = old + b;
-                    if (!localAccess(off, true, nv))
-                        return false;
-                    r = old;
-                    break;
-                  }
-                  case Op::Branch:
-                    next_pc[t] = static_cast<uint32_t>(in.imm);
-                    break;
-                  case Op::BranchZ:
-                    if (a == 0)
-                        next_pc[t] = static_cast<uint32_t>(in.imm);
-                    break;
-                  case Op::BranchNZ:
-                    if (a != 0)
-                        next_pc[t] = static_cast<uint32_t>(in.imm);
-                    break;
-                  case Op::Ret:
-                    exits[t] = true;
-                    break;
-                  case Op::Barrier:
-                    // Handled at warp level (barrier clauses are alone).
-                    break;
-                  default:
-                    break;
-                }
-                if (in.dst != bif::kOperandNone &&
-                    bif::category(in.op) != bif::Category::ControlFlow &&
-                    in.op != Op::StGlobal && in.op != Op::StGlobalU8 &&
-                    in.op != Op::StLocal) {
-                    writeOperand(th, in.dst, r);
-                }
-            }
-        }
-    }
-
-    return commitClause(warp, c, mask, has_cf, next_pc, exits);
-}
-
 WorkgroupExecutor::WarpStop
 WorkgroupExecutor::runWarp(Warp &warp)
 {
-    const bool fast = job_->fastPath;
     for (;;) {
         // Stop only for *this group's* fault.  Aborting on any other
         // group's fault would make this group's side effects (stores,
@@ -934,9 +634,7 @@ WorkgroupExecutor::runWarp(Warp &warp)
             if (!th.done && th.pc == minpc)
                 mask |= 1u << t;
         }
-        bool ok = fast ? execClause(warp, minpc, mask)
-                       : execClauseLegacy(warp, minpc, mask);
-        if (!ok)
+        if (!execClause(warp, minpc, mask))
             return WarpStop::Fault;
     }
 }

@@ -21,10 +21,9 @@
  * operand indices, immediate), so the per-warp execute loop iterates a
  * flat array instead of re-walking tuple/slot structures and re-testing
  * operand kinds.  Because every shader is decoded exactly once
- * (§III-B2), the lowering cost amortises to zero.  The original
- * tuple-walking interpreter is retained as the "legacy" dispatch path
- * (GpuConfig::fastPath = false) for differential testing and for the
- * before/after hot-path benchmark.
+ * (§III-B2), the lowering cost amortises to zero.  The independent
+ * scalar interpreter in gpu/ref/ is the differential-testing oracle
+ * for this executor (paper §V-A2).
  */
 
 #include <atomic>
@@ -150,8 +149,6 @@ struct JobContext
     uint32_t groups[3] = {1, 1, 1};
     uint32_t totalGroups = 1;
     bool collect = true;                ///< Instrumentation enabled.
-    bool fastPath = true;               ///< Micro-op dispatch + host-ptr
-                                        ///< TLB (false = legacy loop).
 
     std::atomic<bool> faulted{false};
 
@@ -272,17 +269,10 @@ class WorkgroupExecutor
      *  flattened micro-op stream.  Returns false on fault. */
     bool execClause(Warp &warp, uint32_t c, uint32_t mask);
 
-    /** The pre-overhaul tuple-walking interpreter, kept verbatim as the
-     *  before/after baseline and differential-test subject. */
-    bool execClauseLegacy(Warp &warp, uint32_t c, uint32_t mask);
-
-    /** Commits per-thread next-PCs and divergence bookkeeping shared by
-     *  both dispatch paths. */
+    /** Commits per-thread next-PCs and divergence bookkeeping at the
+     *  end of a clause. */
     bool commitClause(Warp &warp, uint32_t c, uint32_t mask, bool has_cf,
                       const uint32_t *next_pc, const bool *exits);
-
-    uint32_t readOperand(const Thread &t, uint8_t op) const;
-    void writeOperand(Thread &t, uint8_t op, uint32_t value);
 
     /** Raises @p kind against the current workgroup: latches it into
      *  the job (lowest group wins) and stops this group's warps. */
@@ -290,10 +280,8 @@ class WorkgroupExecutor
                     const std::string &detail);
 
     bool memAccess(uint32_t va, unsigned size, bool write, uint32_t &val);
-    bool memAccessLegacy(uint32_t va, unsigned size, bool write,
-                         uint32_t &val);
     bool localAccess(uint32_t offset, bool write, uint32_t &val);
-    uint32_t *atomicHostPtr(uint32_t va, bool fast);
+    uint32_t *atomicHostPtr(uint32_t va);
     void notePage(uint32_t vpn);
 };
 

@@ -102,7 +102,7 @@ parseConfig(snap::ChunkReader r)
     c.hostThreads = r.u32();
     c.verify = r.u8();
     c.instrument = r.u8() != 0;
-    c.fastPath = r.u8() != 0;
+    r.u8();   // Retired fastPath byte (0 = legacy interpreter): ignored.
     c.cpuDbt = r.u8() != 0;
     c.fullSystem = r.u8() != 0;
     r.u8();   // reserved
@@ -277,7 +277,7 @@ Recorder::Recorder(PhysMem &mem, gpu::GpuDevice &gpu, RecordInfo info)
     w.u32(g.hostThreads);
     w.u8(static_cast<uint8_t>(g.verify));
     w.u8(g.instrument ? 1 : 0);
-    w.u8(g.fastPath ? 1 : 0);
+    w.u8(1);   // Retired interpreter-tier byte (see parseConfig).
     w.u8(info.cpuDbt ? 1 : 0);
     w.u8(info.fullSystem ? 1 : 0);
     w.u8(0);
@@ -575,12 +575,11 @@ describeEvent(const Log &log, size_t i)
         if (kind == kEvConfig) {
             const LogConfig &c = log.config();
             return strfmt("RCFG ram=%lluKiB cores=%u threads=%u "
-                          "verify=%u fast=%u dbt=%u fullsys=%u",
+                          "verify=%u dbt=%u fullsys=%u",
                           static_cast<unsigned long long>(c.ramBytes >>
                                                           10),
                           c.numCores, c.hostThreads, c.verify,
-                          c.fastPath ? 1 : 0, c.cpuDbt ? 1 : 0,
-                          c.fullSystem ? 1 : 0);
+                          c.cpuDbt ? 1 : 0, c.fullSystem ? 1 : 0);
         }
         if (kind == kEvMemDelta) {
             uint8_t full = r.u8();
@@ -649,7 +648,6 @@ replay(const Log &log, const ReplayOptions &opt)
     gcfg.numCores = c.numCores;
     gcfg.hostThreads = opt.hostThreads == 0 ? 1 : opt.hostThreads;
     gcfg.instrument = c.instrument;
-    gcfg.fastPath = opt.fastPath;
     gcfg.trace = opt.trace;
     gcfg.syncSubmit = true;
     gcfg.verify = static_cast<analysis::Strictness>(c.verify);

@@ -28,8 +28,8 @@
  * is a pure function of the guest inputs — RAM, IRQ/JS/fault
  * registers, merged kernel statistics.  Host-dependent counters
  * (TlbStats, SchedStats, SystemStats control-register traffic) are
- * deliberately excluded so a log replays bit-identically across
- * fast/legacy interpreters and any worker-thread count.  Kernels whose
+ * deliberately excluded so a log replays bit-identically across CPU
+ * tiers and any worker-thread count.  Kernels whose
  * *results* depend on atomic ordering (e.g. storing a fetched counter
  * value) are outside the contract — their RAM is order-dependent on
  * real hardware too.
@@ -91,7 +91,6 @@ struct LogConfig
     uint32_t hostThreads = 0;   ///< Informational: recording pool size.
     uint8_t verify = 0;         ///< analysis::Strictness.
     bool instrument = true;
-    bool fastPath = true;       ///< Informational: recording tier.
     bool cpuDbt = false;        ///< Informational: CPU tier (FullSystem).
     bool fullSystem = false;    ///< Informational: submission mode.
 };
@@ -285,7 +284,6 @@ std::string describeEvent(const Log &log, size_t i);
 struct ReplayOptions
 {
     unsigned hostThreads = 1;
-    bool fastPath = true;
     bool trace = false;
     bool validate = true;   ///< Re-record and diff against the source;
                             ///< false applies the inputs only (no

@@ -179,6 +179,8 @@ void
 ChunkReader::bytes(void *dst, size_t len)
 {
     need(len);
+    if (len == 0)
+        return;   // dst may be an empty vector's null data().
     std::memcpy(dst, data_ + pos_, len);
     pos_ += len;
 }

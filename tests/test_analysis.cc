@@ -472,9 +472,8 @@ TEST(WorkloadLint, AllWorkloadsCleanAtEveryOptLevel)
 // The GPU decode-time verifier.
 // ---------------------------------------------------------------------
 
-/** OOB LdRom passes bif::validate/encode (the interpreters define the
- *  read as zero only on the legacy path; the verifier must catch it
- *  before execution). */
+/** OOB LdRom passes bif::validate/encode (the executor defines the read
+ *  as zero; the verifier must catch it before execution). */
 bif::Module
 oobRomModule()
 {

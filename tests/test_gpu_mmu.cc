@@ -42,6 +42,19 @@ class GpuMmuTest : public ::testing::Test
                                           : 0u));
     }
 
+    /** Translates @p va through lookup(), composing the physical
+     *  address from the entry's frame.  False on a fault. */
+    bool
+    lookupPa(uint32_t va, bool write, Addr &pa)
+    {
+        const GpuTlb::Entry *e = mmu.lookup(va, write, tlb);
+        if (!e)
+            return false;
+        pa = (static_cast<Addr>(e->ppn) << kGpuPageShift) |
+             (va & (kGpuPageBytes - 1));
+        return true;
+    }
+
     PhysMem mem;
     GpuMmu mmu;
     GpuTlb tlb;
@@ -52,44 +65,44 @@ TEST_F(GpuMmuTest, TranslateBasic)
 {
     map(0x00100000, kBase + 0x8000, true);
     Addr pa = 0;
-    ASSERT_TRUE(mmu.translate(0x00100abc, false, tlb, pa));
+    ASSERT_TRUE(lookupPa(0x00100abc, false, pa));
     EXPECT_EQ(pa, kBase + 0x8abc);
-    ASSERT_TRUE(mmu.translate(0x00100abc, true, tlb, pa));
+    ASSERT_TRUE(lookupPa(0x00100abc, true, pa));
 }
 
 TEST_F(GpuMmuTest, ReadOnlyBlocksWrites)
 {
     map(0x00100000, kBase + 0x8000, false);
     Addr pa = 0;
-    EXPECT_TRUE(mmu.translate(0x00100000, false, tlb, pa));
-    EXPECT_FALSE(mmu.translate(0x00100000, true, tlb, pa));
+    EXPECT_TRUE(lookupPa(0x00100000, false, pa));
+    EXPECT_FALSE(lookupPa(0x00100000, true, pa));
 }
 
 TEST_F(GpuMmuTest, UnmappedFails)
 {
     Addr pa = 0;
-    EXPECT_FALSE(mmu.translate(0x00300000, false, tlb, pa));
+    EXPECT_FALSE(lookupPa(0x00300000, false, pa));
 }
 
 TEST_F(GpuMmuTest, NullRootFails)
 {
     mmu.setRoot(0);
     Addr pa = 0;
-    EXPECT_FALSE(mmu.translate(0x00100000, false, tlb, pa));
+    EXPECT_FALSE(lookupPa(0x00100000, false, pa));
 }
 
 TEST_F(GpuMmuTest, TlbAvoidsRepeatWalks)
 {
     map(0x00100000, kBase + 0x8000, true);
     Addr pa = 0;
-    mmu.translate(0x00100000, false, tlb, pa);
+    lookupPa(0x00100000, false, pa);
     // Walk counts are per-TLB (thread-local) — no shared counter.
     uint64_t walks = tlb.walks;
     for (int i = 0; i < 100; ++i)
-        mmu.translate(0x00100000 + i * 4, false, tlb, pa);
+        lookupPa(0x00100000 + i * 4, false, pa);
     EXPECT_EQ(tlb.walks, walks);
     tlb.flush();
-    mmu.translate(0x00100000, false, tlb, pa);
+    lookupPa(0x00100000, false, pa);
     EXPECT_EQ(tlb.walks, walks + 1);
 }
 
@@ -98,8 +111,8 @@ TEST_F(GpuMmuTest, TlbCachesWritePermission)
     map(0x00100000, kBase + 0x8000, false);
     Addr pa = 0;
     // Prime the TLB with a read, then try to write through the entry.
-    ASSERT_TRUE(mmu.translate(0x00100000, false, tlb, pa));
-    EXPECT_FALSE(mmu.translate(0x00100004, true, tlb, pa));
+    ASSERT_TRUE(lookupPa(0x00100000, false, pa));
+    EXPECT_FALSE(lookupPa(0x00100004, true, pa));
 }
 
 TEST_F(GpuMmuTest, DistinctPagesDistinctFrames)
@@ -107,8 +120,8 @@ TEST_F(GpuMmuTest, DistinctPagesDistinctFrames)
     map(0x00100000, kBase + 0x8000, true);
     map(0x00101000, kBase + 0x20000, true);
     Addr pa1 = 0, pa2 = 0;
-    ASSERT_TRUE(mmu.translate(0x00100000, false, tlb, pa1));
-    ASSERT_TRUE(mmu.translate(0x00101000, false, tlb, pa2));
+    ASSERT_TRUE(lookupPa(0x00100000, false, pa1));
+    ASSERT_TRUE(lookupPa(0x00101000, false, pa2));
     EXPECT_EQ(pa1, kBase + 0x8000);
     EXPECT_EQ(pa2, kBase + 0x20000);
 }
@@ -117,7 +130,7 @@ TEST_F(GpuMmuTest, PageTableOutsideRamFails)
 {
     mmu.setRoot(0x10000000);   // Not RAM.
     Addr pa = 0;
-    EXPECT_FALSE(mmu.translate(0x00100000, false, tlb, pa));
+    EXPECT_FALSE(lookupPa(0x00100000, false, pa));
 }
 
 TEST_F(GpuMmuTest, LookupCachesHostPointer)

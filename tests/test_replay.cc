@@ -1,5 +1,5 @@
 /** @file Record/replay of the CPU<->GPU boundary (DESIGN.md §5h):
- *  BRPL round trips across interpreter tiers and worker counts,
+ *  BRPL round trips across CPU tiers and worker counts,
  *  faulting-workload replay, restore-then-trace/record, the
  *  worker-count fault-determinism regression, the full-scan oracle
  *  over every RAM writer the written-page tracking must see, and
@@ -69,21 +69,16 @@ irqBits(const replay::Log &log)
     return bits;
 }
 
-/** Replays @p log across fast/legacy x worker counts; every run must
- *  validate cleanly. */
+/** Replays @p log across worker counts; every run must validate
+ *  cleanly. */
 void
 expectReplaysEverywhere(const replay::Log &log)
 {
-    for (bool fast : {true, false}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            replay::ReplayOptions opt;
-            opt.fastPath = fast;
-            opt.hostThreads = threads;
-            replay::ReplayResult r = replay::replay(log, opt);
-            EXPECT_TRUE(r.ok)
-                << "fast=" << fast << " threads=" << threads << ": "
-                << r.divergence;
-        }
+    for (unsigned threads : {1u, 2u, 4u}) {
+        replay::ReplayOptions opt;
+        opt.hostThreads = threads;
+        replay::ReplayResult r = replay::replay(log, opt);
+        EXPECT_TRUE(r.ok) << "threads=" << threads << ": " << r.divergence;
     }
 }
 
@@ -150,7 +145,7 @@ loadRawModule(rt::Session &s, const std::vector<bif::Instr> &instrs,
 
 // -------------------------------------------------- Basic round trips
 
-TEST(Replay, DirectRecordReplaysAcrossTiersAndWorkerCounts)
+TEST(Replay, DirectRecordReplaysAcrossWorkerCounts)
 {
     rt::Session s(recordableConfig(), rt::Mode::Direct);
     rt::KernelHandle k = s.compile(kScaleSrc, "scale");
@@ -710,47 +705,43 @@ TEST(WrittenPages, CpuStoresAreTrackedUnderBothTiers)
 
 TEST(WrittenPages, GpuStoresAndAtomicsAreTracked)
 {
-    // fastPath stores and atomics go through host pointers cached by
-    // GPU TLB fills; the legacy interpreter takes the physical-address
-    // path on every access.  Both, on one and four workers.
+    // Shader stores and atomics go through host pointers cached by GPU
+    // TLB fills, on one and four workers.  (The physical-address path
+    // has its own test in test_gpu_exec.cc.)
     constexpr uint32_t kItems = 4096;   // out spans four pages.
-    for (bool fast : {true, false}) {
-        for (unsigned threads : {1u, 4u}) {
-            rt::SystemConfig cfg = recordableConfig(8u << 20, threads);
-            cfg.gpu.fastPath = fast;
-            rt::Session s(cfg, rt::Mode::Direct);
-            rt::KernelHandle k = s.compile(kStoreAtomicSrc, "storeatom");
-            rt::Buffer out = s.alloc(kItems * 4);
-            rt::Buffer counts = s.alloc(8 * 4);
+    for (unsigned threads : {1u, 4u}) {
+        rt::Session s(recordableConfig(8u << 20, threads),
+                      rt::Mode::Direct);
+        rt::KernelHandle k = s.compile(kStoreAtomicSrc, "storeatom");
+        rt::Buffer out = s.alloc(kItems * 4);
+        rt::Buffer counts = s.alloc(8 * 4);
 
-            Oracle o;
-            replay::Recorder &rec = s.startRecording();
-            // Every chain stores new values, so a page whose cached
-            // writable translation outlived the previous chain would go
-            // unmarked with different content.
-            for (int c = 0; c < 2; ++c) {
-                gpu::JobResult r = s.enqueue(
-                    k, rt::NDRange{kItems, 1, 1}, rt::NDRange{64, 1, 1},
-                    {rt::Arg::buf(out), rt::Arg::buf(counts),
-                     rt::Arg::i32(static_cast<int32_t>(kItems)),
-                     rt::Arg::i32(c + 2)});
-                ASSERT_FALSE(r.faulted) << r.fault.detail;
-                o.check(s.system().mem(), rec);
-            }
-            EXPECT_EQ(rec.chains(), 2u);
-            replay::Log log = replay::Log::fromBytes(s.stopRecording());
-            std::vector<int32_t> got(8);
-            s.read(counts, got.data(), 8 * 4);
-            EXPECT_EQ(got[3], static_cast<int32_t>(2 * kItems / 8));
-            EXPECT_TRUE(o.missed.empty())
-                << "fast=" << fast << " threads=" << threads
-                << ": first missed page " << o.missed[0];
-            replay::ReplayOptions opt;
-            opt.hostThreads = threads;
-            opt.fastPath = fast;
-            replay::ReplayResult rep = replay::replay(log, opt);
-            EXPECT_TRUE(rep.ok) << rep.divergence;
+        Oracle o;
+        replay::Recorder &rec = s.startRecording();
+        // Every chain stores new values, so a page whose cached
+        // writable translation outlived the previous chain would go
+        // unmarked with different content.
+        for (int c = 0; c < 2; ++c) {
+            gpu::JobResult r = s.enqueue(
+                k, rt::NDRange{kItems, 1, 1}, rt::NDRange{64, 1, 1},
+                {rt::Arg::buf(out), rt::Arg::buf(counts),
+                 rt::Arg::i32(static_cast<int32_t>(kItems)),
+                 rt::Arg::i32(c + 2)});
+            ASSERT_FALSE(r.faulted) << r.fault.detail;
+            o.check(s.system().mem(), rec);
         }
+        EXPECT_EQ(rec.chains(), 2u);
+        replay::Log log = replay::Log::fromBytes(s.stopRecording());
+        std::vector<int32_t> got(8);
+        s.read(counts, got.data(), 8 * 4);
+        EXPECT_EQ(got[3], static_cast<int32_t>(2 * kItems / 8));
+        EXPECT_TRUE(o.missed.empty())
+            << "threads=" << threads << ": first missed page "
+            << o.missed[0];
+        replay::ReplayOptions opt;
+        opt.hostThreads = threads;
+        replay::ReplayResult rep = replay::replay(log, opt);
+        EXPECT_TRUE(rep.ok) << rep.divergence;
     }
 }
 
@@ -914,6 +905,41 @@ TEST(WrittenPages, CowWarmSessionIsTracked)
 
 // ------------------------------------------------------- Mutation fuzz
 
+/** The recording configuration the hand-built logs below start
+ *  with: 1 MiB (256 pages) of RAM, default GPU knobs. */
+replay::LogConfig
+smallConfig()
+{
+    replay::LogConfig c;
+    c.ramBase = 0x80000000ull;
+    c.ramBytes = 1u << 20;
+    c.numCores = 8;
+    c.hostThreads = 2;
+    c.verify = 1;
+    return c;
+}
+
+/** Appends the RCFG event for @p c.  @p tier_byte is the retired
+ *  interpreter-tier byte: the recorder writes 1, logs from the legacy
+ *  interpreter carry 0. */
+void
+configEvent(replay::LogWriter &w,
+            const replay::LogConfig &c = smallConfig(),
+            uint8_t tier_byte = 1)
+{
+    snap::ChunkWriter &e = w.event(replay::kEvConfig);
+    e.u64(c.ramBase);
+    e.u64(c.ramBytes);
+    e.u32(c.numCores);
+    e.u32(c.hostThreads);
+    e.u8(c.verify);
+    e.u8(c.instrument ? 1 : 0);
+    e.u8(tier_byte);
+    e.u8(c.cpuDbt ? 1 : 0);
+    e.u8(c.fullSystem ? 1 : 0);
+    e.u8(0);   // reserved
+}
+
 std::vector<uint8_t>
 smallValidLog()
 {
@@ -976,20 +1002,6 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
 {
     // Build structurally valid logs whose payloads carry hostile
     // counts and sizes; every one must fail with a located error.
-    auto configEvent = [](replay::LogWriter &w) {
-        snap::ChunkWriter &c = w.event(replay::kEvConfig);
-        c.u64(0x80000000ull);   // ramBase
-        c.u64(1u << 20);        // ramBytes: 256 pages
-        c.u32(8);               // numCores
-        c.u32(2);               // hostThreads
-        c.u8(1);                // verify
-        c.u8(1);                // instrument
-        c.u8(1);                // fastPath
-        c.u8(0);                // cpuDbt
-        c.u8(0);                // fullSystem
-        c.u8(0);                // reserved
-    };
-
     {
         // MemDelta claiming 2^32-1 pages.
         replay::LogWriter w;
@@ -1015,18 +1027,10 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
     }
     {
         // RCFG with an implausible RAM size.
+        replay::LogConfig huge = smallConfig();
+        huge.ramBytes = 1ull << 40;
         replay::LogWriter w;
-        snap::ChunkWriter &c = w.event(replay::kEvConfig);
-        c.u64(0x80000000ull);
-        c.u64(1ull << 40);
-        c.u32(8);
-        c.u32(2);
-        c.u8(1);
-        c.u8(1);
-        c.u8(1);
-        c.u8(0);
-        c.u8(0);
-        c.u8(0);
+        configEvent(w, huge);
         EXPECT_THROW(replay::Log::fromBytes(w.finish()),
                      replay::ReplayError);
     }
@@ -1045,6 +1049,47 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
         w.event(replay::kEvMmio).u32(gpu::kRegIrqMask);
         replay::Log log = replay::Log::fromBytes(w.finish());
         EXPECT_THROW(replay::replay(log, {}), replay::ReplayError);
+    }
+}
+
+TEST(Replay, RetiredInterpreterTierByteIsIgnored)
+{
+    // Logs recorded on the retired legacy interpreter carry 0 in the
+    // RCFG byte that once named the interpreter tier
+    // (corpus/direct_legacy.brpl is one).  Rebuild a recording with
+    // only that byte cleared: replay must validate it exactly as it
+    // validates the original.
+    replay::Log src = replay::Log::fromBytes(smallValidLog());
+    replay::LogWriter w;
+    configEvent(w, src.config(), 0);
+    for (size_t i = 1; i < src.eventCount(); ++i)
+        w.event(src.kind(i)).bytes(src.payload(i), src.payloadSize(i));
+    replay::Log old = replay::Log::fromBytes(w.finish());
+
+    // ramBase u64 | ramBytes u64 | numCores u32 | hostThreads u32 |
+    // verify u8 | instrument u8 | tier u8 ...
+    constexpr size_t kTierByte = 8 + 8 + 4 + 4 + 1 + 1;
+    ASSERT_EQ(old.payloadSize(0), src.payloadSize(0));
+    EXPECT_EQ(src.payload(0)[kTierByte], 1);
+    std::vector<uint8_t> expect(src.payload(0),
+                                src.payload(0) + src.payloadSize(0));
+    expect[kTierByte] = 0;
+    EXPECT_EQ(std::memcmp(old.payload(0), expect.data(), expect.size()),
+              0);
+    EXPECT_EQ(replay::describeEvent(old, 0),
+              replay::describeEvent(src, 0));
+
+    for (unsigned threads : {1u, 4u}) {
+        replay::ReplayOptions opt;
+        opt.hostThreads = threads;
+        replay::ReplayResult a = replay::replay(src, opt);
+        replay::ReplayResult b = replay::replay(old, opt);
+        ASSERT_TRUE(a.ok) << a.divergence;
+        EXPECT_TRUE(b.ok) << "threads=" << threads << ": "
+                          << b.divergence;
+        EXPECT_EQ(b.chains, a.chains);
+        EXPECT_EQ(b.totalKernel.totalInstrs(),
+                  a.totalKernel.totalInstrs());
     }
 }
 

@@ -151,6 +151,18 @@ TEST(SnapshotFormat, ReaderIsBoundsChecked)
     EXPECT_THROW(a.raw(1u << 20), SnapshotError);
 }
 
+TEST(SnapshotFormat, ZeroLengthBytesIntoEmptyVector)
+{
+    // An empty vector's data() may be null, and memcpy with a null
+    // pointer is undefined even for zero bytes: the reader must not
+    // make the call.
+    Image img = Image::fromBytes(smallImageBytes());
+    ChunkReader b = img.chunk(kTagB);
+    std::vector<uint8_t> empty;
+    b.bytes(empty.data(), 0);
+    EXPECT_EQ(b.u16(), 0x0201u);   // Nothing consumed.
+}
+
 TEST(SnapshotFormat, Crc32KnownVector)
 {
     // The classic IEEE 802.3 check value.
@@ -313,13 +325,11 @@ TEST(PhysMemSnapshot, TrackedSaveMatchesFullScanAfterGpuStores)
 {
     // Shader stores land through host pointers the GPU TLB cached; the
     // tracked save must still see every page they touched.
-    for (bool fast : {true, false}) {
-        rt::SystemConfig cfg;
-        cfg.ramBytes = 8u << 20;
-        cfg.gpu.hostThreads = 4;
-        cfg.gpu.fastPath = fast;
-        rt::Session s(cfg, rt::Mode::Direct);
-        rt::KernelHandle k = s.compile(R"(
+    rt::SystemConfig cfg;
+    cfg.ramBytes = 8u << 20;
+    cfg.gpu.hostThreads = 4;
+    rt::Session s(cfg, rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(R"(
 kernel void fill(global int* out, int n) {
     int i = get_global_id(0);
     if (i < n) {
@@ -327,15 +337,14 @@ kernel void fill(global int* out, int n) {
     }
 }
 )", "fill");
-        rt::Buffer out = s.alloc(5 * 4096);
-        gpu::JobResult r = s.enqueue(k, rt::NDRange{5 * 1024, 1, 1},
-                                     rt::NDRange{64, 1, 1},
-                                     {rt::Arg::buf(out),
-                                      rt::Arg::i32(5 * 1024)});
-        ASSERT_FALSE(r.faulted);
-        const PhysMem &m = s.system().mem();
-        EXPECT_EQ(savedMemChunk(m), fullScanMemChunk(m)) << "fast=" << fast;
-    }
+    rt::Buffer out = s.alloc(5 * 4096);
+    gpu::JobResult r = s.enqueue(k, rt::NDRange{5 * 1024, 1, 1},
+                                 rt::NDRange{64, 1, 1},
+                                 {rt::Arg::buf(out),
+                                  rt::Arg::i32(5 * 1024)});
+    ASSERT_FALSE(r.faulted);
+    const PhysMem &m = s.system().mem();
+    EXPECT_EQ(savedMemChunk(m), fullScanMemChunk(m));
 }
 
 TEST(PhysMemSnapshot, GeometryMismatchRejected)
@@ -436,11 +445,10 @@ TEST(KernelStatsSnapshot, RejectsHostileCounts)
 // ---------------------------------------------------------------------
 
 rt::SystemConfig
-smallCfg(bool fast_path = true, bool sync_submit = false)
+smallCfg(bool sync_submit = false)
 {
     rt::SystemConfig cfg;
     cfg.ramBytes = 32u << 20;
-    cfg.gpu.fastPath = fast_path;
     cfg.gpu.syncSubmit = sync_submit;
     return cfg;
 }
@@ -688,14 +696,13 @@ expectEqual(const Fingerprint &a, const Fingerprint &b)
  *  @return the run-through fingerprint, so callers can additionally
  *  compare fingerprints *across* worker-pool configurations. */
 Fingerprint
-runDeterminismScenario(rt::Mode mode, bool fast_path, const char *src,
-                       const char *name, unsigned host_threads = 0,
-                       bool skew_slices = false, bool cpu_dbt = true)
+runDeterminismScenario(rt::Mode mode, const char *src, const char *name,
+                       unsigned host_threads = 0, bool skew_slices = false,
+                       bool cpu_dbt = true)
 {
     // syncSubmit pins the CPU/GPU interleaving in FullSystem mode;
     // Direct mode is already quiescent around every enqueue.
-    rt::SystemConfig cfg =
-        smallCfg(fast_path, mode == rt::Mode::FullSystem);
+    rt::SystemConfig cfg = smallCfg(mode == rt::Mode::FullSystem);
     if (host_threads != 0)
         cfg.gpu.hostThreads = host_threads;
     cfg.gpu.skewSlices = skew_slices;
@@ -765,37 +772,24 @@ runDeterminismScenario(rt::Mode mode, bool fast_path, const char *src,
     return through;
 }
 
-TEST(SnapshotDeterminism, DirectSgemmFastPath)
+TEST(SnapshotDeterminism, DirectSgemm)
 {
-    runDeterminismScenario(rt::Mode::Direct, true, kSgemmSrc, "sgemm");
+    runDeterminismScenario(rt::Mode::Direct, kSgemmSrc, "sgemm");
 }
 
-TEST(SnapshotDeterminism, DirectSgemmLegacyInterp)
+TEST(SnapshotDeterminism, DirectDivergent)
 {
-    runDeterminismScenario(rt::Mode::Direct, false, kSgemmSrc, "sgemm");
+    runDeterminismScenario(rt::Mode::Direct, kDivergentSrc, "divergent");
 }
 
-TEST(SnapshotDeterminism, DirectDivergentFastPath)
+TEST(SnapshotDeterminism, FullSystemSgemm)
 {
-    runDeterminismScenario(rt::Mode::Direct, true, kDivergentSrc,
-                           "divergent");
+    runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm");
 }
 
-TEST(SnapshotDeterminism, FullSystemSgemmFastPath)
+TEST(SnapshotDeterminism, FullSystemDivergent)
 {
-    runDeterminismScenario(rt::Mode::FullSystem, true, kSgemmSrc,
-                           "sgemm");
-}
-
-TEST(SnapshotDeterminism, FullSystemSgemmLegacyInterp)
-{
-    runDeterminismScenario(rt::Mode::FullSystem, false, kSgemmSrc,
-                           "sgemm");
-}
-
-TEST(SnapshotDeterminism, FullSystemDivergentFastPath)
-{
-    runDeterminismScenario(rt::Mode::FullSystem, true, kDivergentSrc,
+    runDeterminismScenario(rt::Mode::FullSystem, kDivergentSrc,
                            "divergent");
 }
 
@@ -806,18 +800,16 @@ TEST(SnapshotDeterminism, FullSystemSgemmMultiWorker)
     // work-stealing path: with the slices skewed onto worker 0, the
     // other seven workers only make progress by stealing, yet every
     // guest-visible artefact must stay a pure function of guest state.
-    runDeterminismScenario(rt::Mode::FullSystem, true, kSgemmSrc,
-                           "sgemm", /*host_threads=*/8,
-                           /*skew_slices=*/true);
+    runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm",
+                           /*host_threads=*/8, /*skew_slices=*/true);
 }
 
 TEST(SnapshotDeterminism, FullSystemSgemmInterpreterCpuTier)
 {
     // Same headline property with the CPU's DBT tier off (interpreter
     // oracle): restore/continue must still equal save/continue.
-    runDeterminismScenario(rt::Mode::FullSystem, true, kSgemmSrc,
-                           "sgemm", 0, /*skew_slices=*/false,
-                           /*cpu_dbt=*/false);
+    runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm", 0,
+                           /*skew_slices=*/false, /*cpu_dbt=*/false);
 }
 
 TEST(SnapshotDeterminism, FullSystemCpuTierInvariant)
@@ -826,10 +818,10 @@ TEST(SnapshotDeterminism, FullSystemCpuTierInvariant)
     // interpreter must produce bit-identical fingerprints (RAM digest,
     // CPU state, retired instructions, timer, UART, kernel statistics)
     // for the same guest-driver workload.
-    Fingerprint dbt = runDeterminismScenario(rt::Mode::FullSystem, true,
-                                             kSgemmSrc, "sgemm");
+    Fingerprint dbt =
+        runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm");
     Fingerprint interp = runDeterminismScenario(
-        rt::Mode::FullSystem, true, kSgemmSrc, "sgemm", 0,
+        rt::Mode::FullSystem, kSgemmSrc, "sgemm", 0,
         /*skew_slices=*/false, /*cpu_dbt=*/false);
     expectEqual(dbt, interp);
 }
@@ -872,12 +864,12 @@ TEST(SnapshotDeterminism, FullSystemSgemmWorkerCountInvariant)
     // statistics) must be bit-identical for 1-, 2- and 8-worker pools,
     // because every per-worker contribution merges as a sum or a set
     // union at the job-end barrier.
-    Fingerprint one = runDeterminismScenario(rt::Mode::FullSystem, true,
-                                             kSgemmSrc, "sgemm", 1);
-    Fingerprint two = runDeterminismScenario(rt::Mode::FullSystem, true,
-                                             kSgemmSrc, "sgemm", 2);
+    Fingerprint one =
+        runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm", 1);
+    Fingerprint two =
+        runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm", 2);
     Fingerprint eight = runDeterminismScenario(
-        rt::Mode::FullSystem, true, kSgemmSrc, "sgemm", 8,
+        rt::Mode::FullSystem, kSgemmSrc, "sgemm", 8,
         /*skew_slices=*/true);
     expectEqual(one, two);
     expectEqual(one, eight);
