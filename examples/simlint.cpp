@@ -4,7 +4,7 @@
  *
  * Runs the src/lint/ checks over the repository tree: TLV chunk-tag
  * uniqueness, DBT X-macro handler/dispatch parity, counter-name
- * registry consistency against docs/COUNTERS.md, sim::Mutex
+ * registry consistency against docs/METRICS.md, sim::Mutex
  * annotation coverage, and no raw writable pointers into guest RAM
  * outside the written-page choke points.  CI runs it on every push;
  * the seeded-violation fixtures under tests/simlint_fixtures/ prove

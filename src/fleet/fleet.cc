@@ -456,14 +456,17 @@ struct ConnState
     size_t pending GUARDED_BY(lock) = 0;
     bool closed GUARDED_BY(lock) = false;
 
+    template <typename Msg>
     void
-    sendFrame(uint32_t kind, const std::vector<uint8_t> &payload)
+    send(uint32_t kind, const Msg &msg)
     {
+        snapshot::ChunkWriter w;
+        msg.serialize(w);
         sim::LockGuard g(lock);
         if (closed)
             return;
         try {
-            writeFrame(fd, kind, payload);
+            writeFrame(fd, kind, w.data());
         } catch (const SimError &) {
             // Peer went away; the reader will observe EOF and clean up.
         }
@@ -476,11 +479,7 @@ void
 FleetServer::serveConnection(int fd)
 {
     auto conn = std::make_shared<ConnState>(fd);
-    {
-        snapshot::ChunkWriter w;
-        welcome().serialize(w);
-        conn->sendFrame(kMsgWelcome, w.data());
-    }
+    conn->send(kMsgWelcome, welcome());
 
     Frame frame;
     while (true) {
@@ -499,9 +498,7 @@ FleetServer::serveConnection(int fd)
                 JobResultMsg m;
                 m.status = JobStatus::BadRequest;
                 m.detail = e.what();
-                snapshot::ChunkWriter w;
-                m.serialize(w);
-                conn->sendFrame(kMsgResult, w.data());
+                conn->send(kMsgResult, m);
                 continue;
             }
             {
@@ -509,17 +506,13 @@ FleetServer::serveConnection(int fd)
                 ++conn->pending;
             }
             submitAsync(std::move(req), [conn](JobResultMsg m) {
-                snapshot::ChunkWriter w;
-                m.serialize(w);
-                conn->sendFrame(kMsgResult, w.data());
+                conn->send(kMsgResult, m);
                 sim::LockGuard g(conn->lock);
                 --conn->pending;
                 conn->cv.notify_all();
             });
         } else if (frame.kind == kMsgStatsQuery) {
-            snapshot::ChunkWriter w;
-            statsReply().serialize(w);
-            conn->sendFrame(kMsgStatsReply, w.data());
+            conn->send(kMsgStatsReply, statsReply());
         } else if (frame.kind == kMsgShutdown) {
             requestShutdown();
         } else {
@@ -527,9 +520,7 @@ FleetServer::serveConnection(int fd)
             m.status = JobStatus::BadRequest;
             m.detail = "unknown frame kind " +
                        snapshot::tagName(frame.kind);
-            snapshot::ChunkWriter w;
-            m.serialize(w);
-            conn->sendFrame(kMsgResult, w.data());
+            conn->send(kMsgResult, m);
         }
     }
 

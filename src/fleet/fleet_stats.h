@@ -8,7 +8,7 @@
  * A dependency-free leaf header: the fleet server fills this struct
  * and instrument/stats.cc turns it into "fleet."-prefixed
  * NamedCounters, keeping the counter registry (and simlint's
- * counters check, docs/COUNTERS.md) in one place without
+ * counters check, docs/METRICS.md) in one place without
  * instrument/ depending on the fleet subsystem proper.
  *
  * All counters are monotone accumulators except the two session

@@ -264,12 +264,10 @@ encodeFrame(uint32_t kind, const std::vector<uint8_t> &payload)
     if (payload.size() > kMaxFrameBytes)
         snap::snapshotError("fleet frame %s payload %zu exceeds cap",
                             snap::tagName(kind).c_str(), payload.size());
-    snap::ChunkWriter w;
-    w.u32(kind);
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.u32(snap::crc32(payload.data(), payload.size()));
-    w.bytes(payload.data(), payload.size());
-    return w.data();
+    std::vector<uint8_t> out;
+    out.reserve(snap::kRecordHeaderBytes + payload.size());
+    snap::appendRecord(out, kind, payload.data(), payload.size());
+    return out;
 }
 
 #ifdef __linux__
@@ -306,27 +304,19 @@ readFull(int fd, uint8_t *dst, size_t len)
 bool
 readFrame(int fd, Frame &out)
 {
-    uint8_t hdr[12];
+    uint8_t hdr[snap::kRecordHeaderBytes];
     if (readFull(fd, hdr, sizeof(hdr)) == 0)
         return false;
-    snap::ChunkReader h(snap::makeTag("FHDR"), hdr, sizeof(hdr));
-    uint32_t kind = h.u32();
-    uint32_t len = h.u32();
-    uint32_t want_crc = h.u32();
-    if (len > kMaxFrameBytes)
-        snap::snapshotError("fleet frame %s length %u exceeds cap",
-                            snap::tagName(kind).c_str(), len);
-    std::vector<uint8_t> payload(len);
-    if (len && readFull(fd, payload.data(), len) == 0)
+    snap::Record h = snap::decodeRecordHeader(hdr, 0);
+    if (h.length > kMaxFrameBytes)
+        snap::snapshotError("fleet frame %s length %zu exceeds cap",
+                            snap::tagName(h.tag).c_str(), h.length);
+    std::vector<uint8_t> payload(h.length);
+    if (h.length && readFull(fd, payload.data(), h.length) == 0)
         snap::snapshotError("fleet frame %s truncated",
-                            snap::tagName(kind).c_str());
-    uint32_t got_crc = snap::crc32(payload.data(), payload.size());
-    if (got_crc != want_crc)
-        snap::snapshotError("fleet frame %s CRC mismatch "
-                            "(stored 0x%08x, computed 0x%08x)",
-                            snap::tagName(kind).c_str(), want_crc,
-                            got_crc);
-    out.kind = kind;
+                            snap::tagName(h.tag).c_str());
+    snap::checkRecordCrc(h, payload.data());
+    out.kind = h.tag;
     out.payload = std::move(payload);
     return true;
 }

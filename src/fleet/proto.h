@@ -5,11 +5,10 @@
  * @file
  * Fleet wire protocol (DESIGN.md §5j).
  *
- * The `simd` daemon and its clients speak length-prefixed TLV frames
- * over a SOCK_STREAM Unix socket, reusing the snapshot container
- * discipline (little-endian, CRC'd payloads, parse-then-commit):
- *
- *   frame: u32 kind | u32 length | u32 crc32(payload) | payload
+ * The `simd` daemon and its clients speak frames over a SOCK_STREAM
+ * Unix socket.  A frame is one bare record of the shared TLV format
+ * (snapshot.h, DESIGN.md §5e), framed and CRC-checked by the snapshot
+ * module; the wire adds one rule of its own, the kMaxFrameBytes cap.
  *
  * Frame kinds are 4CCs minted with snapshot::makeTag, so simlint's
  * tlv-tag check guarantees they never collide with each other or with

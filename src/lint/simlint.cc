@@ -335,54 +335,42 @@ checkCounterRegistry(const Options &opts)
         return diags;
     }
 
-    // Every emitted counter must be documented TWICE: in the
-    // per-struct reference (docs/COUNTERS.md) and in the
-    // exported-series view the metrics registry serves
-    // (docs/METRICS.md) — an undocumented series is invisible to
+    // Every emitted counter must be documented, or it is invisible to
     // anyone reading the HUD or a sweep diff.  Documented names are
     // backticked tokens shaped like counter names.
-    std::vector<std::map<std::string, int>> documented;
-    const std::string docs[] = {opts.countersDoc, opts.metricsDoc};
-    for (const std::string &doc : docs) {
-        std::vector<std::string> docLines;
-        if (!readLines(fs::path(opts.root) / doc, docLines)) {
-            diags.push_back(missingFile(doc, "counters"));
-            return diags;
+    std::vector<std::string> docLines;
+    if (!readLines(fs::path(opts.root) / opts.metricsDoc, docLines)) {
+        diags.push_back(missingFile(opts.metricsDoc, "counters"));
+        return diags;
+    }
+    std::map<std::string, int> documented;
+    for (size_t i = 0; i < docLines.size(); ++i) {
+        const std::string &l = docLines[i];
+        for (size_t pos = 0;
+             (pos = l.find('`', pos)) != std::string::npos;) {
+            size_t endq = l.find('`', pos + 1);
+            if (endq == std::string::npos)
+                break;
+            std::string name = l.substr(pos + 1, endq - pos - 1);
+            if (validName(name))
+                documented.emplace(name, static_cast<int>(i + 1));
+            pos = endq + 1;
         }
-        std::map<std::string, int> names;
-        for (size_t i = 0; i < docLines.size(); ++i) {
-            const std::string &l = docLines[i];
-            for (size_t pos = 0; (pos = l.find('`', pos)) !=
-                                 std::string::npos;) {
-                size_t endq = l.find('`', pos + 1);
-                if (endq == std::string::npos)
-                    break;
-                std::string name = l.substr(pos + 1, endq - pos - 1);
-                if (validName(name) && !names.count(name))
-                    names[name] = static_cast<int>(i + 1);
-                pos = endq + 1;
-            }
-        }
-        documented.push_back(std::move(names));
     }
     for (const auto &[name, line] : emitted) {
-        for (size_t d = 0; d < documented.size(); ++d) {
-            if (!documented[d].count(name))
-                diags.push_back(
-                    Diag{opts.statsFile, line, "counters",
-                         "counter \"" + name +
-                         "\" is not documented in " + docs[d]});
-        }
+        if (!documented.count(name))
+            diags.push_back(Diag{opts.statsFile, line, "counters",
+                                 "counter \"" + name +
+                                 "\" is not documented in " +
+                                 opts.metricsDoc});
     }
-    for (size_t d = 0; d < documented.size(); ++d) {
-        for (const auto &[name, line] : documented[d]) {
-            if (!emitted.count(name))
-                diags.push_back(
-                    Diag{docs[d], line, "counters",
-                         "documented counter \"" + name + "\" is not "
-                         "emitted by any appendCounters overload in " +
-                         opts.statsFile});
-        }
+    for (const auto &[name, line] : documented) {
+        if (!emitted.count(name))
+            diags.push_back(
+                Diag{opts.metricsDoc, line, "counters",
+                     "documented counter \"" + name + "\" is not "
+                     "emitted by any appendCounters overload in " +
+                     opts.statsFile});
     }
     return diags;
 }

@@ -14,10 +14,9 @@
  *  2. DBT X-macro parity: the `DBT_OPS(X)` op list and the
  *     `HANDLER(Op)` bodies in src/cpu/dbt.cc are the same set.
  *  3. Counter registry: every counter name `appendCounters` emits is
- *     unique, matches `prefix.lower_snake`, and is documented in BOTH
- *     docs/COUNTERS.md (the per-struct reference) and docs/METRICS.md
- *     (the exported-series view the metrics registry serves) — and
- *     neither doc names a counter that doesn't exist.
+ *     unique, matches `prefix.lower_snake`, and is documented in
+ *     docs/METRICS.md — and the doc names no counter that doesn't
+ *     exist.
  *  4. Mutex coverage: no raw std mutex/condition-variable member in
  *     src/ outside thread_annotations.h, and every `sim::Mutex`
  *     member is referenced by at least one thread-safety annotation
@@ -61,7 +60,6 @@ struct Options
     std::string srcDir = "src";
     std::string dbtFile = "src/cpu/dbt.cc";
     std::string statsFile = "src/instrument/stats.cc";
-    std::string countersDoc = "docs/COUNTERS.md";
     std::string metricsDoc = "docs/METRICS.md";
 };
 

@@ -11,7 +11,7 @@
  * completion, System::runCpu return, fleet job completion — are
  * published here as batched deltas, so the registry sees exactly the
  * names `instrument::appendCounters` emits (the single registration
- * point simlint and docs/COUNTERS.md enforce) without adding any
+ * point simlint and docs/METRICS.md enforce) without adding any
  * per-instruction or per-translation work to a hot path.
  *
  * Shape:
@@ -69,7 +69,7 @@ struct NamedCounter;
 namespace bifsim::metrics {
 
 /** Slot-table capacity.  The repo registers ~60 counters today
- *  (docs/COUNTERS.md); the headroom is for future prefixes.  A full
+ *  (docs/METRICS.md); the headroom is for future prefixes.  A full
  *  table drops further names (counted in metrics.slots_dropped)
  *  rather than reallocating — shards are fixed arrays on purpose. */
 constexpr size_t kMaxSlots = 128;
@@ -79,7 +79,7 @@ constexpr uint16_t kInvalidSlot = 0xffff;
 
 /** Registry self-observation counters, exported like every other
  *  stats struct through instrument::appendCounters ("metrics."
- *  prefix, docs/COUNTERS.md + docs/METRICS.md). */
+ *  prefix, docs/METRICS.md). */
 struct RegistryStats
 {
     uint64_t publishes = 0;       ///< Delta batches published.

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
 #include "analysis/analysis.h"
@@ -29,8 +28,6 @@ replayError(const char *fmt, ...)
 namespace {
 
 constexpr size_t kPage = PhysMem::kPageBytes;
-constexpr size_t kHeaderBytes = 16;   ///< magic|version|count|rsvd.
-constexpr size_t kEventHeaderBytes = 12;   ///< kind|length|crc.
 constexpr uint64_t kMaxRam = 1ull << 31;
 constexpr uint32_t kMaxCores = 1024;
 constexpr uint32_t kMaxHostThreads = 4096;
@@ -52,42 +49,16 @@ zeroPageCrc()
     return crc;
 }
 
-void
-put32(std::vector<uint8_t> &out, uint32_t v)
+/** Runs @p f, rethrowing a SnapshotError from the shared container
+ *  code as a located ReplayError. */
+template <typename F>
+auto
+asReplayError(F &&f, const char *what = "")
 {
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t
-get32(const uint8_t *p)
-{
-    return static_cast<uint32_t>(p[0]) |
-           (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-}
-
-void
-writeBytesFile(const std::string &path, const std::vector<uint8_t> &bytes)
-{
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        replayError("cannot open %s for writing", tmp.c_str());
-    size_t n = bytes.empty()
-                   ? 0
-                   : std::fwrite(bytes.data(), 1, bytes.size(), f);
-    bool ok = n == bytes.size() && std::fclose(f) == 0;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        replayError("short write to %s", tmp.c_str());
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        replayError("cannot rename %s to %s", tmp.c_str(), path.c_str());
+    try {
+        return f();
+    } catch (const snap::SnapshotError &e) {
+        throw ReplayError(std::string("replay: ") + what + e.what());
     }
 }
 
@@ -124,38 +95,6 @@ parseConfig(snap::ChunkReader r)
 
 } // namespace
 
-// ---------------------------------------------------------- LogWriter
-
-snap::ChunkWriter &
-LogWriter::event(uint32_t kind)
-{
-    events_.push_back(Pending{kind, snap::ChunkWriter()});
-    return events_.back().payload;
-}
-
-std::vector<uint8_t>
-LogWriter::finish()
-{
-    size_t total = 16;
-    for (const Pending &e : events_)
-        total += 12 + e.payload.size();
-    std::vector<uint8_t> out;
-    out.reserve(total);
-    put32(out, kMagic);
-    put32(out, kVersion);
-    put32(out, static_cast<uint32_t>(events_.size()));
-    put32(out, 0);
-    for (const Pending &e : events_) {
-        const std::vector<uint8_t> &p = e.payload.data();
-        put32(out, e.kind);
-        put32(out, static_cast<uint32_t>(p.size()));
-        put32(out, snap::crc32(p.data(), p.size()));
-        out.insert(out.end(), p.begin(), p.end());
-    }
-    events_.clear();
-    return out;
-}
-
 // ---------------------------------------------------------------- Log
 
 Log
@@ -163,95 +102,40 @@ Log::fromBytes(std::vector<uint8_t> bytes)
 {
     Log log;
     log.bytes_ = std::move(bytes);
-    const std::vector<uint8_t> &b = log.bytes_;
-    if (b.size() < kHeaderBytes)
-        replayError("log too small (%zu bytes)", b.size());
-    if (get32(&b[0]) != kMagic)
-        replayError("bad magic 0x%08x (not a BRPL log)", get32(&b[0]));
-    uint32_t version = get32(&b[4]);
-    if (version != kVersion)
-        replayError("unsupported log version %u (expected %u)", version,
-                    kVersion);
-    uint32_t count = get32(&b[8]);
-    if (static_cast<uint64_t>(count) * kEventHeaderBytes >
-        b.size() - kHeaderBytes)
-        replayError("event count %u exceeds log size %zu", count,
-                    b.size());
-
-    size_t pos = kHeaderBytes;
-    log.events_.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        if (b.size() - pos < kEventHeaderBytes)
-            replayError("event %u header truncated at offset %zu", i,
-                        pos);
-        uint32_t kind = get32(&b[pos]);
-        uint32_t length = get32(&b[pos + 4]);
-        uint32_t crc = get32(&b[pos + 8]);
-        pos += kEventHeaderBytes;
-        if (length > b.size() - pos)
-            replayError("event %u (%s) payload runs past end of log",
-                        i, snap::tagName(kind).c_str());
-        if (!knownKind(kind))
-            replayError("event %u has unknown kind %s", i,
-                        snap::tagName(kind).c_str());
-        if (snap::crc32(&b[pos], length) != crc)
-            replayError("event %u (%s) CRC mismatch at offset %zu", i,
-                        snap::tagName(kind).c_str(), pos);
-        log.events_.push_back(Extent{kind, pos, length});
-        pos += length;
-    }
-    if (pos != b.size())
-        replayError("log has %zu trailing bytes after last event",
-                    b.size() - pos);
-    if (log.events_.empty() || log.events_[0].kind != kEvConfig)
+    log.events_ = asReplayError(
+        [&] { return snap::decodeContainer(log.bytes_, kMagic, kVersion); });
+    if (log.events_.empty() || log.events_[0].tag != kEvConfig)
         replayError("log does not start with an RCFG event");
-    try {
-        log.cfg_ = parseConfig(log.reader(0));
-    } catch (const snap::SnapshotError &e) {
-        throw ReplayError(std::string("replay: RCFG: ") + e.what());
-    }
     for (size_t i = 1; i < log.events_.size(); ++i) {
-        if (log.events_[i].kind == kEvConfig)
+        uint32_t kind = log.events_[i].tag;
+        if (kind == kEvConfig)
             replayError("duplicate RCFG event at index %zu", i);
+        if (!knownKind(kind))
+            replayError("event %zu has unknown kind %s", i,
+                        snap::tagName(kind).c_str());
     }
+    log.cfg_ = asReplayError([&] { return parseConfig(log.reader(0)); },
+                             "RCFG: ");
     return log;
 }
 
 Log
 Log::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        replayError("cannot open %s", path.c_str());
-    std::fseek(f, 0, SEEK_END);
-    long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (sz < 0) {
-        std::fclose(f);
-        replayError("cannot stat %s", path.c_str());
-    }
-    std::vector<uint8_t> bytes(static_cast<size_t>(sz));
-    size_t n = bytes.empty()
-                   ? 0
-                   : std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (n != bytes.size())
-        replayError("short read from %s", path.c_str());
-    return fromBytes(std::move(bytes));
+    return fromBytes(asReplayError([&] { return snap::readFile(path); }));
 }
 
 void
 Log::save(const std::string &path) const
 {
-    writeBytesFile(path, bytes_);
+    asReplayError([&] { snap::writeFileAtomic(path, bytes_); });
 }
 
 snap::ChunkReader
 Log::reader(size_t i) const
 {
-    const Extent &e = events_[i];
-    return snap::ChunkReader(e.kind, bytes_.data() + e.offset,
-                             e.length);
+    const snap::Record &e = events_[i];
+    return snap::ChunkReader(e.tag, bytes_.data() + e.offset, e.length);
 }
 
 const uint8_t *
@@ -270,7 +154,7 @@ Recorder::Recorder(PhysMem &mem, gpu::GpuDevice &gpu, RecordInfo info)
     shadow_.assign(mem_.size() / kPage, zeroPageCrc());
 
     const gpu::GpuConfig &g = gpu_.config();
-    snap::ChunkWriter &w = log_.event(kEvConfig);
+    snap::ChunkWriter &w = log_.chunk(kEvConfig);
     w.u64(mem_.base());
     w.u64(mem_.size());
     w.u32(g.numCores);
@@ -314,16 +198,10 @@ Recorder::finish()
 }
 
 void
-Recorder::writeFile(const std::string &path)
-{
-    writeBytesFile(path, finish());
-}
-
-void
 Recorder::onMmioWrite(uint32_t offset, uint32_t value)
 {
     // Called with the device lock held: append-only, no device calls.
-    snap::ChunkWriter &w = log_.event(kEvMmio);
+    snap::ChunkWriter &w = log_.chunk(kEvMmio);
     w.u32(offset);
     w.u32(value);
 }
@@ -332,7 +210,7 @@ void
 Recorder::onIrqRaise(uint32_t bits, uint32_t raw_after)
 {
     // Called with the device lock held: append-only, no device calls.
-    snap::ChunkWriter &w = log_.event(kEvIrq);
+    snap::ChunkWriter &w = log_.chunk(kEvIrq);
     w.u32(bits);
     w.u32(raw_after);
 }
@@ -345,7 +223,7 @@ Recorder::onSubmit(uint32_t chain_va)
     // sources — descriptors, page tables, arguments, input buffers),
     // then the submit itself.
     captureDelta();
-    snap::ChunkWriter &w = log_.event(kEvMmio);
+    snap::ChunkWriter &w = log_.chunk(kEvMmio);
     w.u32(static_cast<uint32_t>(gpu::kRegJsSubmit));
     w.u32(chain_va);
     chains_++;
@@ -401,7 +279,7 @@ Recorder::captureDelta()
 {
     const uint8_t *base = mem_.readPtr(mem_.base());
     std::vector<uint32_t> changed = syncShadow();
-    snap::ChunkWriter &w = log_.event(kEvMemDelta);
+    snap::ChunkWriter &w = log_.chunk(kEvMemDelta);
     w.reserve(1 + 4 + changed.size() * (4 + kPage));
     w.u8(first_ ? 1 : 0);   // full: replayer clears RAM first, so
                             // pages equal to zero need no bytes.
@@ -437,7 +315,7 @@ Recorder::emitFingerprint()
     gpu::KernelStats total = gpu_.totalKernelStats();
     total.subtract(baseTotal_);
 
-    snap::ChunkWriter &w = log_.event(kEvFingerprint);
+    snap::ChunkWriter &w = log_.chunk(kEvFingerprint);
     w.u32(rs.jobCount - baseJobCount_);
     w.u32(rs.jsStatus);
     w.u32(rs.irqRaw);

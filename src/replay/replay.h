@@ -11,8 +11,10 @@
  * argument tables, input buffers) — plus everything that comes back:
  * IRQ raises in causal order and a per-chain fingerprint of the
  * guest-visible result state (registers, RAM CRC, kernel statistics,
- * fault details).  The log is a versioned, CRC'd `BRPL` TLV stream
- * whose event payloads reuse the snapshot chunk serialisers, so a
+ * fault details).  The log is a `BRPL` container in the shared TLV
+ * format (snapshot.h, DESIGN.md §5e), one record per event, written
+ * and decoded by the snapshot module; this module adds only the log's
+ * own rules — known event kinds, exactly one RCFG, first — so a
  * truncated or bit-flipped log always fails with a located error.
  *
  * replay() re-executes the log against a standalone GpuDevice — no
@@ -95,34 +97,11 @@ struct LogConfig
     bool fullSystem = false;    ///< Informational: submission mode.
 };
 
-/** Appends events to a BRPL log under construction. */
-class LogWriter
-{
-  public:
-    /** Opens a new event of @p kind.  The returned ChunkWriter stays
-     *  valid until the next event() / finish() call. */
-    snapshot::ChunkWriter &event(uint32_t kind);
-
-    /** Seals the log and returns the serialised bytes. */
-    std::vector<uint8_t> finish();
-
-    size_t eventCount() const { return events_.size(); }
-
-  private:
-    struct Pending
-    {
-        uint32_t kind;
-        snapshot::ChunkWriter payload;
-    };
-
-    std::vector<Pending> events_;
-};
-
 /**
- * A fully validated BRPL log.  Construction checks the complete
- * structure — magic, version, event bounds, per-event CRC32, known
- * kinds, leading RCFG — before any payload becomes visible; per-field
- * reads through reader() are bounds-checked on top of that.
+ * A fully validated BRPL log.  Construction decodes the container
+ * (snapshot::decodeContainer) and checks the event kinds and the one
+ * leading RCFG before any payload becomes visible; per-field reads
+ * through reader() are bounds-checked on top of that.
  */
 class Log
 {
@@ -139,7 +118,7 @@ class Log
     size_t eventCount() const { return events_.size(); }
 
     /** Kind tag of event @p i. */
-    uint32_t kind(size_t i) const { return events_[i].kind; }
+    uint32_t kind(size_t i) const { return events_[i].tag; }
 
     /** Bounds-checked cursor over event @p i's payload. */
     snapshot::ChunkReader reader(size_t i) const;
@@ -157,15 +136,8 @@ class Log
   private:
     Log() = default;
 
-    struct Extent
-    {
-        uint32_t kind;
-        size_t offset;
-        size_t length;
-    };
-
     std::vector<uint8_t> bytes_;
-    std::vector<Extent> events_;
+    std::vector<snapshot::Record> events_;
     LogConfig cfg_;
 };
 
@@ -222,9 +194,6 @@ class Recorder
     /** Detaches from the device and returns the sealed log bytes. */
     std::vector<uint8_t> finish();
 
-    /** finish() + atomic write to @p path. */
-    void writeFile(const std::string &path);
-
     /** Chains (JS_SUBMIT writes) recorded so far. */
     size_t chains() const { return chains_; }
 
@@ -241,7 +210,7 @@ class Recorder
   private:
     PhysMem &mem_;
     gpu::GpuDevice &gpu_;
-    LogWriter log_;
+    snapshot::Writer log_{kMagic, kVersion};
     std::vector<uint32_t> shadow_;   ///< Per-page CRC32 of last capture.
     bool first_ = true;              ///< Next delta carries `full`.
     uint64_t resets_ = 0;            ///< PhysMem::resets() at last sync.

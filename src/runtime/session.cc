@@ -310,10 +310,7 @@ Session::stopRecording()
 void
 Session::stopRecordingToFile(const std::string &path)
 {
-    if (!recorder_)
-        simError("no boundary recording in progress");
-    recorder_->writeFile(path);
-    recorder_.reset();
+    replay::Log::fromBytes(stopRecording()).save(path);
 }
 
 gpu::JobResult
@@ -477,7 +474,7 @@ Session::saveSnapshot(const std::string &path)
 {
     snap::Writer w;
     saveSnapshot(w);
-    w.writeFile(path);
+    snap::writeFileAtomic(path, w.finish());
 }
 
 Session::Session(const snap::Image &image, SystemConfig cfg)

@@ -210,7 +210,7 @@ System::saveSnapshotFile(const std::string &path) const
 {
     snapshot::Writer w;
     saveSnapshot(w);
-    w.writeFile(path);
+    snapshot::writeFileAtomic(path, w.finish());
 }
 
 void

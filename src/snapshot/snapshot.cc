@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -48,6 +49,9 @@ makeCrcTables()
 
 constexpr CrcTables kCrc = makeCrcTables();
 
+/** Container header size: magic | version | count | reserved. */
+constexpr size_t kContainerHeaderBytes = 16;
+
 /** Little-endian 32-bit load (the CRC consumes bytes in address
  *  order, whatever the host byte order). */
 inline uint32_t
@@ -57,6 +61,25 @@ le32(const uint8_t *p)
            (static_cast<uint32_t>(p[1]) << 8) |
            (static_cast<uint32_t>(p[2]) << 16) |
            (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/** Little-endian @p N-byte load and store. */
+template <int N>
+uint64_t
+getLe(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < N; ++i)
+        v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    return v;
+}
+
+template <int N>
+void
+putLe(std::vector<uint8_t> &out, uint64_t v)
+{
+    for (int i = 0; i < N; ++i)
+        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
 } // namespace
@@ -96,22 +119,19 @@ tagName(uint32_t tag)
 void
 ChunkWriter::u16(uint16_t v)
 {
-    buf_.push_back(static_cast<uint8_t>(v));
-    buf_.push_back(static_cast<uint8_t>(v >> 8));
+    putLe<2>(buf_, v);
 }
 
 void
 ChunkWriter::u32(uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    putLe<4>(buf_, v);
 }
 
 void
 ChunkWriter::u64(uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    putLe<8>(buf_, v);
 }
 
 void
@@ -147,32 +167,19 @@ ChunkReader::u8()
 uint16_t
 ChunkReader::u16()
 {
-    need(2);
-    uint16_t v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return v;
+    return static_cast<uint16_t>(getLe<2>(raw(2)));
 }
 
 uint32_t
 ChunkReader::u32()
 {
-    need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
+    return static_cast<uint32_t>(getLe<4>(raw(4)));
 }
 
 uint64_t
 ChunkReader::u64()
 {
-    need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
+    return getLe<8>(raw(8));
 }
 
 void
@@ -220,41 +227,108 @@ ChunkReader::fail(const std::string &what) const
                                tagName(tag_).c_str(), pos_, what.c_str()));
 }
 
-// -------------------------------------------------------------- Writer
+// ---------------------------------------------------------- Containers
 
-ChunkWriter &
-Writer::chunk(uint32_t tag)
+void
+appendRecord(std::vector<uint8_t> &out, uint32_t tag, const void *payload,
+             size_t len)
 {
-    for (const PendingChunk &c : chunks_) {
-        if (c.tag == tag)
-            snapshotError("duplicate chunk %s", tagName(tag).c_str());
-    }
-    chunks_.push_back(PendingChunk{tag, ChunkWriter()});
-    return chunks_.back().payload;
+    putLe<4>(out, tag);
+    putLe<4>(out, static_cast<uint32_t>(len));
+    putLe<4>(out, crc32(payload, len));
+    const uint8_t *p = static_cast<const uint8_t *>(payload);
+    out.insert(out.end(), p, p + len);
 }
 
-std::vector<uint8_t>
-Writer::finish()
+Record
+decodeRecordHeader(const uint8_t *p, size_t pos)
 {
-    ChunkWriter out;
-    out.u32(kMagic);
-    out.u32(kVersion);
-    out.u32(static_cast<uint32_t>(chunks_.size()));
-    out.u32(0);   // reserved
-    for (const PendingChunk &c : chunks_) {
-        const std::vector<uint8_t> &p = c.payload.data();
-        out.u32(c.tag);
-        out.u32(static_cast<uint32_t>(p.size()));
-        out.u32(crc32(p.data(), p.size()));
-        out.bytes(p.data(), p.size());
-    }
-    return out.data();
+    return Record{le32(p), pos + kRecordHeaderBytes, le32(p + 4),
+                  le32(p + 8)};
 }
 
 void
-Writer::writeFile(const std::string &path)
+checkRecordCrc(const Record &r, const uint8_t *payload)
 {
-    std::vector<uint8_t> bytes = finish();
+    uint32_t got = crc32(payload, r.length);
+    if (got != r.crc)
+        snapshotError("record %s CRC mismatch at offset %zu "
+                      "(stored 0x%08x, computed 0x%08x)",
+                      tagName(r.tag).c_str(), r.offset, r.crc, got);
+}
+
+std::vector<Record>
+decodeContainer(const std::vector<uint8_t> &bytes, uint32_t magic,
+                uint32_t version)
+{
+    const uint8_t *d = bytes.data();
+    size_t size = bytes.size();
+    std::string name = tagName(magic);
+    if (size < kContainerHeaderBytes)
+        snapshotError("%s header truncated at offset %zu, need %zu bytes",
+                      name.c_str(), size, kContainerHeaderBytes);
+    if (le32(d) != magic)
+        snapshotError("bad magic 0x%08x at offset 0, want '%s'", le32(d),
+                      name.c_str());
+    if (le32(d + 4) != version)
+        snapshotError("unsupported %s version %u at offset 4 "
+                      "(supported: %u)", name.c_str(), le32(d + 4), version);
+    uint32_t count = le32(d + 8);
+    // Every record needs at least its header: a cheap bound before the
+    // walk, so a hostile count cannot make us loop or allocate long.
+    if (static_cast<uint64_t>(count) * kRecordHeaderBytes >
+        size - kContainerHeaderBytes)
+        snapshotError("%s record count %u at offset 8 impossible in %zu "
+                      "bytes", name.c_str(), count, size);
+
+    std::vector<Record> records;
+    records.reserve(count);
+    size_t pos = kContainerHeaderBytes;
+    for (uint32_t i = 0; i < count; ++i) {
+        if (size - pos < kRecordHeaderBytes)
+            snapshotError("%s record %u header truncated at offset %zu",
+                          name.c_str(), i, pos);
+        Record r = decodeRecordHeader(d + pos, pos);
+        pos = r.offset;
+        if (r.length > size - pos)
+            snapshotError("%s record %u (%s) length %zu overruns the "
+                          "container (offset %zu, %zu bytes left)",
+                          name.c_str(), i, tagName(r.tag).c_str(),
+                          r.length, pos, size - pos);
+        checkRecordCrc(r, d + pos);
+        records.push_back(r);
+        pos += r.length;
+    }
+    if (pos != size)
+        snapshotError("%s has %zu trailing bytes at offset %zu",
+                      name.c_str(), size - pos, pos);
+    return records;
+}
+
+std::vector<uint8_t>
+readFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        snapshotError("cannot open %s: %s", path.c_str(),
+                      std::strerror(errno));
+    std::vector<uint8_t> bytes;
+    uint8_t buf[65536];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        bytes.insert(bytes.end(), buf, buf + n);
+    bool failed = std::ferror(f) != 0;
+    int err = errno;
+    std::fclose(f);
+    if (failed)
+        snapshotError("read error on %s: %s", path.c_str(),
+                      std::strerror(err));
+    return bytes;
+}
+
+void
+writeFileAtomic(const std::string &path, const std::vector<uint8_t> &bytes)
+{
     std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f)
@@ -272,6 +346,35 @@ Writer::writeFile(const std::string &path)
     }
 }
 
+// -------------------------------------------------------------- Writer
+
+ChunkWriter &
+Writer::chunk(uint32_t tag)
+{
+    chunks_.push_back(PendingChunk{tag, ChunkWriter()});
+    return chunks_.back().payload;
+}
+
+std::vector<uint8_t>
+Writer::finish()
+{
+    size_t total = kContainerHeaderBytes;
+    for (const PendingChunk &c : chunks_)
+        total += kRecordHeaderBytes + c.payload.size();
+    std::vector<uint8_t> out;
+    out.reserve(total);
+    putLe<4>(out, magic_);
+    putLe<4>(out, version_);
+    putLe<4>(out, static_cast<uint32_t>(chunks_.size()));
+    putLe<4>(out, 0);   // reserved
+    for (const PendingChunk &c : chunks_) {
+        const std::vector<uint8_t> &p = c.payload.data();
+        appendRecord(out, c.tag, p.data(), p.size());
+    }
+    chunks_.clear();
+    return out;
+}
+
 // --------------------------------------------------------------- Image
 
 Image
@@ -279,98 +382,46 @@ Image::fromBytes(std::vector<uint8_t> bytes)
 {
     Image img;
     img.bytes_ = std::move(bytes);
-    const uint8_t *d = img.bytes_.data();
-    size_t size = img.bytes_.size();
-
-    ChunkReader hdr(makeTag("HDR "), d, size);
-    if (size < 16)
-        snapshotError("header truncated: %zu bytes, need 16", size);
-    uint32_t magic = hdr.u32();
-    if (magic != kMagic)
-        snapshotError("bad magic 0x%08x, want 'BSNP'", magic);
-    img.version_ = hdr.u32();
-    if (img.version_ != kVersion)
-        snapshotError("unsupported version %u (supported: %u)",
-                      img.version_, kVersion);
-    uint32_t count = hdr.u32();
-    hdr.u32();   // reserved
-    // Each chunk needs at least a 12-byte header: cheap sanity bound
-    // before the walk so a hostile count cannot make us loop long.
-    if (static_cast<uint64_t>(count) * 12 > size - 16)
-        snapshotError("chunk count %u impossible in %zu bytes", count, size);
-
-    size_t pos = 16;
-    for (uint32_t i = 0; i < count; ++i) {
-        if (size - pos < 12)
-            snapshotError("chunk %u header truncated at offset %zu", i, pos);
-        ChunkReader ch(makeTag("HDR "), d + pos, 12);
-        uint32_t tag = ch.u32();
-        uint32_t len = ch.u32();
-        uint32_t want_crc = ch.u32();
-        pos += 12;
-        if (len > size - pos)
-            snapshotError("chunk %s length %u overruns image "
-                          "(offset %zu, %zu bytes left)",
-                          tagName(tag).c_str(), len, pos, size - pos);
-        uint32_t got_crc = crc32(d + pos, len);
-        if (got_crc != want_crc)
-            snapshotError("chunk %s CRC mismatch at offset %zu "
-                          "(stored 0x%08x, computed 0x%08x)",
-                          tagName(tag).c_str(), pos, want_crc, got_crc);
-        if (!img.chunks_.emplace(tag, Extent{pos, len, got_crc}).second)
+    for (const Record &r : decodeContainer(img.bytes_, kMagic, kVersion)) {
+        if (!img.chunks_.emplace(r.tag, r).second)
             snapshotError("duplicate chunk %s at offset %zu",
-                          tagName(tag).c_str(), pos);
-        pos += len;
+                          tagName(r.tag).c_str(), r.offset);
     }
-    if (pos != size)
-        snapshotError("%zu trailing bytes after last chunk", size - pos);
     return img;
 }
 
 Image
 Image::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        snapshotError("cannot open %s", path.c_str());
-    std::vector<uint8_t> bytes;
-    uint8_t buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    bool err = std::ferror(f) != 0;
-    std::fclose(f);
-    if (err)
-        snapshotError("read error on %s", path.c_str());
-    return fromBytes(std::move(bytes));
+    return fromBytes(readFile(path));
+}
+
+const Record &
+Image::find(uint32_t tag) const
+{
+    auto it = chunks_.find(tag);
+    if (it == chunks_.end())
+        snapshotError("missing chunk %s", tagName(tag).c_str());
+    return it->second;
 }
 
 ChunkReader
 Image::chunk(uint32_t tag) const
 {
-    auto it = chunks_.find(tag);
-    if (it == chunks_.end())
-        snapshotError("missing chunk %s", tagName(tag).c_str());
-    return ChunkReader(tag, bytes_.data() + it->second.offset,
-                       it->second.length);
+    const Record &r = find(tag);
+    return ChunkReader(tag, bytes_.data() + r.offset, r.length);
 }
 
 uint32_t
 Image::chunkCrc(uint32_t tag) const
 {
-    auto it = chunks_.find(tag);
-    if (it == chunks_.end())
-        snapshotError("missing chunk %s", tagName(tag).c_str());
-    return it->second.crc;
+    return find(tag).crc;
 }
 
 size_t
 Image::chunkLength(uint32_t tag) const
 {
-    auto it = chunks_.find(tag);
-    if (it == chunks_.end())
-        snapshotError("missing chunk %s", tagName(tag).c_str());
-    return it->second.length;
+    return find(tag).length;
 }
 
 } // namespace bifsim::snapshot

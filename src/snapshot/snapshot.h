@@ -3,21 +3,23 @@
 
 /**
  * @file
- * Whole-system snapshot image format (DESIGN.md §5e).
+ * The TLV container format and the snapshot image built on it
+ * (DESIGN.md §5e).  Snapshot images (`BSNP`), replay logs (`BRPL`) and
+ * fleet frames (`FLT*`) share one little-endian layout, framed only
+ * here:
  *
- * An image is a little-endian, versioned, chunked container:
+ *   container header : u32 magic | u32 version | u32 chunkCount | u32 rsvd
+ *   chunk (record)   : u32 tag | u32 length | u32 crc32(payload) | payload
  *
- *   file header   : magic 'BSNP' | u32 version | u32 chunkCount | u32 rsvd
- *   chunk         : u32 tag | u32 length | u32 crc32(payload) | payload
+ * A file is a header plus its records; a fleet frame is one bare
+ * record.  decodeContainer() validates the whole structure before it
+ * returns any record, and every ChunkReader read is bounds-checked, so
+ * a truncated or bit-flipped input always fails with a located
+ * SnapshotError and never crashes or half-applies.  Each format then
+ * applies its own rules to the record list.
  *
- * Each stateful component serialises itself into one chunk through a
- * ChunkWriter and re-parses it through a ChunkReader.  The loader is
- * adversarially robust: Image::fromBytes() validates the complete
- * structure (magic, version, chunk bounds, CRCs, duplicate tags) before
- * exposing any payload, and every ChunkReader read is bounds-checked,
- * so a truncated or bit-flipped image always fails with a located
- * SnapshotError and never crashes or half-applies.
- *
+ * Each stateful component serialises itself into one image chunk
+ * through a ChunkWriter and re-parses it through a ChunkReader.
  * Restore follows parse-then-commit: components decode a chunk fully
  * into locals before touching live state, and rt::System resets the
  * machine on any mid-restore failure so a System is never left
@@ -150,22 +152,69 @@ class ChunkReader
     void need(size_t n);
 };
 
-/** Writes a complete snapshot image chunk by chunk. */
+/** Record header size: tag | length | crc32(payload). */
+constexpr size_t kRecordHeaderBytes = 12;
+
+/** One record; its payload sits at [offset, offset + length) of the
+ *  container or stream it came from. */
+struct Record
+{
+    uint32_t tag;
+    size_t offset;
+    size_t length;
+    uint32_t crc;
+};
+
+/** Appends one record, header then @p len payload bytes, to @p out. */
+void appendRecord(std::vector<uint8_t> &out, uint32_t tag,
+                  const void *payload, size_t len);
+
+/** Decodes the record header at @p p, found at byte @p pos of its
+ *  stream. */
+Record decodeRecordHeader(const uint8_t *p, size_t pos);
+
+/** Throws a located SnapshotError unless the r.length bytes at
+ *  @p payload match r.crc. */
+void checkRecordCrc(const Record &r, const uint8_t *payload);
+
+/**
+ * Validates a whole container: header (@p magic, @p version), the
+ * record-count bound, each record's bounds and CRC, and trailing
+ * bytes.  Only then returns the records in file order; tags are not
+ * interpreted.  @throws SnapshotError locating the first fault.
+ */
+std::vector<Record> decodeContainer(const std::vector<uint8_t> &bytes,
+                                    uint32_t magic, uint32_t version);
+
+/** Reads all of @p path; works on pipes and FIFOs, which have no size
+ *  up front.  @throws SnapshotError (directories, read errors). */
+std::vector<uint8_t> readFile(const std::string &path);
+
+/** Writes @p bytes to @p path atomically (tmp + rename).
+ *  @throws SnapshotError. */
+void writeFileAtomic(const std::string &path,
+                     const std::vector<uint8_t> &bytes);
+
+/** Builds a container record by record. */
 class Writer
 {
   public:
+    explicit Writer(uint32_t magic = kMagic, uint32_t version = kVersion)
+        : magic_(magic), version_(version)
+    {
+    }
+
     /**
-     * Opens a new chunk.  The returned ChunkWriter stays valid until
+     * Opens a new record.  The returned ChunkWriter stays valid until
      * the next chunk() / finish() call; its contents are sealed (length
-     * + CRC computed) at that point.  Duplicate tags are rejected.
+     * + CRC computed) at that point.  Tags are not checked: formats
+     * that need unique tags enforce that in their loader.
      */
     ChunkWriter &chunk(uint32_t tag);
 
-    /** Seals the image and returns the serialised bytes. */
+    /** Seals the container into exactly-sized bytes and empties the
+     *  writer. */
     std::vector<uint8_t> finish();
-
-    /** Seals the image and writes it to @p path (atomic: tmp+rename). */
-    void writeFile(const std::string &path);
 
   private:
     struct PendingChunk
@@ -174,13 +223,14 @@ class Writer
         ChunkWriter payload;
     };
 
+    uint32_t magic_;
+    uint32_t version_;
     std::vector<PendingChunk> chunks_;
 };
 
 /**
  * A fully validated snapshot image.  Construction (load / fromBytes)
- * performs complete structural validation — magic, version, per-chunk
- * bounds, CRC32 of every payload, duplicate-tag detection — before any
+ * decodes the container and rejects duplicate chunk tags before any
  * chunk becomes visible, so consumers never observe a corrupt payload.
  */
 class Image
@@ -192,8 +242,8 @@ class Image
     /** Reads and validates the image at @p path.  Throws SnapshotError. */
     static Image load(const std::string &path);
 
-    /** Format version of the image. */
-    uint32_t version() const { return version_; }
+    /** Format version of the image (the only one that loads). */
+    uint32_t version() const { return kVersion; }
 
     /** True if the image carries chunk @p tag. */
     bool has(uint32_t tag) const { return chunks_.count(tag) != 0; }
@@ -217,16 +267,11 @@ class Image
   private:
     Image() = default;
 
-    struct Extent
-    {
-        size_t offset;
-        size_t length;
-        uint32_t crc;
-    };
+    /** The record for @p tag; throws if absent. */
+    const Record &find(uint32_t tag) const;
 
     std::vector<uint8_t> bytes_;
-    std::map<uint32_t, Extent> chunks_;
-    uint32_t version_ = 0;
+    std::map<uint32_t, Record> chunks_;
 };
 
 } // namespace bifsim::snapshot

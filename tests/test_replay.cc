@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
+#include <thread>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "cpu/asm/assembler.h"
 #include "gpu/gpu.h"
@@ -923,11 +930,11 @@ smallConfig()
  *  interpreter-tier byte: the recorder writes 1, logs from the legacy
  *  interpreter carry 0. */
 void
-configEvent(replay::LogWriter &w,
+configEvent(snap::Writer &w,
             const replay::LogConfig &c = smallConfig(),
             uint8_t tier_byte = 1)
 {
-    snap::ChunkWriter &e = w.event(replay::kEvConfig);
+    snap::ChunkWriter &e = w.chunk(replay::kEvConfig);
     e.u64(c.ramBase);
     e.u64(c.ramBytes);
     e.u32(c.numCores);
@@ -1004,9 +1011,9 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
     // counts and sizes; every one must fail with a located error.
     {
         // MemDelta claiming 2^32-1 pages.
-        replay::LogWriter w;
+        snap::Writer w(replay::kMagic, replay::kVersion);
         configEvent(w);
-        snap::ChunkWriter &m = w.event(replay::kEvMemDelta);
+        snap::ChunkWriter &m = w.chunk(replay::kEvMemDelta);
         m.u8(1);
         m.u32(0xffffffffu);
         replay::Log log = replay::Log::fromBytes(w.finish());
@@ -1014,9 +1021,9 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
     }
     {
         // MemDelta with an out-of-range page index.
-        replay::LogWriter w;
+        snap::Writer w(replay::kMagic, replay::kVersion);
         configEvent(w);
-        snap::ChunkWriter &m = w.event(replay::kEvMemDelta);
+        snap::ChunkWriter &m = w.chunk(replay::kEvMemDelta);
         m.u8(1);
         m.u32(1);
         m.u32(100000);   // >> 256 pages
@@ -1029,24 +1036,24 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
         // RCFG with an implausible RAM size.
         replay::LogConfig huge = smallConfig();
         huge.ramBytes = 1ull << 40;
-        replay::LogWriter w;
+        snap::Writer w(replay::kMagic, replay::kVersion);
         configEvent(w, huge);
         EXPECT_THROW(replay::Log::fromBytes(w.finish()),
                      replay::ReplayError);
     }
     {
         // Unknown event kind.
-        replay::LogWriter w;
+        snap::Writer w(replay::kMagic, replay::kVersion);
         configEvent(w);
-        w.event(snap::makeTag("EVIL")).u32(1);
+        w.chunk(snap::makeTag("EVIL")).u32(1);
         EXPECT_THROW(replay::Log::fromBytes(w.finish()),
                      replay::ReplayError);
     }
     {
         // Truncated MMIO payload: located error at replay time.
-        replay::LogWriter w;
+        snap::Writer w(replay::kMagic, replay::kVersion);
         configEvent(w);
-        w.event(replay::kEvMmio).u32(gpu::kRegIrqMask);
+        w.chunk(replay::kEvMmio).u32(gpu::kRegIrqMask);
         replay::Log log = replay::Log::fromBytes(w.finish());
         EXPECT_THROW(replay::replay(log, {}), replay::ReplayError);
     }
@@ -1060,10 +1067,10 @@ TEST(Replay, RetiredInterpreterTierByteIsIgnored)
     // only that byte cleared: replay must validate it exactly as it
     // validates the original.
     replay::Log src = replay::Log::fromBytes(smallValidLog());
-    replay::LogWriter w;
+    snap::Writer w(replay::kMagic, replay::kVersion);
     configEvent(w, src.config(), 0);
     for (size_t i = 1; i < src.eventCount(); ++i)
-        w.event(src.kind(i)).bytes(src.payload(i), src.payloadSize(i));
+        w.chunk(src.kind(i)).bytes(src.payload(i), src.payloadSize(i));
     replay::Log old = replay::Log::fromBytes(w.finish());
 
     // ramBase u64 | ramBytes u64 | numCores u32 | hostThreads u32 |
@@ -1091,6 +1098,85 @@ TEST(Replay, RetiredInterpreterTierByteIsIgnored)
         EXPECT_EQ(b.totalKernel.totalInstrs(),
                   a.totalKernel.totalInstrs());
     }
+}
+
+// ------------------------------------------------------ Loading files
+
+/** Runs @p load on a FIFO at @p path while a helper thread writes
+ *  @p bytes into it: a stream with no size known up front. */
+template <typename Load>
+auto
+loadThroughFifo(const std::string &path, const std::vector<uint8_t> &bytes,
+                Load load)
+{
+    std::thread writer([&] {
+        int fd = ::open(path.c_str(), O_WRONLY);
+        for (size_t put = 0; fd >= 0 && put < bytes.size();) {
+            ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+            if (n <= 0)
+                break;   // Reader gave up early: EPIPE.
+            put += static_cast<size_t>(n);
+        }
+        if (fd >= 0)
+            ::close(fd);
+    });
+    try {
+        auto result = load(path);
+        writer.join();
+        return result;
+    } catch (...) {
+        writer.join();
+        throw;
+    }
+}
+
+TEST(ReplayLoad, ReadsFifosAndRejectsDirectories)
+{
+    std::signal(SIGPIPE, SIG_IGN);   // A failed load closes early.
+    std::filesystem::path dir =
+        std::filesystem::current_path() / "replay_load_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::string fifo = (dir / "stream").string();
+
+    // (a) A recorded log and a small image (bigger than a pipe
+    // buffer) read through a FIFO.
+    std::vector<uint8_t> log_bytes = smallValidLog();
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    replay::Log log = loadThroughFifo(fifo, log_bytes,
+                                      replay::Log::load);
+    replay::Log ref = replay::Log::fromBytes(log_bytes);
+    EXPECT_EQ(log.bytes(), ref.bytes());
+    ASSERT_EQ(log.eventCount(), ref.eventCount());
+    for (size_t i = 0; i < ref.eventCount(); ++i)
+        EXPECT_EQ(log.kind(i), ref.kind(i));
+
+    snap::Writer w;
+    w.chunk(snap::kTagConfig).u64(42);
+    std::vector<uint8_t> big(100000, 0x5a);
+    w.chunk(snap::kTagMem).bytes(big.data(), big.size());
+    std::vector<uint8_t> image_bytes = w.finish();
+    snap::Image img = loadThroughFifo(fifo, image_bytes,
+                                      snap::Image::load);
+    snap::Image img_ref = snap::Image::fromBytes(image_bytes);
+    EXPECT_EQ(img.sizeBytes(), img_ref.sizeBytes());
+    for (uint32_t tag : {snap::kTagConfig, snap::kTagMem}) {
+        EXPECT_EQ(img.chunkLength(tag), img_ref.chunkLength(tag));
+        EXPECT_EQ(img.chunkCrc(tag), img_ref.chunkCrc(tag));
+    }
+
+    // (b) A directory is a located error of each loader's own type.
+    std::string d = (dir / "not_a_file").string();
+    std::filesystem::create_directories(d);
+    try {
+        replay::Log::load(d);
+        ADD_FAILURE() << "Log::load accepted a directory";
+    } catch (const replay::ReplayError &e) {
+        EXPECT_NE(std::string(e.what()).find(d), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(snap::Image::load(d), snap::SnapshotError);
+    std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------------------- Plumbing

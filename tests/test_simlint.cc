@@ -87,7 +87,7 @@ TEST(Simlint, CounterRegistryFindsAllViolationKinds)
 {
     std::vector<Diag> d =
         bifsim::lint::checkCounterRegistry(fixture("orphan_counter"));
-    ASSERT_EQ(d.size(), 7u);
+    ASSERT_EQ(d.size(), 4u);
     // Scan-order first: duplicate emit at line 9 (first emit line 7).
     EXPECT_EQ(d[0].file, "src/instrument/stats.cc");
     EXPECT_EQ(d[0].line, 9);
@@ -99,31 +99,17 @@ TEST(Simlint, CounterRegistryFindsAllViolationKinds)
     EXPECT_EQ(d[1].line, 10);
     EXPECT_TRUE(contains(d[1].message, "\"sched.CamelCase\""));
     EXPECT_TRUE(contains(d[1].message, "grammar"));
-    // Emitted but documented in NEITHER doc: one diag per doc, at the
-    // emit line.
+    // Emitted but undocumented, at the emit line.
     EXPECT_EQ(d[2].file, "src/instrument/stats.cc");
     EXPECT_EQ(d[2].line, 8);
     EXPECT_TRUE(contains(d[2].message, "\"sched.bogus_counter\""));
-    EXPECT_TRUE(contains(d[2].message, "docs/COUNTERS.md"));
-    EXPECT_EQ(d[3].file, "src/instrument/stats.cc");
-    EXPECT_EQ(d[3].line, 8);
-    EXPECT_TRUE(contains(d[3].message, "\"sched.bogus_counter\""));
-    EXPECT_TRUE(contains(d[3].message, "docs/METRICS.md"));
-    // Documented in COUNTERS.md but missing from the exported-series
-    // doc: the dual-doc requirement flags the gap.
-    EXPECT_EQ(d[4].file, "src/instrument/stats.cc");
-    EXPECT_EQ(d[4].line, 7);
-    EXPECT_TRUE(contains(d[4].message, "\"sched.slices_run\""));
-    EXPECT_TRUE(contains(d[4].message, "docs/METRICS.md"));
-    // Documented but never emitted, at its line in each doc.
-    EXPECT_EQ(d[5].file, "docs/COUNTERS.md");
-    EXPECT_EQ(d[5].line, 6);
-    EXPECT_TRUE(contains(d[5].message, "\"sys.ghost_counter\""));
-    EXPECT_TRUE(contains(d[5].message, "not emitted"));
-    EXPECT_EQ(d[6].file, "docs/METRICS.md");
-    EXPECT_EQ(d[6].line, 7);
-    EXPECT_TRUE(contains(d[6].message, "\"tlb.phantom_series\""));
-    EXPECT_TRUE(contains(d[6].message, "not emitted"));
+    EXPECT_TRUE(contains(d[2].message, "not documented in "
+                                       "docs/METRICS.md"));
+    // Documented but never emitted, at its line in the doc.
+    EXPECT_EQ(d[3].file, "docs/METRICS.md");
+    EXPECT_EQ(d[3].line, 7);
+    EXPECT_TRUE(contains(d[3].message, "\"tlb.phantom_series\""));
+    EXPECT_TRUE(contains(d[3].message, "not emitted"));
 }
 
 TEST(Simlint, MutexCoverageFlagsRawAndUnreferencedMutexes)

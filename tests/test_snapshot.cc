@@ -17,9 +17,11 @@
 
 #include "cpu/asm/assembler.h"
 #include "cpu/dbt.h"
+#include "fleet/proto.h"
 #include "gpu/shader_core.h"
 #include "instrument/stats.h"
 #include "mem/phys_mem.h"
+#include "replay/replay.h"
 #include "runtime/session.h"
 #include "snapshot/snapshot.h"
 #include "soc/devices.h"
@@ -126,11 +128,21 @@ TEST(SnapshotFormat, RejectsTrailingBytes)
     EXPECT_THROW(Image::fromBytes(std::move(bytes)), SnapshotError);
 }
 
-TEST(SnapshotFormat, WriterRejectsDuplicateTag)
+TEST(SnapshotFormat, LoaderRejectsDuplicateTag)
 {
+    // The writer frames whatever it is given; unique tags are the
+    // image loader's rule.
     Writer w;
-    w.chunk(kTagA);
-    EXPECT_THROW(w.chunk(kTagA), SnapshotError);
+    w.chunk(kTagA).u8(1);
+    w.chunk(kTagA).u8(2);
+    try {
+        Image::fromBytes(w.finish());
+        FAIL() << "an image with a repeated tag was accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate chunk AAAA"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SnapshotFormat, MissingChunkThrows)
@@ -161,6 +173,207 @@ TEST(SnapshotFormat, ZeroLengthBytesIntoEmptyVector)
     std::vector<uint8_t> empty;
     b.bytes(empty.data(), 0);
     EXPECT_EQ(b.u16(), 0x0201u);   // Nothing consumed.
+}
+
+// ---------------------------------------------------------------------
+// Shared container decoder (BSNP images, BRPL logs, fleet frames)
+// ---------------------------------------------------------------------
+
+constexpr uint32_t kTestMagic = makeTag("TEST");
+constexpr uint32_t kTestVersion = 7;
+
+/** A 3-record container; the middle record is empty. */
+std::vector<uint8_t>
+threeRecordContainer()
+{
+    Writer w(kTestMagic, kTestVersion);
+    w.chunk(makeTag("ONE ")).u32(0x04030201);
+    w.chunk(makeTag("TWO "));
+    w.chunk(makeTag("THRE")).str("abc");
+    return w.finish();
+}
+
+/** Decodes @p bytes and returns the error message ("" if accepted). */
+std::string
+decodeError(const std::vector<uint8_t> &bytes)
+{
+    try {
+        snapshot::decodeContainer(bytes, kTestMagic, kTestVersion);
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SnapshotContainer, DecodesRecordsInOrder)
+{
+    const std::vector<uint8_t> bytes = threeRecordContainer();
+    std::vector<snapshot::Record> recs =
+        snapshot::decodeContainer(bytes, kTestMagic, kTestVersion);
+    ASSERT_EQ(recs.size(), 3u);
+    EXPECT_EQ(recs[0].tag, makeTag("ONE "));
+    EXPECT_EQ(recs[0].offset, 28u);
+    EXPECT_EQ(recs[0].length, 4u);
+    EXPECT_EQ(recs[1].tag, makeTag("TWO "));
+    EXPECT_EQ(recs[1].length, 0u);
+    EXPECT_EQ(recs[2].tag, makeTag("THRE"));
+    EXPECT_EQ(recs[2].length, 7u);
+    EXPECT_EQ(recs[2].offset + recs[2].length, bytes.size());
+    EXPECT_EQ(recs[2].crc, snapshot::crc32(bytes.data() + recs[2].offset,
+                                           recs[2].length));
+
+    // A zero-length payload read into an empty vector: data() may be
+    // null, so the reader must not hand it to memcpy.
+    ChunkReader two(recs[1].tag, bytes.data() + recs[1].offset, 0);
+    std::vector<uint8_t> empty;
+    two.bytes(empty.data(), empty.size());
+    two.expectEnd();
+}
+
+TEST(SnapshotContainer, HostileInputsFailLocated)
+{
+    const std::vector<uint8_t> good = threeRecordContainer();
+    ASSERT_EQ(decodeError(good), "");
+    // Record headers start at 16, 32 and 44; payloads are 28..31 and
+    // 56..62.  Tags and the reserved header word carry no CRC: a flip
+    // there decodes, and the caller's tag rules catch it (see below).
+    const size_t kRecordHeaders[] = {16, 32, 44};
+
+    struct Case
+    {
+        std::string what;
+        std::vector<uint8_t> bytes;
+    };
+    std::vector<Case> cases;
+    for (size_t n = 0; n < good.size(); ++n)
+        cases.push_back({"truncated to " + std::to_string(n),
+                         std::vector<uint8_t>(good.begin(),
+                                              good.begin() + n)});
+    auto flipped = [&](size_t pos, int bit) {
+        std::vector<uint8_t> b = good;
+        b[pos] ^= static_cast<uint8_t>(1u << bit);
+        return Case{"bit " + std::to_string(bit) + " of byte " +
+                        std::to_string(pos),
+                    b};
+    };
+    std::vector<size_t> guarded;   // Bytes a flip must never slip by.
+    for (size_t pos = 0; pos < 12; ++pos)
+        guarded.push_back(pos);    // magic, version, count
+    for (size_t h : kRecordHeaders) {
+        for (size_t pos = h + 4; pos < h + 12; ++pos)
+            guarded.push_back(pos);   // length, crc
+    }
+    for (size_t pos = 28; pos < 32; ++pos)
+        guarded.push_back(pos);
+    for (size_t pos = 56; pos < good.size(); ++pos)
+        guarded.push_back(pos);
+    for (size_t pos : guarded) {
+        for (int bit = 0; bit < 8; ++bit)
+            cases.push_back(flipped(pos, bit));
+    }
+    std::vector<uint8_t> count = good;
+    count[8] = count[9] = count[10] = count[11] = 0xff;
+    cases.push_back({"record count 2^32-1", count});
+    std::vector<uint8_t> trailing = good;
+    trailing.push_back(0);
+    cases.push_back({"trailing byte", trailing});
+
+    for (const Case &c : cases) {
+        std::string err = decodeError(c.bytes);
+        EXPECT_NE(err.find("snapshot: "), std::string::npos)
+            << c.what << " was accepted";
+        EXPECT_NE(err.find("offset"), std::string::npos)
+            << c.what << ": unlocated error \"" << err << "\"";
+    }
+
+    // An unprotected tag byte decodes to a different tag; every format
+    // rejects tags it does not know (missing chunk, unknown event
+    // kind, unknown frame kind).
+    const uint32_t kTags[] = {makeTag("ONE "), makeTag("TWO "),
+                              makeTag("THRE")};
+    for (size_t i = 0; i < 3; ++i) {
+        std::vector<uint8_t> b = good;
+        b[kRecordHeaders[i]] ^= 0x20;
+        std::vector<snapshot::Record> recs =
+            snapshot::decodeContainer(b, kTestMagic, kTestVersion);
+        EXPECT_NE(recs[i].tag, kTags[i]);
+    }
+}
+
+// Reference bytes of the three formats.  A mismatch is a format
+// change: bump the version rather than editing these.
+const std::vector<uint8_t> kGoldenImage = {
+    0x42, 0x53, 0x4e, 0x50, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x41, 0x41, 0x41, 0x41, 0x18, 0x00, 0x00, 0x00,
+    0x9b, 0xb7, 0xa8, 0x7c, 0x12, 0x56, 0x34, 0xef, 0xbe, 0xad, 0xde, 0xef,
+    0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x05, 0x00, 0x00, 0x00, 0x68,
+    0x65, 0x6c, 0x6c, 0x6f, 0x42, 0x42, 0x42, 0x42, 0x04, 0x00, 0x00, 0x00,
+    0xcd, 0xfb, 0x3c, 0xb6, 0x01, 0x02, 0x03, 0x04,
+};
+const std::vector<uint8_t> kGoldenLog = {
+    0x42, 0x52, 0x50, 0x4c, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x52, 0x43, 0x46, 0x47, 0x1e, 0x00, 0x00, 0x00,
+    0x80, 0x96, 0xd8, 0x07, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x52, 0x4d,
+    0x49, 0x4f, 0x08, 0x00, 0x00, 0x00, 0xa0, 0xd4, 0xa2, 0xa0, 0x24, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x52, 0x49, 0x52, 0x51, 0x08, 0x00,
+    0x00, 0x00, 0x92, 0xb8, 0x34, 0x11, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00,
+};
+const std::vector<uint8_t> kGoldenFrame = {
+    0x46, 0x4c, 0x54, 0x4a, 0x03, 0x00, 0x00, 0x00, 0x1d, 0x80, 0xbc, 0x55,
+    0x01, 0x02, 0x03,
+};
+
+TEST(SnapshotContainer, EntryPointsKeepTheirExceptionTypes)
+{
+    std::vector<uint8_t> image = smallImageBytes();
+    image.pop_back();
+    EXPECT_THROW(Image::fromBytes(image), SnapshotError);
+
+    std::vector<uint8_t> log = kGoldenLog;
+    log.pop_back();
+    EXPECT_THROW(replay::Log::fromBytes(log), replay::ReplayError);
+
+    // A frame with a corrupt payload, read back from a regular file.
+    std::vector<uint8_t> wire = fleet::encodeFrame(fleet::kMsgJob,
+                                                   {1, 2, 3});
+    wire.back() ^= 0x01;
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(wire.data(), 1, wire.size(), f), wire.size());
+    std::fflush(f);
+    std::rewind(f);
+    fleet::Frame frame;
+    EXPECT_THROW(fleet::readFrame(fileno(f), frame), SnapshotError);
+    std::fclose(f);
+}
+
+TEST(SnapshotContainer, GoldenBytes)
+{
+    EXPECT_EQ(smallImageBytes(), kGoldenImage);
+
+    // RCFG (1 MiB RAM at 0x80000000, 8 cores, 2 threads, verify 1),
+    // one MMIO write, one IRQ raise.
+    Writer w(replay::kMagic, replay::kVersion);
+    ChunkWriter &cfg = w.chunk(replay::kEvConfig);
+    cfg.u64(0x80000000ull);
+    cfg.u64(1u << 20);
+    cfg.u32(8);
+    cfg.u32(2);
+    for (uint8_t b : {1, 1, 1, 0, 0, 0})
+        cfg.u8(b);
+    ChunkWriter &mmio = w.chunk(replay::kEvMmio);
+    mmio.u32(0x24);
+    mmio.u32(1);
+    ChunkWriter &irq = w.chunk(replay::kEvIrq);
+    irq.u32(1);
+    irq.u32(1);
+    EXPECT_EQ(w.finish(), kGoldenLog);
+    EXPECT_EQ(replay::Log::fromBytes(kGoldenLog).eventCount(), 3u);
+
+    EXPECT_EQ(fleet::encodeFrame(fleet::kMsgJob, {1, 2, 3}), kGoldenFrame);
 }
 
 TEST(SnapshotFormat, Crc32KnownVector)
