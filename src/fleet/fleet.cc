@@ -303,11 +303,8 @@ FleetServer::runJob(rt::Session &s, uint32_t session_id,
                        static_cast<size_t>(rd.offset));
             m.readback.insert(m.readback.end(), tmp.begin(), tmp.end());
         }
-        if (req.wantRamCrc) {
-            const PhysMem &mem = s.system().mem();
-            m.ramCrc = snapshot::crc32(
-                mem.readPtr(rt::System::kRamBase), mem.size());
-        }
+        if (req.wantRamCrc)
+            m.ramCrc = s.system().mem().crc();
         m.status = JobStatus::Ok;
     } catch (const SimError &e) {
         m.status = JobStatus::Fault;

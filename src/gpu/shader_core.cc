@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/bits.h"
 #include "common/logging.h"
@@ -176,27 +177,29 @@ saturatingF2U(float f)
     return static_cast<uint32_t>(f);
 }
 
-inline bool
-compare(bif::CmpMode m, int cmp)
+/** Signed division as the ISA defines it: x / 0 is 0 and
+ *  INT_MIN / -1 is INT_MIN. */
+inline uint32_t
+sdiv(uint32_t a, uint32_t b)
 {
-    switch (m) {
-      case bif::CmpMode::Eq: return cmp == 0;
-      case bif::CmpMode::Ne: return cmp != 0;
-      case bif::CmpMode::Lt: return cmp < 0;
-      case bif::CmpMode::Le: return cmp <= 0;
-      case bif::CmpMode::Gt: return cmp > 0;
-      case bif::CmpMode::Ge: return cmp >= 0;
-    }
-    return false;
+    int32_t sa = static_cast<int32_t>(a);
+    int32_t sb = static_cast<int32_t>(b);
+    if (sb == 0)
+        return 0;
+    if (sa == std::numeric_limits<int32_t>::min() && sb == -1)
+        return a;
+    return static_cast<uint32_t>(sa / sb);
 }
 
-inline int
-cmp3(float a, float b)
+/** Signed remainder: x % 0 and INT_MIN % -1 are 0. */
+inline uint32_t
+srem(uint32_t a, uint32_t b)
 {
-    // NaN compares unordered: all relations false except Ne.
-    if (std::isnan(a) || std::isnan(b))
-        return 2;   // Neither <0, ==0 nor >0-compatible: see compare use.
-    return a < b ? -1 : a > b ? 1 : 0;
+    int32_t sa = static_cast<int32_t>(a);
+    int32_t sb = static_cast<int32_t>(b);
+    if (sb == 0 || (sa == std::numeric_limits<int32_t>::min() && sb == -1))
+        return 0;
+    return static_cast<uint32_t>(sa % sb);
 }
 
 } // namespace
@@ -338,245 +341,298 @@ WorkgroupExecutor::localAccess(uint32_t offset, bool write, uint32_t &val)
     return true;
 }
 
-bool
-WorkgroupExecutor::commitClause(Warp &warp, uint32_t c, uint32_t mask,
+void
+WorkgroupExecutor::commitClause(Warp &w, uint32_t c, uint32_t mask,
                                 bool has_cf, const uint32_t *next_pc,
-                                const bool *exits)
+                                uint32_t exits)
 {
-    // Commit thread PCs and record divergence (paper §IV-C: PCs are
-    // tracked on clause boundaries).
-    unsigned active = 0;
-    uint32_t first_next = 0;
-    bool divergent = false;
-    bool first = true;
-    for (unsigned t = 0; t < warp.numThreads; ++t) {
-        if (!(mask & (1u << t)))
-            continue;
-        active++;
-        Thread &th = warp.threads[t];
-        uint32_t nxt = exits[t] ? kCfgExitNode : next_pc[t];
-        if (first) {
-            first_next = nxt;
-            first = false;
-        } else if (nxt != first_next) {
-            divergent = true;
+    // Commit lane PCs (paper §IV-C: PCs are tracked on clause
+    // boundaries).
+    w.live &= ~exits;
+    for (uint32_t m = mask & ~exits; m; m &= m - 1) {
+        unsigned l = std::countr_zero(m);
+        w.pc[l] = next_pc[l];
+    }
+    if (!job_->collect)
+        return;
+    groupExec_[c] += std::popcount(mask);
+    if (!has_cf)
+        return;   // Every lane falls through to c + 1.
+
+    // One CFG-edge update per distinct successor, weighted by its lane
+    // count; more than one successor is a divergent branch.
+    uint32_t succ[bif::kWarpWidth];
+    for (unsigned l = 0; l < bif::kWarpWidth; ++l)
+        succ[l] = (exits >> l) & 1 ? kCfgExitNode : next_pc[l];
+    uint32_t todo = mask;
+    unsigned targets = 0;
+    while (todo) {
+        uint32_t nxt = succ[std::countr_zero(todo)];
+        uint32_t same = 0;
+        for (uint32_t m = todo; m; m &= m - 1) {
+            unsigned l = std::countr_zero(m);
+            if (succ[l] == nxt)
+                same |= 1u << l;
         }
-        if (exits[t])
-            th.done = true;
-        else
-            th.pc = next_pc[t];
-        if (job_->collect && has_cf)
-            coll_.kernel.cfgEdges[cfgEdgeKey(c, nxt)]++;
+        coll_.kernel.cfgEdges[cfgEdgeKey(c, nxt)] += std::popcount(same);
+        todo &= ~same;
+        targets++;
     }
-    if (job_->collect) {
-        groupExec_[c] += active;
-        if (divergent)
-            coll_.kernel.divergentBranches++;
-    }
-    return true;
+    if (targets > 1)
+        coll_.kernel.divergentBranches++;
 }
 
-bool
-WorkgroupExecutor::execClause(Warp &warp, uint32_t c, uint32_t mask)
+namespace {
+
+/** Writes @p r into @p dst on the lanes whose @p on word is all ones
+ *  and keeps @p dst elsewhere (branch-free, so it vectorises). */
+inline void
+blend(uint32_t *dst, const uint32_t *r, const uint32_t *on)
 {
+    for (unsigned l = 0; l < bif::kWarpWidth; ++l)
+        dst[l] = (r[l] & on[l]) | (dst[l] & ~on[l]);
+}
+
+/** r = (a <mode> b) for every lane, comparing as @p T. */
+template <typename T>
+inline void
+compareLanes(uint32_t *r, int32_t imm, const uint32_t *a, const uint32_t *b)
+{
+    constexpr unsigned W = bif::kWarpWidth;
+    T x[W], y[W];
+    for (unsigned l = 0; l < W; ++l) {
+        x[l] = std::bit_cast<T>(a[l]);
+        y[l] = std::bit_cast<T>(b[l]);
+    }
+    // An unordered (NaN) float compare is false for every mode but Ne.
+    switch (static_cast<bif::CmpMode>(imm & 7)) {
+      case bif::CmpMode::Eq:
+        for (unsigned l = 0; l < W; ++l) r[l] = x[l] == y[l];
+        return;
+      case bif::CmpMode::Ne:
+        for (unsigned l = 0; l < W; ++l) r[l] = x[l] != y[l];
+        return;
+      case bif::CmpMode::Lt:
+        for (unsigned l = 0; l < W; ++l) r[l] = x[l] < y[l];
+        return;
+      case bif::CmpMode::Le:
+        for (unsigned l = 0; l < W; ++l) r[l] = x[l] <= y[l];
+        return;
+      case bif::CmpMode::Gt:
+        for (unsigned l = 0; l < W; ++l) r[l] = x[l] > y[l];
+        return;
+      case bif::CmpMode::Ge:
+        for (unsigned l = 0; l < W; ++l) r[l] = x[l] >= y[l];
+        return;
+    }
+    for (unsigned l = 0; l < W; ++l)
+        r[l] = 0;
+}
+
+} // namespace
+
+// r[l] = EXPR on every lane, live or not; EXPR reads the lane's
+// operands as A, B and C.  Only for ops without side effects or UB.
+#define ALL_LANES(EXPR)                                                 \
+    for (unsigned l = 0; l < bif::kWarpWidth; ++l) {                   \
+        [[maybe_unused]] const uint32_t A = a[l], B = b[l], C = cc[l]; \
+        r[l] = (EXPR);                                                  \
+    }
+
+// d[l] = EXPR on the active lanes only, in lane order.
+#define ACTIVE_LANES(EXPR)                                              \
+    for (uint32_t m_ = mask; m_; m_ &= m_ - 1) {                        \
+        unsigned l = std::countr_zero(m_);                              \
+        [[maybe_unused]] const uint32_t A = a[l], B = b[l];            \
+        d[l] = (EXPR);                                                  \
+    }
+
+bool
+WorkgroupExecutor::execClause(Warp &w, uint32_t c, uint32_t mask)
+{
+    constexpr unsigned W = bif::kWarpWidth;
     const DecodedShader &sh = *job_->shader;
     const MicroOp *u = sh.uops.data() + sh.uopStart[c];
     const MicroOp *uend = sh.uops.data() + sh.uopStart[c + 1];
     const uint32_t *rom = sh.mod.rom.data();
     const uint32_t *args = job_->args;
 
-    uint32_t next_pc[bif::kWarpWidth];
-    bool exits[bif::kWarpWidth] = {};
-    for (unsigned t = 0; t < warp.numThreads; ++t)
-        next_pc[t] = c + 1;
+    uint32_t on[W];   // All ones on the active lanes.
+    uint32_t next_pc[W];
+    for (unsigned l = 0; l < W; ++l) {
+        on[l] = 0u - ((mask >> l) & 1u);
+        next_pc[l] = c + 1;
+    }
+    uint32_t exits = 0;
 
     for (; u != uend; ++u) {
-        for (unsigned t = 0; t < warp.numThreads; ++t) {
-            if (!(mask & (1u << t)))
-                continue;
-            Thread &th = warp.threads[t];
-            uint32_t a = th.reg[u->src0];
-            uint32_t b = th.reg[u->src1];
-            uint32_t cc = th.reg[u->src2];
-            uint32_t r = 0;
-            switch (u->op) {
-              case Op::FAdd: r = asU(asF(a) + asF(b)); break;
-              case Op::FSub: r = asU(asF(a) - asF(b)); break;
-              case Op::FMul: r = asU(asF(a) * asF(b)); break;
-              case Op::FFma:
-                r = asU(asF(a) * asF(b) + asF(cc));
-                break;
-              case Op::FMin: r = asU(std::fmin(asF(a), asF(b))); break;
-              case Op::FMax: r = asU(std::fmax(asF(a), asF(b))); break;
-              case Op::FAbs: r = asU(std::fabs(asF(a))); break;
-              case Op::FNeg: r = asU(-asF(a)); break;
-              case Op::FFloor: r = asU(std::floor(asF(a))); break;
-              case Op::IAdd: r = a + b; break;
-              case Op::ISub: r = a - b; break;
-              case Op::IMul: r = a * b; break;
-              case Op::IAnd: r = a & b; break;
-              case Op::IOr:  r = a | b; break;
-              case Op::IXor: r = a ^ b; break;
-              case Op::INot: r = ~a; break;
-              case Op::IShl: r = a << (b & 31); break;
-              case Op::IShr: r = a >> (b & 31); break;
-              case Op::IAsr:
-                r = static_cast<uint32_t>(
-                    static_cast<int32_t>(a) >> (b & 31));
-                break;
-              case Op::IMin:
-                r = static_cast<int32_t>(a) < static_cast<int32_t>(b)
-                        ? a : b;
-                break;
-              case Op::IMax:
-                r = static_cast<int32_t>(a) > static_cast<int32_t>(b)
-                        ? a : b;
-                break;
-              case Op::UMin: r = a < b ? a : b; break;
-              case Op::UMax: r = a > b ? a : b; break;
-              case Op::FCmp: {
-                int q = cmp3(asF(a), asF(b));
-                bif::CmpMode m = static_cast<bif::CmpMode>(u->imm & 7);
-                bool res = q == 2 ? m == bif::CmpMode::Ne
-                                  : compare(m, q);
-                r = res ? 1 : 0;
-                break;
-              }
-              case Op::ICmp: {
-                int32_t sa = static_cast<int32_t>(a);
-                int32_t sb = static_cast<int32_t>(b);
-                int q = sa < sb ? -1 : sa > sb ? 1 : 0;
-                r = compare(static_cast<bif::CmpMode>(u->imm & 7), q);
-                break;
-              }
-              case Op::UCmp: {
-                int q = a < b ? -1 : a > b ? 1 : 0;
-                r = compare(static_cast<bif::CmpMode>(u->imm & 7), q);
-                break;
-              }
-              case Op::CSel: r = a != 0 ? b : cc; break;
-              case Op::Mov: r = a; break;
-              case Op::MovImm: r = static_cast<uint32_t>(u->imm); break;
-              case Op::F2I: r = saturatingF2I(asF(a)); break;
-              case Op::F2U: r = saturatingF2U(asF(a)); break;
-              case Op::I2F:
-                r = asU(static_cast<float>(static_cast<int32_t>(a)));
-                break;
-              case Op::U2F: r = asU(static_cast<float>(a)); break;
-              case Op::FRcp: r = asU(1.0f / asF(a)); break;
-              case Op::FRsqrt:
-                r = asU(1.0f / std::sqrt(asF(a)));
-                break;
-              case Op::FSqrt: r = asU(std::sqrt(asF(a))); break;
-              case Op::FExp2: r = asU(std::exp2(asF(a))); break;
-              case Op::FLog2: r = asU(std::log2(asF(a))); break;
-              case Op::FSin: r = asU(std::sin(asF(a))); break;
-              case Op::FCos: r = asU(std::cos(asF(a))); break;
-              case Op::IDiv: {
-                int32_t sa = static_cast<int32_t>(a);
-                int32_t sb = static_cast<int32_t>(b);
-                if (sb == 0)
-                    r = 0;
-                else if (sa == std::numeric_limits<int32_t>::min() &&
-                         sb == -1)
-                    r = a;
-                else
-                    r = static_cast<uint32_t>(sa / sb);
-                break;
-              }
-              case Op::IRem: {
-                int32_t sa = static_cast<int32_t>(a);
-                int32_t sb = static_cast<int32_t>(b);
-                if (sb == 0)
-                    r = 0;
-                else if (sa == std::numeric_limits<int32_t>::min() &&
-                         sb == -1)
-                    r = 0;
-                else
-                    r = static_cast<uint32_t>(sa % sb);
-                break;
-              }
-              case Op::UDiv: r = b ? a / b : 0; break;
-              case Op::URem: r = b ? a % b : 0; break;
-              case Op::LdRom:
-                r = rom[u->imm];   // Pre-range-checked at decode.
-                break;
-              case Op::LdArg:
-                r = args[u->imm];  // Pre-wrapped at decode.
-                break;
-              case Op::LdGlobal:
-                if (!memAccess(a + u->imm, 4, false, r)) [[unlikely]]
+        const uint32_t *a = w.reg[u->src0];
+        const uint32_t *b = w.reg[u->src1];
+        const uint32_t *cc = w.reg[u->src2];
+        uint32_t *d = w.reg[u->dst];
+        const uint32_t imm = static_cast<uint32_t>(u->imm);
+        uint32_t r[W];
+        switch (u->op) {
+          // Pure ALU ops: every lane, then one masked blend below.
+          case Op::FAdd: ALL_LANES(asU(asF(A) + asF(B))); break;
+          case Op::FSub: ALL_LANES(asU(asF(A) - asF(B))); break;
+          case Op::FMul: ALL_LANES(asU(asF(A) * asF(B))); break;
+          case Op::FFma: ALL_LANES(asU(asF(A) * asF(B) + asF(C))); break;
+          case Op::FMin: ALL_LANES(asU(std::fmin(asF(A), asF(B)))); break;
+          case Op::FMax: ALL_LANES(asU(std::fmax(asF(A), asF(B)))); break;
+          case Op::FAbs: ALL_LANES(asU(std::fabs(asF(A)))); break;
+          case Op::FNeg: ALL_LANES(asU(-asF(A))); break;
+          case Op::FRcp: ALL_LANES(asU(1.0f / asF(A))); break;
+          case Op::IAdd: ALL_LANES(A + B); break;
+          case Op::ISub: ALL_LANES(A - B); break;
+          case Op::IMul: ALL_LANES(A * B); break;
+          case Op::IAnd: ALL_LANES(A & B); break;
+          case Op::IOr:  ALL_LANES(A | B); break;
+          case Op::IXor: ALL_LANES(A ^ B); break;
+          case Op::INot: ALL_LANES(~A); break;
+          case Op::IShl: ALL_LANES(A << (B & 31)); break;
+          case Op::IShr: ALL_LANES(A >> (B & 31)); break;
+          case Op::IAsr:
+            ALL_LANES(static_cast<uint32_t>(static_cast<int32_t>(A) >>
+                                            (B & 31)));
+            break;
+          case Op::IMin:
+            ALL_LANES(static_cast<int32_t>(A) < static_cast<int32_t>(B)
+                          ? A : B);
+            break;
+          case Op::IMax:
+            ALL_LANES(static_cast<int32_t>(A) > static_cast<int32_t>(B)
+                          ? A : B);
+            break;
+          case Op::UMin: ALL_LANES(A < B ? A : B); break;
+          case Op::UMax: ALL_LANES(A > B ? A : B); break;
+          case Op::FCmp: compareLanes<float>(r, u->imm, a, b); break;
+          case Op::ICmp: compareLanes<int32_t>(r, u->imm, a, b); break;
+          case Op::UCmp: compareLanes<uint32_t>(r, u->imm, a, b); break;
+          case Op::CSel: ALL_LANES(A != 0 ? B : C); break;
+          case Op::Mov: ALL_LANES(A); break;
+          case Op::MovImm: ALL_LANES(imm); break;
+          case Op::LdRom: ALL_LANES(rom[imm]); break;    // Range-checked
+          case Op::LdArg: ALL_LANES(args[imm]); break;   // at decode.
+          case Op::F2I: ALL_LANES(saturatingF2I(asF(A))); break;
+          case Op::F2U: ALL_LANES(saturatingF2U(asF(A))); break;
+          case Op::I2F:
+            ALL_LANES(asU(static_cast<float>(static_cast<int32_t>(A))));
+            break;
+          case Op::U2F: ALL_LANES(asU(static_cast<float>(A))); break;
+
+          // libm calls and divisions: active lanes only.
+          case Op::FFloor: ACTIVE_LANES(asU(std::floor(asF(A)))); continue;
+          case Op::FRsqrt:
+            ACTIVE_LANES(asU(1.0f / std::sqrt(asF(A))));
+            continue;
+          case Op::FSqrt: ACTIVE_LANES(asU(std::sqrt(asF(A)))); continue;
+          case Op::FExp2: ACTIVE_LANES(asU(std::exp2(asF(A)))); continue;
+          case Op::FLog2: ACTIVE_LANES(asU(std::log2(asF(A)))); continue;
+          case Op::FSin: ACTIVE_LANES(asU(std::sin(asF(A)))); continue;
+          case Op::FCos: ACTIVE_LANES(asU(std::cos(asF(A)))); continue;
+          case Op::IDiv: ACTIVE_LANES(sdiv(A, B)); continue;
+          case Op::IRem: ACTIVE_LANES(srem(A, B)); continue;
+          case Op::UDiv: ACTIVE_LANES(B ? A / B : 0); continue;
+          case Op::URem: ACTIVE_LANES(B ? A % B : 0); continue;
+
+          // Memory: active lanes in order, stopping at the first fault.
+          case Op::LdGlobal:
+          case Op::LdGlobalU8: {
+            unsigned size = u->op == Op::LdGlobal ? 4 : 1;
+            for (uint32_t m = mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t v = 0;
+                if (!memAccess(a[l] + imm, size, false, v)) [[unlikely]]
                     return false;
-                break;
-              case Op::LdGlobalU8:
-                if (!memAccess(a + u->imm, 1, false, r)) [[unlikely]]
+                d[l] = v;
+            }
+            continue;
+          }
+          case Op::StGlobal:
+          case Op::StGlobalU8: {
+            unsigned size = u->op == Op::StGlobal ? 4 : 1;
+            for (uint32_t m = mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t v = b[l];
+                if (!memAccess(a[l] + imm, size, true, v)) [[unlikely]]
                     return false;
-                break;
-              case Op::StGlobal:
-                if (!memAccess(a + u->imm, 4, true, b)) [[unlikely]]
+            }
+            continue;
+          }
+          case Op::LdLocal:
+            for (uint32_t m = mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t v = 0;
+                if (!localAccess(a[l] + imm, false, v)) [[unlikely]]
                     return false;
-                break;
-              case Op::StGlobalU8:
-                if (!memAccess(a + u->imm, 1, true, b)) [[unlikely]]
+                d[l] = v;
+            }
+            continue;
+          case Op::StLocal:
+            for (uint32_t m = mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t v = b[l];
+                if (!localAccess(a[l] + imm, true, v)) [[unlikely]]
                     return false;
-                break;
-              case Op::LdLocal:
-                if (!localAccess(a + u->imm, false, r)) [[unlikely]]
-                    return false;
-                break;
-              case Op::StLocal:
-                if (!localAccess(a + u->imm, true, b)) [[unlikely]]
-                    return false;
-                break;
-              case Op::AtomAddG: {
-                uint32_t *p = atomicHostPtr(a + u->imm);
+            }
+            continue;
+          case Op::AtomAddG:
+            for (uint32_t m = mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t *p = atomicHostPtr(a[l] + imm);
                 if (!p) [[unlikely]]
                     return false;
-                r = __atomic_fetch_add(p, b, __ATOMIC_SEQ_CST);
-                break;
-              }
-              case Op::AtomAddL: {
-                uint32_t off = a + u->imm;
+                d[l] = __atomic_fetch_add(p, b[l], __ATOMIC_SEQ_CST);
+            }
+            continue;
+          case Op::AtomAddL:
+            for (uint32_t m = mask; m; m &= m - 1) {
+                unsigned l = std::countr_zero(m);
+                uint32_t off = a[l] + imm;
                 uint32_t old = 0;
                 if (!localAccess(off, false, old))
                     return false;
-                uint32_t nv = old + b;
+                uint32_t nv = old + b[l];
                 if (!localAccess(off, true, nv))
                     return false;
-                r = old;
-                break;
-              }
-              case Op::Branch:
-                next_pc[t] = static_cast<uint32_t>(u->imm);
-                break;
-              case Op::BranchZ:
-                if (a == 0)
-                    next_pc[t] = static_cast<uint32_t>(u->imm);
-                break;
-              case Op::BranchNZ:
-                if (a != 0)
-                    next_pc[t] = static_cast<uint32_t>(u->imm);
-                break;
-              case Op::Ret:
-                exits[t] = true;
-                break;
-              case Op::Barrier:
-                // Handled at warp level (barrier clauses are alone).
-                break;
-              default:
-                break;
+                d[l] = old;
             }
-            // Destinations are pre-resolved: non-writing ops target the
-            // sink slot, so the commit is a branch-free indexed store.
-            th.reg[u->dst] = r;
+            continue;
+
+          // Control flow: per-lane successors, committed below.
+          case Op::Branch:
+            for (unsigned l = 0; l < W; ++l)
+                next_pc[l] = imm;
+            continue;
+          case Op::BranchZ:
+            for (unsigned l = 0; l < W; ++l)
+                next_pc[l] = a[l] == 0 ? imm : next_pc[l];
+            continue;
+          case Op::BranchNZ:
+            for (unsigned l = 0; l < W; ++l)
+                next_pc[l] = a[l] != 0 ? imm : next_pc[l];
+            continue;
+          case Op::Ret:
+            exits |= mask;
+            continue;
+          default:
+            // Barrier is handled at warp level (barrier clauses are
+            // alone); Nop slots are elided at decode.
+            continue;
         }
+        blend(d, r, on);
     }
 
-    return commitClause(warp, c, mask, sh.hasCf[c] != 0, next_pc, exits);
+    commitClause(w, c, mask, sh.hasCf[c] != 0, next_pc, exits);
+    return true;
 }
 
+#undef ALL_LANES
+#undef ACTIVE_LANES
+
 WorkgroupExecutor::WarpStop
-WorkgroupExecutor::runWarp(Warp &warp)
+WorkgroupExecutor::runWarp(Warp &w)
 {
     for (;;) {
         // Stop only for *this group's* fault.  Aborting on any other
@@ -588,53 +644,39 @@ WorkgroupExecutor::runWarp(Warp &warp)
         // Lazy TLB shootdown (epoch compare at clause boundaries).
         tlb_.syncEpoch(*job_->mmu);
 
-        uint32_t minpc = kCfgExitNode;
-        unsigned alive = 0;
-        for (unsigned t = 0; t < warp.numThreads; ++t) {
-            const Thread &th = warp.threads[t];
-            if (th.done)
-                continue;
-            alive++;
-            if (th.pc < minpc)
-                minpc = th.pc;
-        }
-        if (alive == 0)
+        if (!w.live)
             return WarpStop::Done;
+        uint32_t minpc = kCfgExitNode;
+        for (uint32_t m = w.live; m; m &= m - 1)
+            minpc = std::min(minpc, w.pc[std::countr_zero(m)]);
         if (minpc >= job_->shader->mod.clauses.size()) {
             // Fell off the end of the shader: threads terminate.
-            for (unsigned t = 0; t < warp.numThreads; ++t)
-                warp.threads[t].done = true;
+            w.live = 0;
             return WarpStop::Done;
+        }
+        uint32_t mask = 0;
+        for (uint32_t m = w.live; m; m &= m - 1) {
+            unsigned l = std::countr_zero(m);
+            if (w.pc[l] == minpc)
+                mask |= 1u << l;
         }
 
         if (job_->shader->isBarrier[minpc]) {
             // All live threads must arrive together.
-            for (unsigned t = 0; t < warp.numThreads; ++t) {
-                const Thread &th = warp.threads[t];
-                if (!th.done && th.pc != minpc) {
-                    raiseFault(JobFaultKind::DivergentBarrier,
-                                     minpc, "divergent barrier");
-                    return WarpStop::Fault;
-                }
+            if (mask != w.live) {
+                raiseFault(JobFaultKind::DivergentBarrier, minpc,
+                           "divergent barrier");
+                return WarpStop::Fault;
             }
-            for (unsigned t = 0; t < warp.numThreads; ++t) {
-                if (!warp.threads[t].done)
-                    warp.threads[t].pc = minpc + 1;
-            }
-            if (job_->collect) {
-                groupExec_[minpc] += alive;
-            }
-            warp.atBarrier = true;
+            for (uint32_t m = mask; m; m &= m - 1)
+                w.pc[std::countr_zero(m)] = minpc + 1;
+            if (job_->collect)
+                groupExec_[minpc] += std::popcount(mask);
+            w.atBarrier = true;
             return WarpStop::Barrier;
         }
 
-        uint32_t mask = 0;
-        for (unsigned t = 0; t < warp.numThreads; ++t) {
-            const Thread &th = warp.threads[t];
-            if (!th.done && th.pc == minpc)
-                mask |= 1u << t;
-        }
-        if (!execClause(warp, minpc, mask))
+        if (!execClause(w, minpc, mask))
             return WarpStop::Fault;
     }
 }
@@ -695,33 +737,31 @@ WorkgroupExecutor::initWarp(Warp &w, uint32_t warp_idx,
     using namespace bif;
     const JobDescriptor &d = job_->desc;
     uint32_t base_tid = warp_idx * kWarpWidth;
-    w.numThreads =
-        std::min<uint32_t>(kWarpWidth, group_threads - base_tid);
+    unsigned lanes = std::min<uint32_t>(kWarpWidth, group_threads - base_tid);
+    std::memset(w.reg, 0, sizeof(w.reg));
+    std::memset(w.pc, 0, sizeof(w.pc));
+    w.live = (1u << lanes) - 1;
     w.atBarrier = false;
-    for (unsigned t = 0; t < w.numThreads; ++t) {
-        Thread &th = w.threads[t];
-        std::memset(th.reg, 0, sizeof(th.reg));
-        uint32_t tid = base_tid + t;
+    for (unsigned l = 0; l < lanes; ++l) {
+        uint32_t tid = base_tid + l;
         // Specials live in the unified register file, preloaded once per
         // warp so the execute loop reads them like any register.
-        th.reg[kSrLaneId] = tid % kWarpWidth;
-        th.reg[kSrLocalIdX] = tid % d.wg[0];
-        th.reg[kSrLocalIdY] = (tid / d.wg[0]) % d.wg[1];
-        th.reg[kSrLocalIdZ] = tid / (d.wg[0] * d.wg[1]);
-        th.reg[kSrGroupIdX] = groupId_[0];
-        th.reg[kSrGroupIdY] = groupId_[1];
-        th.reg[kSrGroupIdZ] = groupId_[2];
-        th.reg[kSrLocalSizeX] = d.wg[0];
-        th.reg[kSrLocalSizeY] = d.wg[1];
-        th.reg[kSrLocalSizeZ] = d.wg[2];
-        th.reg[kSrGridSizeX] = d.grid[0];
-        th.reg[kSrGridSizeY] = d.grid[1];
-        th.reg[kSrGridSizeZ] = d.grid[2];
-        th.reg[kSrNumGroupsX] = job_->groups[0];
-        th.reg[kSrNumGroupsY] = job_->groups[1];
-        th.reg[kSrNumGroupsZ] = job_->groups[2];
-        th.pc = 0;
-        th.done = false;
+        w.reg[kSrLaneId][l] = tid % kWarpWidth;
+        w.reg[kSrLocalIdX][l] = tid % d.wg[0];
+        w.reg[kSrLocalIdY][l] = (tid / d.wg[0]) % d.wg[1];
+        w.reg[kSrLocalIdZ][l] = tid / (d.wg[0] * d.wg[1]);
+        w.reg[kSrGroupIdX][l] = groupId_[0];
+        w.reg[kSrGroupIdY][l] = groupId_[1];
+        w.reg[kSrGroupIdZ][l] = groupId_[2];
+        w.reg[kSrLocalSizeX][l] = d.wg[0];
+        w.reg[kSrLocalSizeY][l] = d.wg[1];
+        w.reg[kSrLocalSizeZ][l] = d.wg[2];
+        w.reg[kSrGridSizeX][l] = d.grid[0];
+        w.reg[kSrGridSizeY][l] = d.grid[1];
+        w.reg[kSrGridSizeZ][l] = d.grid[2];
+        w.reg[kSrNumGroupsX][l] = job_->groups[0];
+        w.reg[kSrNumGroupsY][l] = job_->groups[1];
+        w.reg[kSrNumGroupsZ][l] = job_->groups[2];
     }
 }
 
@@ -773,7 +813,9 @@ WorkgroupExecutor::runGroup(uint32_t linear_group)
     }
 
     // Barrier path: all warps of the group live simultaneously.
-    std::vector<Warp> warps(num_warps);
+    if (warps_.size() < num_warps)
+        warps_.resize(num_warps);
+    const std::span<Warp> warps(warps_.data(), num_warps);
     for (uint32_t wi = 0; wi < num_warps; ++wi)
         initWarp(warps[wi], wi, group_threads);
 
@@ -781,10 +823,7 @@ WorkgroupExecutor::runGroup(uint32_t linear_group)
         bool all_done = true;
         bool any_barrier = false;
         for (Warp &w : warps) {
-            bool done = true;
-            for (unsigned t = 0; t < w.numThreads; ++t)
-                done &= w.threads[t].done;
-            if (done)
+            if (!w.live)
                 continue;
             all_done = false;
             if (w.atBarrier) {

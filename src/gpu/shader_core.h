@@ -16,14 +16,19 @@
  * shader cores, with simulator-private local memory per host thread
  * and no shared-counter traffic on the claim path.
  *
- * Execute fast path: at decode time each clause's tuples are lowered
- * into a dense pre-resolved micro-op array (opcode, unified-register
- * operand indices, immediate), so the per-warp execute loop iterates a
- * flat array instead of re-walking tuple/slot structures and re-testing
- * operand kinds.  Because every shader is decoded exactly once
- * (§III-B2), the lowering cost amortises to zero.  The independent
- * scalar interpreter in gpu/ref/ is the differential-testing oracle
- * for this executor (paper §V-A2).
+ * Execution: at decode time each clause's tuples are lowered into a
+ * dense pre-resolved micro-op array (opcode, unified-register operand
+ * indices, immediate).  Because every shader is decoded exactly once
+ * (§III-B2), the lowering cost amortises to zero.  A warp keeps its
+ * registers struct-of-arrays (one kWarpWidth-wide row per register),
+ * and the executor dispatches once per micro-op per warp, not per
+ * lane: pure ALU ops compute every lane branch-free and blend the
+ * result into the destination row under the active mask; memory ops,
+ * atomics, libm calls, divisions and control flow visit the active
+ * lanes in order.  Faults, memory side effects and statistics thus
+ * keep micro-op-major, lane-minor order.  The independent scalar
+ * interpreter in gpu/ref/ is the differential-testing oracle for this
+ * executor (paper §V-A2).
  */
 
 #include <atomic>
@@ -217,21 +222,18 @@ class WorkgroupExecutor
     void setTrace(trace::TraceBuffer *buf);
 
   private:
-    /** Per-thread state within a warp: one unified register file (GRF,
-     *  clause temporaries, warp-init-preloaded specials, write sink)
-     *  plus the clause-granular PC. */
-    struct Thread
-    {
-        uint32_t reg[bif::kNumUnifiedRegs];
-        uint32_t pc;           ///< Clause index.
-        bool done;
-    };
-
-    /** A warp of kWarpWidth threads executing in lockstep. */
+    /**
+     * A warp of kWarpWidth threads executing in lockstep.  The unified
+     * register file (GRF, clause temporaries, warp-init-preloaded
+     * specials, write sink) is stored struct-of-arrays: reg[r] is one
+     * kWarpWidth-wide row, so a micro-op reads and writes whole rows.
+     * Lanes past a tail warp's thread count are never live.
+     */
     struct Warp
     {
-        Thread threads[bif::kWarpWidth];
-        unsigned numThreads = 0;   ///< Live threads (tail warps < width).
+        alignas(16) uint32_t reg[bif::kNumUnifiedRegs][bif::kWarpWidth];
+        uint32_t pc[bif::kWarpWidth];   ///< Per-lane clause index.
+        uint32_t live = 0;              ///< Lanes that have not exited.
         bool atBarrier = false;
     };
 
@@ -253,6 +255,9 @@ class WorkgroupExecutor
     uint64_t jobStartTs_ = 0;      ///< beginJob timestamp (trace only).
     uint64_t groupsRun_ = 0;       ///< Groups claimed this job (trace).
 
+    std::vector<Warp> warps_;      ///< Barrier-path warps, reused
+                                   ///< across groups.
+
     // Lazy instrumentation (§IV-A): clause execution counts accumulate
     // into this scratch array while a workgroup runs and fold into the
     // collector once per group, off the per-clause path.
@@ -265,14 +270,14 @@ class WorkgroupExecutor
     void initWarp(Warp &w, uint32_t warp_idx, uint32_t group_threads);
     void foldGroupExec();
 
-    /** Executes clause @p c for the @p mask threads of @p warp over the
+    /** Executes clause @p c for the @p mask lanes of @p warp over the
      *  flattened micro-op stream.  Returns false on fault. */
     bool execClause(Warp &warp, uint32_t c, uint32_t mask);
 
-    /** Commits per-thread next-PCs and divergence bookkeeping at the
-     *  end of a clause. */
-    bool commitClause(Warp &warp, uint32_t c, uint32_t mask, bool has_cf,
-                      const uint32_t *next_pc, const bool *exits);
+    /** Commits the @p mask lanes' next PCs (or exits) at the end of
+     *  clause @p c, with its CFG-edge and divergence bookkeeping. */
+    void commitClause(Warp &warp, uint32_t c, uint32_t mask, bool has_cf,
+                      const uint32_t *next_pc, uint32_t exits);
 
     /** Raises @p kind against the current workgroup: latches it into
      *  the job (lowest group wins) and stops this group's warps. */

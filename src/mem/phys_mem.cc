@@ -314,6 +314,21 @@ PhysMem::writtenSinceClear() const
     return pages;
 }
 
+uint32_t
+PhysMem::crc() const
+{
+    uint32_t crc = 0;
+    size_t done = 0;   // RAM bytes already in the CRC.
+    for (uint32_t p : writtenSinceClear()) {
+        size_t off = static_cast<size_t>(p) * kPageBytes;
+        size_t len = std::min(kPageBytes, size_ - off);
+        crc = snapshot::crc32Zeros(crc, off - done);
+        crc = snapshot::crc32(crc, data_ + off, len);
+        done = off + len;
+    }
+    return snapshot::crc32Zeros(crc, size_ - done);
+}
+
 void
 PhysMem::saveState(snapshot::ChunkWriter &w) const
 {

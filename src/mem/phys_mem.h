@@ -264,6 +264,11 @@ class PhysMem
      *  pages are zero.  Threading: RAM quiescent. */
     std::vector<uint32_t> writtenSinceClear() const;
 
+    /** CRC-32 of all of RAM.  Reads only the pages in
+     *  writtenSinceClear(); the known-zero pages between them enter the
+     *  CRC through snapshot::crc32Zeros.  Threading: RAM quiescent. */
+    uint32_t crc() const;
+
     /** Count of clear()/resetToImage() calls.  They change pages
      *  without marking them, so a consumer holding per-page state from
      *  before one must fall back to writtenSinceClear(). */

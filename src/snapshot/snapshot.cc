@@ -49,6 +49,42 @@ makeCrcTables()
 
 constexpr CrcTables kCrc = makeCrcTables();
 
+/** Product of @p a and @p b modulo the CRC polynomial, both in the
+ *  CRC's reflected bit order (bit 31 is x^0). */
+constexpr uint32_t
+mulModP(uint32_t a, uint32_t b)
+{
+    uint32_t p = 0;
+    for (uint32_t m = 1u << 31; m; m >>= 1) {
+        if (a & m)
+            p ^= b;
+        b = (b & 1) ? (b >> 1) ^ 0xedb88320u : b >> 1;
+    }
+    return p;
+}
+
+/** t[k] = x^(2^k) mod P, so x^n mod P is a product over n's set bits.
+ *  The order of x modulo P divides 2^32 - 1, so x^(2^k) repeats with
+ *  period 32 in k.  Built at compile time. */
+struct X2nTable
+{
+    uint32_t t[32];
+};
+
+constexpr X2nTable
+makeX2nTable()
+{
+    X2nTable tab{};
+    uint32_t p = 1u << 30;   // x^1
+    for (int k = 0; k < 32; ++k) {
+        tab.t[k] = p;
+        p = mulModP(p, p);
+    }
+    return tab;
+}
+
+constexpr X2nTable kX2n = makeX2nTable();
+
 /** Container header size: magic | version | count | reserved. */
 constexpr size_t kContainerHeaderBytes = 16;
 
@@ -85,10 +121,10 @@ putLe(std::vector<uint8_t> &out, uint64_t v)
 } // namespace
 
 uint32_t
-crc32(const void *data, size_t len)
+crc32(uint32_t crc, const void *data, size_t len)
 {
     const auto &t = kCrc.t;
-    uint32_t crc = 0xffffffffu;
+    crc ^= 0xffffffffu;
     const uint8_t *p = static_cast<const uint8_t *>(data);
     for (; len >= 8; p += 8, len -= 8) {
         uint32_t lo = le32(p) ^ crc;
@@ -101,6 +137,20 @@ crc32(const void *data, size_t len)
     for (; len > 0; ++p, --len)
         crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
+}
+
+uint32_t
+crc32Zeros(uint32_t crc, uint64_t len)
+{
+    // Appending a zero byte multiplies the CRC register by x^8 mod P,
+    // so len zero bytes multiply it by x^(8 * len): one table entry per
+    // set bit of 8 * len.
+    uint32_t reg = crc ^ 0xffffffffu;
+    for (unsigned k = 3; len; len >>= 1, ++k) {
+        if (len & 1)
+            reg = mulModP(kX2n.t[k & 31], reg);
+    }
+    return reg ^ 0xffffffffu;
 }
 
 std::string

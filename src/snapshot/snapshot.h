@@ -47,8 +47,21 @@ class SnapshotError : public SimError
 [[noreturn]] void snapshotError(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over @p len bytes. */
-uint32_t crc32(const void *data, size_t len);
+/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over @p len bytes,
+ *  continuing from the CRC @p crc of the bytes before them (zlib's
+ *  chaining: start from 0). */
+uint32_t crc32(uint32_t crc, const void *data, size_t len);
+
+/** CRC-32 over @p len bytes. */
+inline uint32_t
+crc32(const void *data, size_t len)
+{
+    return crc32(0, data, len);
+}
+
+/** The CRC of the bytes behind @p crc followed by @p len zero bytes,
+ *  in O(log len) without touching them. */
+uint32_t crc32Zeros(uint32_t crc, uint64_t len);
 
 /** Builds a chunk tag from a 4-character name, e.g. makeTag("CPU "). */
 constexpr uint32_t

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <random>
@@ -402,6 +405,483 @@ TEST_P(BranchDifferential, AllInterpretersAgree)
 
 INSTANTIATE_TEST_SUITE_P(BranchSeeds, BranchDifferential,
                          ::testing::Range(1u, 25u));
+
+// Register plan of randomWarpProgram: r0..r11 are fuzzed, r12 counts
+// loop trips, r16..r19 hold the prologue's per-thread addresses and
+// r20..r22 belong to the dump stage.  Only r0..r12 are dumped.
+constexpr uint8_t kWarpFuzzRegs = 12;
+constexpr uint8_t kTripReg = 12;
+constexpr uint8_t kGidReg = 16;
+constexpr uint8_t kSlotReg = 17;      ///< This thread's global slot.
+constexpr uint8_t kLocalSlotReg = 18; ///< This thread's local slot.
+constexpr uint8_t kCounterReg = 19;   ///< The shared atomic counter.
+constexpr uint32_t kSlotBytes = 64;
+constexpr uint32_t kLocalSlotBytes = 16;
+constexpr uint32_t kMaxGroupSize = 13;
+
+/** Every op the warp fuzzer draws for an arithmetic slot. */
+const Op kWarpAluOps[] = {
+    Op::FAdd, Op::FSub, Op::FMul, Op::FFma, Op::FMin, Op::FMax,
+    Op::FAbs, Op::FNeg, Op::FFloor, Op::IAdd, Op::ISub, Op::IMul,
+    Op::IAnd, Op::IOr, Op::IXor, Op::INot, Op::IShl, Op::IShr,
+    Op::IAsr, Op::IMin, Op::IMax, Op::UMin, Op::UMax, Op::FCmp,
+    Op::ICmp, Op::UCmp, Op::CSel, Op::Mov, Op::MovImm, Op::F2I,
+    Op::F2U, Op::I2F, Op::U2F, Op::FRcp, Op::FRsqrt, Op::FSqrt,
+    Op::FExp2, Op::FLog2, Op::FSin, Op::FCos, Op::IDiv, Op::IRem,
+    Op::UDiv, Op::URem, Op::LdRom, Op::LdArg,
+};
+
+/** Float edge cases next to ordinary constants: 1.0, 2.0, -0.5, 7,
+ *  quiet NaN, +Inf, -Inf, -0, the smallest and the largest denormal. */
+const std::vector<uint32_t> kWarpRom = {
+    0x3f800000, 0x40000000, 0xbf000000, 0x00000007, 0x7fc00000,
+    0x7f800000, 0xff800000, 0x80000000, 0x00000001, 0x007fffff,
+};
+
+/** Builds one clause of random instructions, tracking which clause
+ *  temporaries have been written so every temp read is legal. */
+class ClauseGen
+{
+  public:
+    explicit ClauseGen(std::mt19937 &rng) : rng_(rng) {}
+
+    uint32_t pick(uint32_t n) { return static_cast<uint32_t>(rng_() % n); }
+
+    /** A source: a fuzzed or trip register, a written temp, a special
+     *  or the thread's global id. */
+    uint8_t
+    src()
+    {
+        uint32_t p = pick(20);
+        if (p < 12)
+            return static_cast<uint8_t>(pick(kWarpFuzzRegs + 1));
+        if (p < 15 && numTemps_ > 0)
+            return temps_[pick(numTemps_)];
+        if (p < 19) {
+            return static_cast<uint8_t>(
+                bif::kSrLaneId + pick(bif::kSrZero - bif::kSrLaneId + 1));
+        }
+        return kGidReg;
+    }
+
+    /** A destination: a fuzzed register or a clause temporary. */
+    uint8_t
+    dst()
+    {
+        if (pick(5) == 0)
+            return static_cast<uint8_t>(bif::kOperandTemp0 + pick(8));
+        return static_cast<uint8_t>(pick(kWarpFuzzRegs));
+    }
+
+    /** A random instruction legal in @p slot; slot 0 may touch the
+     *  thread's own global and local slots or the shared counter. */
+    Instr
+    random(int slot)
+    {
+        Instr in;
+        in.src0 = src();
+        in.src1 = src();
+        in.src2 = src();
+        if (slot == 0 && pick(3) == 0) {
+            in.dst = bif::kOperandNone;
+            switch (pick(9)) {
+              case 0: in.op = Op::LdGlobal; in.dst = dst(); break;
+              case 1: in.op = Op::LdGlobalU8; in.dst = dst(); break;
+              case 2: in.op = Op::StGlobal; break;
+              case 3: in.op = Op::StGlobalU8; break;
+              case 4: in.op = Op::AtomAddG; in.dst = dst(); break;
+              case 5: in.op = Op::LdLocal; in.dst = dst(); break;
+              case 6: in.op = Op::StLocal; break;
+              case 7: in.op = Op::AtomAddL; in.dst = dst(); break;
+              default:
+                // The returned old value depends on thread order, so
+                // it is discarded; the final count is compared.
+                in.op = Op::AtomAddG;
+                in.src0 = kCounterReg;
+                in.imm = 0;
+                return in;
+            }
+            bool local = in.op == Op::LdLocal || in.op == Op::StLocal ||
+                         in.op == Op::AtomAddL;
+            bool byte = in.op == Op::LdGlobalU8 || in.op == Op::StGlobalU8;
+            in.src0 = local ? kLocalSlotReg : kSlotReg;
+            uint32_t span = local ? kLocalSlotBytes : kSlotBytes;
+            in.imm = static_cast<int32_t>(byte ? pick(span)
+                                               : 4 * pick(span / 4));
+        } else {
+            in.op = kWarpAluOps[pick(std::size(kWarpAluOps))];
+            in.dst = dst();
+            in.imm = static_cast<int32_t>(pick(11)) - 5;
+            if (in.op == Op::LdRom)
+                in.imm = static_cast<int32_t>(pick(kWarpRom.size()));
+            else if (in.op == Op::LdArg)
+                in.imm = static_cast<int32_t>(pick(3));
+        }
+        noteWrite(in);
+        return in;
+    }
+
+    /** Appends a tuple of up to two random instructions. */
+    void
+    randomTuple()
+    {
+        bif::Tuple t;
+        for (int s = 0; s < 2; ++s) {
+            if (pick(5) != 0)
+                t.slot[s] = random(s);
+        }
+        cl.tuples.push_back(t);
+    }
+
+    /** Appends a tuple holding @p in in slot 0. */
+    void
+    put(Instr in)
+    {
+        noteWrite(in);
+        bif::Tuple t;
+        t.slot[0] = in;
+        cl.tuples.push_back(t);
+    }
+
+    bif::Clause cl;
+
+  private:
+    void
+    noteWrite(const Instr &in)
+    {
+        if (bif::writesDest(in.op) && bif::isTemp(in.dst) &&
+            std::find(temps_, temps_ + numTemps_, in.dst) ==
+                temps_ + numTemps_) {
+            temps_[numTemps_++] = in.dst;
+        }
+    }
+
+    std::mt19937 &rng_;
+    uint8_t temps_[bif::kNumTempRegs] = {};
+    unsigned numTemps_ = 0;
+};
+
+Instr
+mkInstr(Op op, uint8_t dst, uint8_t src0 = kNone, uint8_t src1 = kNone,
+        int32_t imm = 0)
+{
+    Instr in;
+    in.op = op;
+    in.dst = dst;
+    in.src0 = src0;
+    in.src1 = src1;
+    in.imm = imm;
+    return in;
+}
+
+/**
+ * Random program for the warp-level differential test.  After a fixed
+ * prologue that computes per-thread addresses, it runs one to three
+ * segments separated by barriers.  A segment is a run of blocks:
+ *  - plain clauses of random arithmetic, clause temporaries, global
+ *    and local slot accesses and atomics, optionally ending in a
+ *    divergent forward branch to a later block of the segment;
+ *  - loops whose trip count (1..4) differs per lane, so back-edges
+ *    diverge.
+ * Branches never cross a barrier, so warps always reach it converged.
+ * A dump stage stores r0..r12 to out[gid * 64].  Arguments: out,
+ * slots (64 bytes per thread), counter.
+ */
+bif::Module
+randomWarpProgram(uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    auto pick = [&](uint32_t n) { return static_cast<uint32_t>(rng() % n); };
+    bif::Module m;
+    m.rom = kWarpRom;
+    m.regCount = 23;
+    m.localBytes = kMaxGroupSize * kLocalSlotBytes;
+
+    auto t = [](unsigned i) {
+        return static_cast<uint8_t>(bif::kOperandTemp0 + i);
+    };
+    {
+        ClauseGen g(rng);
+        g.put(mkInstr(Op::IMul, kGidReg, bif::kSrGroupIdX,
+                      bif::kSrLocalSizeX));
+        g.put(mkInstr(Op::IAdd, kGidReg, kGidReg, bif::kSrLocalIdX));
+        g.put(mkInstr(Op::MovImm, t(0), kNone, kNone, 6));
+        g.put(mkInstr(Op::IShl, t(1), kGidReg, t(0)));
+        g.put(mkInstr(Op::LdArg, t(2), kNone, kNone, 1));
+        g.put(mkInstr(Op::IAdd, kSlotReg, t(1), t(2)));
+        g.put(mkInstr(Op::MovImm, t(3), kNone, kNone, 4));
+        g.put(mkInstr(Op::IShl, kLocalSlotReg, bif::kSrLocalIdX, t(3)));
+        m.clauses.push_back(g.cl);
+        ClauseGen g2(rng);
+        g2.put(mkInstr(Op::LdArg, kCounterReg, kNone, kNone, 2));
+        m.clauses.push_back(g2.cl);
+    }
+
+    struct PendingBranch
+    {
+        size_t clause;
+        size_t block;
+    };
+    unsigned segments = 1 + pick(3);
+    for (unsigned seg = 0; seg < segments; ++seg) {
+        std::vector<size_t> block_starts;
+        std::vector<PendingBranch> pending;
+        unsigned blocks = 1 + pick(4);
+        for (unsigned b = 0; b < blocks; ++b) {
+            block_starts.push_back(m.clauses.size());
+            if (pick(10) < 3) {
+                // Loop: init r12 = ((rX ^ gid) & 3) + 1, then one or two
+                // body clauses; the last decrements r12 and branches
+                // back while it is non-zero.
+                ClauseGen init(rng);
+                init.put(mkInstr(Op::MovImm, t(0), kNone, kNone, 3));
+                init.put(mkInstr(Op::IXor, t(1),
+                                 static_cast<uint8_t>(pick(kWarpFuzzRegs)),
+                                 kGidReg));
+                init.put(mkInstr(Op::IAnd, kTripReg, t(1), t(0)));
+                init.put(mkInstr(Op::MovImm, t(2), kNone, kNone, 1));
+                init.put(mkInstr(Op::IAdd, kTripReg, kTripReg, t(2)));
+                m.clauses.push_back(init.cl);
+                size_t head = m.clauses.size();
+                unsigned body = 1 + pick(2);
+                for (unsigned k = 0; k < body; ++k) {
+                    ClauseGen g(rng);
+                    unsigned tuples = 1 + pick(4);
+                    for (unsigned i = 0; i < tuples; ++i)
+                        g.randomTuple();
+                    if (k + 1 == body) {
+                        g.put(mkInstr(Op::MovImm, t(7), kNone, kNone, 1));
+                        g.cl.tuples.back().slot[1] =
+                            mkInstr(Op::ISub, kTripReg, kTripReg, t(7));
+                        bif::Tuple br;
+                        br.slot[1] = mkInstr(Op::BranchNZ, kNone, kTripReg,
+                                             kNone,
+                                             static_cast<int32_t>(head));
+                        g.cl.tuples.push_back(br);
+                    }
+                    m.clauses.push_back(g.cl);
+                }
+            } else {
+                ClauseGen g(rng);
+                unsigned tuples = 1 + pick(7);
+                for (unsigned i = 0; i < tuples; ++i)
+                    g.randomTuple();
+                if (pick(2) == 0) {
+                    unsigned kind = pick(3);
+                    bif::Tuple br;
+                    br.slot[1].op = kind == 0   ? Op::Branch
+                                    : kind == 1 ? Op::BranchZ
+                                                : Op::BranchNZ;
+                    br.slot[1].src0 =
+                        static_cast<uint8_t>(pick(kWarpFuzzRegs + 1));
+                    g.cl.tuples.push_back(br);
+                    pending.push_back({m.clauses.size(), b});
+                }
+                m.clauses.push_back(g.cl);
+            }
+        }
+        // The segment ends at its barrier, or at the dump stage.
+        size_t seg_end = m.clauses.size();
+        for (const PendingBranch &p : pending) {
+            size_t later = block_starts.size() - p.block;   // >= 1
+            size_t k = p.block + 1 + pick(static_cast<uint32_t>(later));
+            size_t target = k < block_starts.size() ? block_starts[k]
+                                                    : seg_end;
+            m.clauses[p.clause].tuples.back().slot[1].imm =
+                static_cast<int32_t>(target);
+        }
+        if (seg + 1 < segments) {
+            bif::Clause bar;
+            bif::Tuple bt;
+            bt.slot[1].op = Op::Barrier;
+            bar.tuples.push_back(bt);
+            m.clauses.push_back(bar);
+            m.usesBarrier = true;
+        }
+    }
+
+    // Dump stage: out[gid * 64 + 4 * i] = r_i for r0..r12.
+    ClauseGen d(rng);
+    d.put(mkInstr(Op::MovImm, 20, kNone, kNone, 6));
+    d.put(mkInstr(Op::IShl, 21, kGidReg, 20));
+    d.put(mkInstr(Op::LdArg, 22, kNone, kNone, 0));
+    d.put(mkInstr(Op::IAdd, 21, 21, 22));
+    for (uint8_t r = 0; r <= kTripReg; ++r) {
+        d.put(mkInstr(Op::StGlobal, kNone, 21, r, r * 4));
+        if (d.cl.tuples.size() == bif::kMaxTuplesPerClause) {
+            m.clauses.push_back(d.cl);
+            d.cl.tuples.clear();
+        }
+    }
+    bif::Tuple ret;
+    ret.slot[1].op = Op::Ret;
+    d.cl.tuples.push_back(ret);
+    m.clauses.push_back(d.cl);
+    return m;
+}
+
+/**
+ * The warp executor against the scalar reference over programs that
+ * mix memory, atomics, barriers and divergent loops, for group sizes
+ * 1..7 and 13 (tail warps with dead lanes) at one and four workers.
+ * Compared: every thread's dumped r0..r12, every thread's global slot
+ * bytes and the shared counter's final value.
+ */
+class WarpDifferential : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(WarpDifferential, MatchesReferenceAtOneAndFourWorkers)
+{
+    static const uint32_t kGroupSizes[] = {1, 2, 3, 4, 5, 6, 7, 13};
+    const uint32_t seed = GetParam();
+    const bif::Module prog = randomWarpProgram(seed);
+    ASSERT_EQ(bif::validate(prog), "") << "seed " << seed;
+
+    const uint32_t ls = kGroupSizes[seed % std::size(kGroupSizes)];
+    const uint32_t groups = 2 + seed % 2;
+    const uint32_t threads = ls * groups;
+    std::mt19937 rng(seed * 2654435761u);
+    std::vector<uint8_t> slots0(threads * kSlotBytes);
+    for (uint8_t &b : slots0)
+        b = static_cast<uint8_t>(rng());
+    const uint32_t counter0 = rng();
+
+    kclc::CompiledKernel ck;
+    ck.name = "warpfuzz";
+    ck.mod = prog;
+    ck.binary = bif::encode(prog);
+    ck.regCount = prog.regCount;
+
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " group size " << ls
+                     << " workers " << workers);
+        rt::SystemConfig cfg;
+        cfg.gpu.hostThreads = workers;
+        rt::Session s(cfg);
+        rt::KernelHandle k = s.load(ck);
+        rt::Buffer out = s.alloc(threads * kSlotBytes);
+        rt::Buffer slots = s.alloc(threads * kSlotBytes);
+        rt::Buffer counter = s.alloc(4);
+        s.write(slots, slots0.data(), slots0.size());
+        s.write(counter, &counter0, 4);
+        gpu::JobResult r = s.enqueue(
+            k, rt::NDRange{threads, 1, 1}, rt::NDRange{ls, 1, 1},
+            {rt::Arg::buf(out), rt::Arg::buf(slots), rt::Arg::buf(counter)});
+        ASSERT_FALSE(r.faulted) << r.fault.detail;
+        std::vector<uint8_t> got_out(threads * kSlotBytes);
+        std::vector<uint8_t> got_slots(threads * kSlotBytes);
+        uint32_t got_counter = 0;
+        s.read(out, got_out.data(), got_out.size());
+        s.read(slots, got_slots.data(), got_slots.size());
+        s.read(counter, &got_counter, 4);
+
+        // Reference: every thread in turn over one flat image at the
+        // same GPU VAs.  Local slots are per thread, so a fresh zeroed
+        // local buffer per thread matches the per-group zeroing.
+        std::vector<uint8_t> flat(counter.gpuVa + 4, 0);
+        std::memcpy(flat.data() + slots.gpuVa, slots0.data(),
+                    slots0.size());
+        std::memcpy(flat.data() + counter.gpuVa, &counter0, 4);
+        for (uint32_t tid = 0; tid < threads; ++tid) {
+            std::vector<uint8_t> local(prog.localBytes, 0);
+            gpu::ref::RefContext ctx;
+            ctx.localId[0] = tid % ls;
+            ctx.groupId[0] = tid / ls;
+            ctx.localSize[0] = ls;
+            ctx.gridSize[0] = threads;
+            ctx.numGroups[0] = groups;
+            ctx.laneId = (tid % ls) % bif::kWarpWidth;
+            ctx.args = {out.gpuVa, slots.gpuVa, counter.gpuVa};
+            ctx.globalMem = &flat;
+            ctx.localMem = &local;
+            gpu::ref::RefResult rr = gpu::ref::runThread(prog, ctx);
+            ASSERT_TRUE(rr.ok) << rr.error << " thread " << tid;
+        }
+
+        for (uint32_t tid = 0; tid < threads; ++tid) {
+            for (uint32_t reg = 0; reg <= kTripReg; ++reg) {
+                size_t off = tid * kSlotBytes + reg * 4;
+                uint32_t want = 0, have = 0;
+                std::memcpy(&want, flat.data() + out.gpuVa + off, 4);
+                std::memcpy(&have, got_out.data() + off, 4);
+                EXPECT_EQ(have, want) << "thread " << tid << " r" << reg;
+            }
+        }
+        EXPECT_EQ(std::memcmp(got_slots.data(), flat.data() + slots.gpuVa,
+                              got_slots.size()),
+                  0)
+            << "global slots differ";
+        uint32_t want_counter = 0;
+        std::memcpy(&want_counter, flat.data() + counter.gpuVa, 4);
+        EXPECT_EQ(got_counter, want_counter);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WarpSeeds, WarpDifferential,
+                         ::testing::Range(1u, 41u));
+
+/** FFma is an unfused multiply-add in both interpreters.  With
+ *  a = b = 1 + 2^-12 and c = -(1 + 2^-11), a*b rounds to 1 + 2^-11, so
+ *  the unfused result is +0 while a fused one is 2^-24; a compiler that
+ *  contracted either expression into an FMA would break the match. */
+TEST(FpContract, FFmaIsUnfusedInBothInterpreters)
+{
+    const uint32_t a = 0x3f800800;   // 1 + 2^-12
+    const uint32_t c = 0xbf801000;   // -(1 + 2^-11)
+    ASSERT_NE(std::bit_cast<uint32_t>(std::fmaf(std::bit_cast<float>(a),
+                                                std::bit_cast<float>(a),
+                                                std::bit_cast<float>(c))),
+              0u)
+        << "operands do not tell fused from unfused";
+
+    bif::Module m;
+    m.rom = {a, c};
+    m.regCount = 4;
+    bif::Clause cl;
+    auto put = [&](Instr in) {
+        bif::Tuple t;
+        t.slot[0] = in;
+        cl.tuples.push_back(t);
+    };
+    put(mkInstr(Op::LdRom, 0, kNone, kNone, 0));
+    put(mkInstr(Op::LdRom, 1, kNone, kNone, 1));
+    Instr fma = mkInstr(Op::FFma, 2, 0, 0);
+    fma.src2 = 1;
+    put(fma);
+    put(mkInstr(Op::LdArg, 3, kNone, kNone, 0));
+    put(mkInstr(Op::StGlobal, kNone, 3, 2));
+    bif::Tuple ret;
+    ret.slot[1].op = Op::Ret;
+    cl.tuples.push_back(ret);
+    m.clauses.push_back(cl);
+    ASSERT_EQ(bif::validate(m), "");
+
+    rt::Session s(rt::SystemConfig{});
+    kclc::CompiledKernel ck;
+    ck.name = "ffma";
+    ck.mod = m;
+    ck.binary = bif::encode(m);
+    ck.regCount = m.regCount;
+    rt::KernelHandle k = s.load(ck);
+    rt::Buffer out = s.alloc(4);
+    gpu::JobResult r = s.enqueue(k, rt::NDRange{1, 1, 1},
+                                 rt::NDRange{1, 1, 1}, {rt::Arg::buf(out)});
+    ASSERT_FALSE(r.faulted) << r.fault.detail;
+    uint32_t got = 0xdeadbeef;
+    s.read(out, &got, 4);
+
+    gpu::ref::RefContext ctx;
+    std::vector<uint8_t> flat(out.gpuVa + 4, 0);
+    ctx.args = {out.gpuVa};
+    ctx.globalMem = &flat;
+    gpu::ref::RefResult rr = gpu::ref::runThread(m, ctx);
+    ASSERT_TRUE(rr.ok) << rr.error;
+
+    EXPECT_EQ(got, rr.grf[2]);
+    EXPECT_EQ(got, 0u);   // The unfused value, +0.
+}
 
 /** The reference interpreter's tracing mode (paper's instruction
  *  tracing validation). */

@@ -216,6 +216,47 @@ TEST(RamImage, CowViewsShareContentButNotWrites)
     EXPECT_EQ(snapshot::crc32(m1.hostPtr(ram->base()), m1.size()), crc1);
 }
 
+/** PhysMem::crc() (the fleet's wantRamCrc) reads only the pages that
+ *  may be non-zero and extends the CRC over the zero pages between
+ *  them; it must equal a CRC over every byte of RAM after runtime
+ *  writes, GPU stores and GPU atomics, and after a reset to the
+ *  image. */
+TEST(RamImage, WrittenPageCrcMatchesFullRamCrc)
+{
+    auto s = rt::Session::fromSnapshot(*warmImage(), testBase());
+    PhysMem &mem = s->system().mem();
+    auto full = [&] {
+        return snapshot::crc32(mem.hostPtr(rt::System::kRamBase),
+                               mem.size());
+    };
+    EXPECT_EQ(mem.crc(), full());
+
+    runJobOn(*s, 3);   // Runtime writes of A and B, GPU stores of C.
+    EXPECT_EQ(mem.crc(), full());
+
+    rt::KernelHandle k = s->compile(R"(
+kernel void count(global int* counts) {
+    atomic_add(counts[get_global_id(0) & 3], get_global_id(0) + 1);
+}
+)", "count");
+    rt::Buffer counts = s->alloc(4096 * 4);
+    gpu::JobResult r = s->enqueue(k, rt::NDRange{64, 1, 1},
+                                  rt::NDRange{16, 1, 1},
+                                  {rt::Arg::buf(counts)});
+    ASSERT_FALSE(r.faulted) << r.fault.detail;
+    uint32_t first = 0;
+    s->read(counts, &first, 4);
+    EXPECT_EQ(first, 496u);   // 1 + 5 + ... + 61
+    EXPECT_EQ(mem.crc(), full());
+
+    if (mem.resetToImage()) {
+        EXPECT_EQ(mem.crc(), full());
+    }
+    mem.clear();
+    EXPECT_EQ(mem.crc(), snapshot::crc32Zeros(0, mem.size()));
+    EXPECT_EQ(mem.crc(), full());
+}
+
 // ---------------------------------------------------- session pool
 
 TEST(SessionPool, SpawnIsBitIdenticalToSoloColdBoot)

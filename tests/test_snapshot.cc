@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -411,6 +412,37 @@ TEST(SnapshotFormat, Crc32MatchesBitwiseReference)
         ASSERT_EQ(snapshot::crc32(buf.data() + off, len),
                   bitwiseCrc32(buf.data() + off, len))
             << "len " << len << " offset " << off;
+    }
+}
+
+TEST(SnapshotFormat, Crc32ChainsAndExtendsOverZeros)
+{
+    std::mt19937_64 rng(0x5eed);
+    std::vector<uint8_t> buf(2 * 4096 + 7);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng());
+    for (int iter = 0; iter < 200; ++iter) {
+        size_t split = rng() % buf.size();
+        uint32_t head = snapshot::crc32(buf.data(), split);
+        EXPECT_EQ(snapshot::crc32(head, buf.data() + split,
+                                  buf.size() - split),
+                  snapshot::crc32(buf.data(), buf.size()));
+
+        // Zero the tail: the chained CRC over real zeros and the
+        // zero-extension of the head's CRC agree.
+        std::vector<uint8_t> zeros(buf.begin(), buf.end());
+        std::fill(zeros.begin() + split, zeros.end(), 0);
+        EXPECT_EQ(snapshot::crc32Zeros(head, zeros.size() - split),
+                  snapshot::crc32(zeros.data(), zeros.size()))
+            << "split " << split;
+    }
+    EXPECT_EQ(snapshot::crc32Zeros(0x12345678u, 0), 0x12345678u);
+    // Lengths past 2^29 bytes wrap around the 32-entry power table.
+    for (uint64_t n : {1ull << 29, (1ull << 33) + 5, ~0ull >> 4}) {
+        EXPECT_EQ(snapshot::crc32Zeros(
+                      snapshot::crc32Zeros(0xcbf43926u, n / 2), n - n / 2),
+                  snapshot::crc32Zeros(0xcbf43926u, n))
+            << n;
     }
 }
 
