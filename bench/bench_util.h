@@ -9,11 +9,14 @@
  * bench suite completes in minutes on a laptop-class host.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.h"
 
@@ -62,6 +65,58 @@ class Timer
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;
 };
+
+/**
+ * Robust summary of repeated measurements (usually seconds): the
+ * median, its spread as 1.4826 x MAD (median absolute deviation scaled
+ * to estimate a normal sigma, so one slow outlier cannot inflate it),
+ * and a flag when that spread exceeds kNoisyFraction of the median.
+ */
+struct Measurement
+{
+    static constexpr double kNoisyFraction = 0.10;
+
+    std::vector<double> samples;   ///< Kept repetitions.
+    double median = 0;
+    double mad = 0;                ///< 1.4826 x MAD.
+    bool noisy = false;            ///< mad > kNoisyFraction x median.
+};
+
+/** Median of @p v (mean of the middle two for an even count). */
+inline double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::sort(v.begin(), v.end());
+    size_t h = v.size() / 2;
+    return v.size() % 2 ? v[h] : (v[h - 1] + v[h]) / 2;
+}
+
+/**
+ * The one timing primitive: runs @p rep @p warmup times and discards
+ * the results, then @p reps times and summarises them.  @p rep runs
+ * one repetition and returns what it measured, usually the seconds it
+ * timed, so each bench decides what is inside the timed region (set-up
+ * is not).
+ */
+template <typename Rep>
+Measurement
+measure(Rep &&rep, unsigned reps = 5, unsigned warmup = 1)
+{
+    for (unsigned i = 0; i < warmup; ++i)
+        rep();
+    Measurement m;
+    for (unsigned i = 0; i < reps; ++i)
+        m.samples.push_back(rep());
+    m.median = median(m.samples);
+    std::vector<double> dev;
+    for (double x : m.samples)
+        dev.push_back(std::fabs(x - m.median));
+    m.mad = 1.4826 * median(dev);
+    m.noisy = m.mad > Measurement::kNoisyFraction * m.median;
+    return m;
+}
 
 /** Prints the standard bench banner. */
 inline void

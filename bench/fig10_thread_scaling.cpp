@@ -6,16 +6,27 @@
  * iterative, short-kernel BinarySearch does not (paper: 20.9x vs
  * ~1.0x at 64 threads).
  *
- * sgemm is the headline series: CI gates on its 8-thread speedup.
- * Results go to BENCH_thread_scaling.json (see EXPERIMENTS.md for the
- * reproduction recipe and how to read the file).
+ * sgemm is the headline series: CI gates on its 8-thread speedup.  An
+ * instrumentation column times sgemm with statistics on and off at
+ * each thread count (paper: < 5% cost).  Every cell is a
+ * bench::measure(): one discarded warm-up repetition, then five timed
+ * ones (nine for the instrumentation column).  A repetition builds a
+ * fresh session, warms it with one untimed Workload::run and times a
+ * second run, so thread start-up and first-touch costs stay out of the
+ * scaling figure.  Speedups are ratios of medians.  Results go to
+ * BENCH_thread_scaling.json (see EXPERIMENTS.md for the reproduction
+ * recipe and how to read the file).
  *
  * Flags (besides the common --scale/--full):
- *   --gate   exit non-zero if sgemm's 8-thread speedup is < 3x over
- *            1 thread.  The gate only arms when the host has >= 4
+ *   --gate   exit non-zero if sgemm's median 8-thread speedup is < 3x
+ *            over 1 thread.  The gate only arms when the host has >= 4
  *            hardware threads — wall-clock scaling is physically
  *            impossible on fewer — and the JSON records whether it
  *            was enforced.
+ *
+ * The run also fails if a series executes a different number of GPU
+ * instructions at any thread count or repetition: scheduling must not
+ * change what the guest computes.
  *
  * NOTE: wall-clock speedup requires host cores; on a single-core host
  * this bench still exercises the full work-stealing scheduler (the
@@ -24,6 +35,8 @@
  */
 
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,20 +46,95 @@
 
 namespace {
 
+using namespace bifsim;
+
+constexpr unsigned kThreads[] = {1, 2, 4, 8};
+constexpr size_t kAt4 = 2;
+static_assert(kThreads[kAt4] == 4);
+
 struct Series
 {
     const char *name;
-    std::vector<double> secs;      ///< Wall time per thread count.
-    std::vector<double> speedup;   ///< vs. the 1-thread entry.
-    std::vector<uint64_t> steals;  ///< Scheduler steals per run.
+    std::vector<bench::Measurement> time;   ///< Per thread count.
+    std::vector<double> speedup;   ///< Median vs. the 1-thread median.
+    std::vector<uint64_t> steals;  ///< Scheduler steals, last rep.
+    uint64_t instrs = 0;           ///< GPU instructions per run.
 };
+
+/** What one repetition observed. */
+struct Run
+{
+    double secs = -1;      ///< Timed seconds; negative = failed.
+    uint64_t steals = 0;
+    uint64_t instrs = 0;
+};
+
+/** One repetition: a fresh session at @p threads host workers, one
+ *  untimed Workload::run to warm it (worker threads, their allocator
+ *  arenas, the decode caches), then one timed run. */
+Run
+runOnce(const char *workload, unsigned threads, bool instrument,
+        double scale)
+{
+    auto wl = workloads::makeWorkload(workload, scale);
+    rt::SystemConfig cfg;
+    cfg.gpu.numCores = 8;          // Guest-visible cores fixed.
+    cfg.gpu.hostThreads = threads; // Simulator parallelism.
+    cfg.gpu.instrument = instrument;
+    rt::Session session(cfg);
+    workloads::SessionDevice dev(session);
+    dev.build(wl->source(), kclc::CompilerOptions());
+    workloads::RunResult rr = wl->run(dev);
+    session.system().gpu().resetStats();   // Count the timed run only.
+    bench::Timer t;
+    if (rr.ok)
+        rr = wl->run(dev);
+    Run r;
+    r.secs = t.seconds();
+    if (!rr.ok) {
+        std::fprintf(stderr, "%s: %s\n", workload, rr.error.c_str());
+        r.secs = -1;
+    }
+    r.steals = session.system().gpu().schedulerStats().steals;
+    r.instrs = session.system().gpu().totalKernelStats().totalInstrs();
+    return r;
+}
+
+template <typename T>
+json::Value
+toArray(const std::vector<T> &v)
+{
+    json::Value a = json::Value::array();
+    for (const T &x : v)
+        a.push(json::Value(x));
+    return a;
+}
+
+/** Records a column of measurements as three arrays: <key> (medians
+ *  plus @p shift), <key>_noise (1.4826 x MAD) and <key>_noise_flag
+ *  (noisy 0/1).  The baseline differ records "noise" keys without
+ *  gating them. */
+void
+setColumn(bench::Report &report, const std::string &key,
+          const std::vector<bench::Measurement> &col, double shift = 0)
+{
+    std::vector<double> med, mad;
+    std::vector<uint64_t> noisy;
+    for (const bench::Measurement &m : col) {
+        med.push_back(m.median + shift);
+        mad.push_back(m.mad);
+        noisy.push_back(m.noisy ? 1 : 0);
+    }
+    report.metrics().set(key, toArray(med));
+    report.metrics().set(key + "_noise", toArray(mad));
+    report.metrics().set(key + "_noise_flag", toArray(noisy));
+}
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    using namespace bifsim;
     bench::Options opt = bench::Options::parse(argc, argv, 0.05);
     bool gate = false;
     for (int i = 1; i < argc; ++i) {
@@ -57,84 +145,124 @@ main(int argc, char **argv)
 
     const unsigned hw = std::thread::hardware_concurrency();
     bench::banner("Fig. 10 — host-thread scaling (virtual cores)",
-                  "Speedup over 1 host thread while the guest still "
-                  "sees 8 shader cores.");
+                  "Median speedup over 1 host thread while the guest "
+                  "still sees 8 shader cores (* = noisy cell).");
     std::printf("host has %u hardware threads\n\n", hw);
 
-    const unsigned threads[] = {1, 2, 4, 8};
+    // Series-major order: a series' cells run back to back, so a slow
+    // spell on a shared host moves its 1- and 8-thread medians alike.
     Series series[] = {{"sgemm", {}, {}, {}},
                        {"sobelfilter", {}, {}, {}},
                        {"binarysearch", {}, {}, {}}};
-
-    std::printf("%-8s %14s %14s %14s\n", "threads", "sgemm",
-                "sobelfilter", "binarysearch");
-    for (unsigned nt : threads) {
-        std::printf("%-8u", nt);
-        for (Series &s : series) {
-            auto wl = workloads::makeWorkload(s.name, opt.scale);
-            rt::SystemConfig cfg;
-            cfg.gpu.numCores = 8;        // Guest-visible cores fixed.
-            cfg.gpu.hostThreads = nt;    // Simulator parallelism.
-            rt::Session session(cfg);
-            workloads::SessionDevice dev(session);
-            dev.build(wl->source(), kclc::CompilerOptions());
-            bench::Timer t;
-            workloads::RunResult rr = wl->run(dev);
-            double secs = t.seconds();
-            if (!rr.ok) {
-                std::fprintf(stderr, "%s: %s\n", s.name,
-                             rr.error.c_str());
+    for (Series &s : series) {
+        for (unsigned nt : kThreads) {
+            bool failed = false, digest_ok = true;
+            uint64_t steals = 0;
+            bench::Measurement m = bench::measure([&] {
+                Run r = runOnce(s.name, nt, true, opt.scale);
+                failed = failed || r.secs < 0;
+                if (s.instrs == 0)
+                    s.instrs = r.instrs;   // First run of the series.
+                digest_ok = digest_ok && r.instrs == s.instrs;
+                steals = r.steals;
+                return r.secs;
+            });
+            if (failed)
+                return 1;
+            if (!digest_ok) {
+                std::fprintf(stderr,
+                             "FAIL: %s GPU instruction count differs "
+                             "at %u threads\n",
+                             s.name, nt);
                 return 1;
             }
-            s.secs.push_back(secs);
-            s.speedup.push_back(s.secs.front() / secs);
-            s.steals.push_back(
-                session.system().gpu().schedulerStats().steals);
-            std::printf(" %13.2fx", s.speedup.back());
+            s.time.push_back(m);
+            s.speedup.push_back(s.time.front().median / m.median);
+            s.steals.push_back(steals);
         }
-        std::printf("\n");
     }
 
-    const double sgemm8 = series[0].speedup.back();
+    // Instrumentation cost: each repetition times sgemm with statistics
+    // on and off back to back, alternating which goes first, and
+    // yields their ratio, so host drift cancels out of it.  A few
+    // percent between two noisy times needs more repetitions than a
+    // speedup does.
+    constexpr unsigned kRatioReps = 9;
+    std::vector<bench::Measurement> ratio;
+    std::vector<double> overhead;
+    for (unsigned nt : kThreads) {
+        bool failed = false;
+        unsigned rep = 0;
+        ratio.push_back(bench::measure(
+            [&] {
+                bool on_first = rep++ % 2 == 0;
+                Run a = runOnce("sgemm", nt, on_first, opt.scale);
+                Run b = runOnce("sgemm", nt, !on_first, opt.scale);
+                failed = failed || a.secs < 0 || b.secs < 0;
+                return on_first ? a.secs / b.secs : b.secs / a.secs;
+            },
+            kRatioReps));
+        if (failed)
+            return 1;
+        overhead.push_back(ratio.back().median - 1.0);
+    }
+
+    std::printf("%-8s", "threads");
+    for (const Series &s : series)
+        std::printf(" %14s", s.name);
+    std::printf(" %14s\n", "instr. cost");
+    for (size_t i = 0; i < std::size(kThreads); ++i) {
+        std::printf("%-8u", kThreads[i]);
+        for (const Series &s : series)
+            std::printf(" %12.2fx%c", s.speedup[i],
+                        s.time[i].noisy ? '*' : ' ');
+        std::printf(" %12.1f%%%c\n", overhead[i] * 100,
+                    ratio[i].noisy ? '*' : ' ');
+    }
+
+    const Series &sgemm = series[0];
+    const double sgemm8 = sgemm.speedup.back();
     const bool gate_armed = gate && hw >= 4;
     std::printf("\nsgemm 8-thread speedup: %.2fx (gate >= 3x: %s)\n",
                 sgemm8,
                 gate_armed ? "enforced"
                            : (gate ? "skipped, < 4 host threads"
                                    : "not requested"));
+    std::printf("sgemm instrumentation overhead at 4 threads: %+.1f%% "
+                "(report only; paper < 5%%)\n",
+                overhead[kAt4] * 100);
     std::printf("(paper, 32-core host: sobel 20.88x at 64 threads, "
                 "binarysearch flat ~1x)\n");
 
     bench::Report report("thread_scaling", opt.scale);
     json::Value th = json::Value::array();
-    for (unsigned nt : threads)
+    for (unsigned nt : kThreads)
         th.push(json::Value(static_cast<uint64_t>(nt)));
     report.metrics().set("threads", std::move(th));
+    report.metrics().set("reps",
+                         json::Value(static_cast<uint64_t>(
+                             sgemm.time.front().samples.size())));
     for (const Series &s : series) {
-        json::Value secs = json::Value::array();
-        for (double v : s.secs)
-            secs.push(json::Value(v));
-        report.metrics().set(std::string(s.name) + "_secs",
-                             std::move(secs));
-        json::Value sp = json::Value::array();
-        for (double v : s.speedup)
-            sp.push(json::Value(v));
-        report.metrics().set(std::string(s.name) + "_speedup",
-                             std::move(sp));
-        json::Value st = json::Value::array();
-        for (uint64_t v : s.steals)
-            st.push(json::Value(v));
-        report.metrics().set(std::string(s.name) + "_steals",
-                             std::move(st));
+        const std::string k = s.name;
+        setColumn(report, k + "_secs", s.time);
+        report.metrics().set(k + "_speedup", toArray(s.speedup));
+        report.metrics().set(k + "_steals", toArray(s.steals));
+        report.metrics().set(k + "_instrs", json::Value(s.instrs));
     }
+    // Per thread count under a wall_ key: a host measurement the
+    // baseline differ records without gating.  The 4-thread entry is
+    // also reported on its own, and that one the differ gates.
+    setColumn(report, "sgemm_instrument_wall_overhead", ratio, -1.0);
     report.metrics().set("sgemm_speedup_at_8", json::Value(sgemm8));
+    report.metrics().set("sgemm_instrument_overhead_at_4",
+                         json::Value(overhead[kAt4]));
     report.gate("sgemm_speedup_at_8", 3.0, sgemm8, gate_armed);
     report.write();
 
     if (gate_armed && sgemm8 < 3.0) {
         std::fprintf(stderr,
-                     "FAIL: sgemm 8-thread speedup %.2fx below the 3x "
-                     "gate\n",
+                     "FAIL: sgemm median 8-thread speedup %.2fx below "
+                     "the 3x gate\n",
                      sgemm8);
         return 1;
     }

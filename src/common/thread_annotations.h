@@ -36,6 +36,7 @@
  */
 
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -90,6 +91,15 @@
     BIFSIM_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace bifsim::sim {
+
+/**
+ * Host cache-line size used to isolate per-thread mutable state
+ * (DESIGN.md §5f): a structure one worker writes on its execution path
+ * is aligned to this, so no other thread's data shares its lines.
+ * (Not std::hardware_destructive_interference_size, which GCC warns
+ * may change with -mtune and so must not shape a type's layout.)
+ */
+inline constexpr size_t kCacheLineBytes = 64;
 
 /**
  * An annotated mutex capability.  Drop-in for the `std::mutex` members

@@ -646,17 +646,16 @@ GpuDevice::runJob(const JobDescriptor &desc)
     // snapshot tests rely on.
     JobResult result;
     SchedStats jobSched;
-    std::unordered_set<uint32_t> pages;
+    jobPages_.clear();
     for (WorkgroupExecutor &ex : executors_) {
         result.kernel.merge(ex.collector().kernel);
-        pages.insert(ex.collector().pages.begin(),
-                     ex.collector().pages.end());
+        jobPages_.merge(ex.collector().pages);
         result.tlb.lastPageHits += ex.tlb().lastPageHits;
         result.tlb.arrayHits += ex.tlb().arrayHits;
         result.tlb.walks += ex.tlb().walks;
         jobSched.merge(ex.sched());
     }
-    result.pagesAccessed = pages.size();
+    result.pagesAccessed = jobPages_.size();
 
     if (ctx.faulted.load()) {
         // Copy the winning fault out under its own lock, then release it

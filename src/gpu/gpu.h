@@ -377,8 +377,10 @@ class GpuDevice : public Device
     JobContext *activeJob_ GUARDED_BY(poolLock_) = nullptr;
     uint64_t jobSeq_ GUARDED_BY(poolLock_) = 0;
     unsigned workersDone_ GUARDED_BY(poolLock_) = 0;
-    std::vector<WorkgroupExecutor> executors_;
+    std::vector<WorkgroupExecutor> executors_;   ///< Cache-line aligned.
     std::unique_ptr<SliceDeque[]> deques_;   ///< One per worker.
+    PageSet jobPages_;             ///< Union of the workers' page sets.
+                                   ///< JM thread only (runJob).
     std::vector<std::thread> workers_;
     std::thread jmThread_;
 

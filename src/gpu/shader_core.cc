@@ -207,8 +207,8 @@ srem(uint32_t a, uint32_t b)
 void
 WorkgroupExecutor::notePage(uint32_t vpn)
 {
-    // Streams of accesses hit the same page; dedupe against the last
-    // insert so the hash-set update leaves the per-access path.
+    // Streams of accesses hit the same page; a compare against the last
+    // insert keeps even the bitmap test off most accesses.
     if (vpn != lastPageIns_) {
         coll_.pages.insert(vpn);
         lastPageIns_ = vpn;

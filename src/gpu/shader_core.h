@@ -188,9 +188,11 @@ struct JobContext
  * Threading: every method runs on the owning worker thread only.  The
  * accessors (collector(), tlb(), sched()) are read by the dispatching
  * thread *after* the job-completion barrier, never concurrently with
- * execution.
+ * execution.  Executors are cache-line aligned, so the TLB and its
+ * counters, the collectors and the scheduler counters that one worker
+ * writes never share a line with a neighbouring executor (§5f).
  */
-class WorkgroupExecutor
+class alignas(sim::kCacheLineBytes) WorkgroupExecutor
 {
   public:
     WorkgroupExecutor() = default;
@@ -289,6 +291,10 @@ class WorkgroupExecutor
     uint32_t *atomicHostPtr(uint32_t va);
     void notePage(uint32_t vpn);
 };
+
+static_assert(alignof(WorkgroupExecutor) == sim::kCacheLineBytes);
+static_assert(PageSet::kVpns == uint64_t{1} << (32 - kGpuPageShift),
+              "the page set must cover every 32-bit GPU VA");
 
 } // namespace bifsim::gpu
 

@@ -47,6 +47,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_annotations.h"
+
 namespace bifsim::gpu {
 
 /** A contiguous range of linear workgroup indices [begin, end). */
@@ -79,8 +81,12 @@ struct GroupSlice
  * thief may read a cell concurrently with the owner overwriting it;
  * the algorithm tolerates the torn *logical* value (the CAS on top_
  * rejects the thief) but the *load* itself must be race-free.
+ *
+ * Cache-line aligned: the deques sit side by side in one array, and
+ * each owner writes its bottom_ on every pop, so unaligned neighbours
+ * would share a line between workers.
  */
-class SliceDeque
+class alignas(sim::kCacheLineBytes) SliceDeque
 {
   public:
     /** Result of a steal attempt. */
@@ -189,6 +195,8 @@ class SliceDeque
         std::vector<std::atomic<uint64_t>>(16)};
     size_t mask_ = 15;
 };
+
+static_assert(alignof(SliceDeque) == sim::kCacheLineBytes);
 
 } // namespace bifsim::gpu
 

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "common/histogram.h"
@@ -238,12 +238,77 @@ void appendCounters(std::vector<NamedCounter> &out,
 void appendCounters(std::vector<NamedCounter> &out,
                     const metrics::RegistryStats &m);
 
+/**
+ * A set of GPU virtual page numbers: a bitmap over the whole 20-bit VPN
+ * space (32-bit VAs, 4 KiB pages) plus the list of VPNs whose bit is
+ * set.  insert() is a bit test-and-set; clear() walks only the list, so
+ * a job costs O(pages touched), never O(bitmap).  The bitmap is cut
+ * into 4 KiB leaves, each allocated by the first insert in its 128 MiB
+ * of VA: a flat 128 KiB bitmap per set cost every session start-up
+ * (five sets at four workers) more than the rest of a warm restore.
+ * Not thread-safe: each worker owns one, and the device folds them into
+ * its own at job completion.
+ */
+class PageSet
+{
+  public:
+    static constexpr uint32_t kVpnBits = 20;
+    static constexpr uint32_t kVpns = 1u << kVpnBits;
+
+    /** Adds @p vpn (must be < kVpns). */
+    void
+    insert(uint32_t vpn)
+    {
+        uint64_t &word = leaf(vpn)[(vpn % kLeafVpns) / 64];
+        uint64_t bit = uint64_t{1} << (vpn % 64);
+        if (!(word & bit)) {
+            word |= bit;
+            vpns_.push_back(vpn);
+        }
+    }
+
+    /** Adds every page of @p other. */
+    void
+    merge(const PageSet &other)
+    {
+        for (uint32_t vpn : other.vpns_)
+            insert(vpn);
+    }
+
+    /** Distinct pages inserted since the last clear(). */
+    size_t size() const { return vpns_.size(); }
+
+    void
+    clear()
+    {
+        for (uint32_t vpn : vpns_)
+            leaves_[vpn / kLeafVpns][(vpn % kLeafVpns) / 64] = 0;
+        vpns_.clear();
+    }
+
+  private:
+    static constexpr uint32_t kLeafVpns = 4096 * 8;   ///< 4 KiB of bits.
+    static constexpr uint32_t kLeaves = kVpns / kLeafVpns;
+
+    uint64_t *
+    leaf(uint32_t vpn)
+    {
+        std::unique_ptr<uint64_t[]> &l = leaves_[vpn / kLeafVpns];
+        if (!l) [[unlikely]]
+            l = std::make_unique<uint64_t[]>(kLeafVpns / 64);
+        return l.get();
+    }
+
+    std::unique_ptr<uint64_t[]> leaves_[kLeaves];
+    std::vector<uint32_t> vpns_;
+};
+
 /** Per-worker collector, merged into the job totals at completion. */
 struct WorkerCollector
 {
     KernelStats kernel;
     std::vector<uint64_t> clauseExec;          ///< Per-clause thread count.
-    std::unordered_set<uint32_t> pages;        ///< GPU-touched page numbers.
+    PageSet pages;                             ///< GPU-touched page numbers.
 
     void
     reset(size_t num_clauses)

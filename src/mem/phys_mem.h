@@ -313,11 +313,16 @@ class PhysMem
         return (bytes + kPageBytes - 1) / kPageBytes;
     }
 
+    /** Test before set: the tracking bytes are shared by every
+     *  writer, and re-marking a page that is already kWritten (every
+     *  GPU worker's TLB refill after the per-job epoch bump) must not
+     *  store to a line other threads are reading. */
     void
     markPage(size_t page)
     {
-        std::atomic_ref<uint8_t>(written_[page])
-            .store(kWritten, std::memory_order_relaxed);
+        std::atomic_ref<uint8_t> state(written_[page]);
+        if (state.load(std::memory_order_relaxed) != kWritten)
+            state.store(kWritten, std::memory_order_relaxed);
     }
 
     uint8_t

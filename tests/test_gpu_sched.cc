@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -345,6 +346,107 @@ TEST(GpuSched, WorkerShaderL1ServesRepeatJobs)
     gpu::ShaderCacheStats cs = s.system().gpu().shaderCacheStats();
     EXPECT_EQ(cs.decodes, 1u);
     EXPECT_EQ(cs.hits, 2u);
+}
+
+/** Single-thread groups that each run a short accumulate loop, then
+ *  store the sum to base + group_id * stride (args: base, stride), so
+ *  the pages a job touches are a function of the launch the test
+ *  picks. */
+bif::Module
+stridedStoreKernel()
+{
+    return buildModule({
+        {
+            mk(Op::MovImm, 1, kNone, kNone, kNone, 200),
+            mk(Op::MovImm, 2, kNone, kNone, kNone, 0),
+            mk(Op::MovImm, 3, kNone, kNone, kNone, 1),
+        },
+        {
+            mk(Op::IAdd, 2, 2, 1, kNone, 0),
+            mk(Op::ISub, 1, 1, 3, kNone, 0),
+            mk(Op::BranchNZ, kNone, 1, kNone, kNone, 1),
+        },
+        {
+            mk(Op::LdArg, 5, kNone, kNone, kNone, 1),
+            mk(Op::IMul, 5, bif::kSrGroupIdX, 5, kNone, 0),
+            mk(Op::LdArg, 6, kNone, kNone, kNone, 0),
+            mk(Op::IAdd, 5, 5, 6, kNone, 0),
+            mk(Op::StGlobal, kNone, 5, 2, kNone, 0),
+            mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
+        },
+    });
+}
+
+/** Distinct 4 KiB pages stridedStoreKernel touches, counted on the
+ *  host. */
+uint64_t
+expectedPages(uint32_t base, uint32_t groups, uint32_t stride)
+{
+    std::set<uint32_t> pages;
+    for (uint32_t g = 0; g < groups; ++g)
+        pages.insert((base + g * stride) >> gpu::kGpuPageShift);
+    return pages.size();
+}
+
+TEST(GpuSched, PagesAccessedExactAcrossWorkersAndJobs)
+{
+    // Job A: 200 groups at a 1540-byte stride over a 76-page buffer, so
+    // each page takes two or three neighbouring groups and the block
+    // and slice boundaries of the deal fall mid-page: one page is
+    // touched by groups on different workers and must count once.
+    // Job B touches a disjoint buffer; a page set that kept bits or
+    // list entries from job A would miscount it, or miscount job A's
+    // rerun.
+    constexpr uint32_t kGroupsA = 200, kStrideA = 1540;
+    constexpr uint32_t kGroupsB = 70, kStrideB = 4100;
+    constexpr uint32_t kLoop = 200 * 201 / 2;
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        for (bool skew : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << threads << " threads, skew=" << skew);
+            rt::SystemConfig cfg;
+            cfg.gpu.hostThreads = threads;
+            cfg.gpu.skewSlices = skew;
+            rt::Session s(cfg);
+            rt::KernelHandle k = loadModule(s, stridedStoreKernel());
+            rt::Buffer a = s.alloc(kGroupsA * kStrideA);
+            rt::Buffer b = s.alloc(kGroupsB * kStrideB);
+            const uint64_t pages_a =
+                expectedPages(a.gpuVa, kGroupsA, kStrideA);
+            const uint64_t pages_b =
+                expectedPages(b.gpuVa, kGroupsB, kStrideB);
+            ASSERT_GE(pages_a, 64u);
+            ASSERT_GE(pages_b, 64u);
+
+            auto launch = [&](const rt::Buffer &buf, uint32_t groups,
+                              uint32_t stride) {
+                gpu::JobResult r = s.enqueue(
+                    k, rt::NDRange{groups, 1, 1}, rt::NDRange{1, 1, 1},
+                    {rt::Arg::buf(buf), rt::Arg::u32(stride)});
+                EXPECT_FALSE(r.faulted) << r.fault.detail;
+                return r.pagesAccessed;
+            };
+            EXPECT_EQ(launch(a, kGroupsA, kStrideA), pages_a);
+            EXPECT_EQ(launch(b, kGroupsB, kStrideB), pages_b);
+            EXPECT_EQ(launch(a, kGroupsA, kStrideA), pages_a);
+
+            uint32_t word = 0;
+            s.read(a, &word, 4, (kGroupsA - 1) * kStrideA);
+            EXPECT_EQ(word, kLoop);
+        }
+    }
+
+    rt::SystemConfig cfg;
+    cfg.gpu.hostThreads = 4;
+    cfg.gpu.instrument = false;
+    rt::Session s(cfg);
+    rt::KernelHandle k = loadModule(s, stridedStoreKernel());
+    rt::Buffer a = s.alloc(kGroupsA * kStrideA);
+    gpu::JobResult r =
+        s.enqueue(k, rt::NDRange{kGroupsA, 1, 1}, rt::NDRange{1, 1, 1},
+                  {rt::Arg::buf(a), rt::Arg::u32(kStrideA)});
+    EXPECT_FALSE(r.faulted) << r.fault.detail;
+    EXPECT_EQ(r.pagesAccessed, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -166,6 +166,34 @@ TEST(CfgBuild, NodeLabels)
     EXPECT_EQ(instrument::nodeLabel(1), "aa000080");
 }
 
+TEST(PageSetTest, DedupesCountsAndClearsForReuse)
+{
+    constexpr uint32_t kLastVpn = 0xFFFFF;
+    static_assert(kLastVpn == PageSet::kVpns - 1);
+    PageSet s;
+    EXPECT_EQ(s.size(), 0u);
+    for (uint32_t vpn : {0u, kLastVpn, 63u, 64u, 0u, kLastVpn, 64u})
+        s.insert(vpn);
+    EXPECT_EQ(s.size(), 4u);
+
+    // A cleared set forgets its bits as well as its list: re-inserting
+    // the same VPNs counts them again, exactly once each.
+    s.clear();
+    EXPECT_EQ(s.size(), 0u);
+    s.insert(kLastVpn);
+    s.insert(kLastVpn);
+    s.insert(0);
+    EXPECT_EQ(s.size(), 2u);
+
+    PageSet other;
+    other.insert(0);
+    other.insert(12345);
+    s.merge(other);
+    EXPECT_EQ(s.size(), 3u);
+    s.merge(other);
+    EXPECT_EQ(s.size(), 3u);
+}
+
 TEST(WorkerCollectorTest, ResetClears)
 {
     WorkerCollector c;
@@ -176,7 +204,7 @@ TEST(WorkerCollectorTest, ResetClears)
     c.reset(2);
     EXPECT_EQ(c.clauseExec.size(), 2u);
     EXPECT_EQ(c.clauseExec[0], 0u);
-    EXPECT_TRUE(c.pages.empty());
+    EXPECT_EQ(c.pages.size(), 0u);
     EXPECT_EQ(c.kernel.arithInstrs, 0u);
 }
 
