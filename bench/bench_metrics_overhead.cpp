@@ -4,12 +4,13 @@
  * publish hook costs relative to a job, measured two ways.
  *
  * The GATED number is modeled: the real hook body (build the delta
- * vector, four instrument::appendCounters calls, one seqlock publish)
- * is timed directly over tens of thousands of iterations — a
- * multi-millisecond region with no differencing in it — and divided
- * by the per-job time from the disabled side of the A/B.  Both inputs
- * are solid measurements, so the ratio is stable to well under the 2%
- * budget even on a noisy host.
+ * vector, four instrument::appendCounters calls, the sys delta
+ * baseline, one locked publish) is timed directly over tens of
+ * thousands of iterations — a multi-millisecond region with no
+ * differencing in it — and divided by the per-job time from the
+ * disabled side of the A/B.  Both inputs are solid measurements, so
+ * the ratio is stable to well under the 2% budget even on a noisy
+ * host.
  *
  * The wall-clock A/B (same kernels, registry disabled vs enabled,
  * alternating reps, ratio of summed times) is RECORDED but not gated:
@@ -154,11 +155,13 @@ class Runner
 
 /**
  * Times the real per-job hook body (GpuDevice::runJob's publish
- * block): construct the delta vector, append kernel + tlb + sched +
- * sys counters, publish into the seqlock shard.  Sched/sys deltas are
- * filled with nonzero values so no counter takes publish()'s
- * skip-zero fast path — a slight overestimate of the average job,
- * which is the right direction for a gate.
+ * block): construct the delta vector, append kernel + tlb + sched
+ * counters, append the sys counters' growth through the delta
+ * baseline, and publish under the registry lock.  Sched and sys
+ * counters are nonzero (sys grows by one job's worth per call) so no
+ * counter takes publish()'s skip-zero fast path — a slight
+ * overestimate of the average job, which is the right direction for
+ * a gate.
  *
  * Returns seconds per hook invocation, best of several multi-thousand
  * iteration blocks (each block is a multi-millisecond timed region).
@@ -174,36 +177,33 @@ hookCostSecs(const gpu::JobResult &job)
     sched.shaderL1Hits = 100;
     sched.shaderL2Fills = 10;
     gpu::SystemStats sys;
-    sys.pagesAccessed = 4;
-    sys.ctrlRegReads = 6;
-    sys.ctrlRegWrites = 6;
-    sys.irqsAsserted = 1;
-    sys.computeJobs = 1;
-
-    // Warm the thread-local name->slot cache once, as any real worker
-    // thread's first publish would have.
-    {
+    metrics::CounterBaseline sysBase;
+    auto hook = [&] {
+        sys.pagesAccessed += 4;
+        sys.ctrlRegReads += 6;
+        sys.ctrlRegWrites += 6;
+        sys.irqsAsserted += 1;
+        sys.computeJobs += 1;
         std::vector<gpu::NamedCounter> deltas;
         gpu::appendCounters(deltas, job.kernel);
         gpu::appendCounters(deltas, job.tlb);
         gpu::appendCounters(deltas, sched);
-        gpu::appendCounters(deltas, sys);
+        std::vector<gpu::NamedCounter> sysNow;
+        gpu::appendCounters(sysNow, sys);
+        sysBase.appendDeltas(deltas, sysNow);
         metrics::registry().publish(deltas);
-    }
+    };
+
+    // Intern the names once, as any real device's first job would.
+    hook();
 
     constexpr int kIters = 20000;
     constexpr int kBlocks = 5;
     double best = 1e30;
     for (int blk = 0; blk < kBlocks; ++blk) {
         bench::Timer t;
-        for (int i = 0; i < kIters; ++i) {
-            std::vector<gpu::NamedCounter> deltas;
-            gpu::appendCounters(deltas, job.kernel);
-            gpu::appendCounters(deltas, job.tlb);
-            gpu::appendCounters(deltas, sched);
-            gpu::appendCounters(deltas, sys);
-            metrics::registry().publish(deltas);
-        }
+        for (int i = 0; i < kIters; ++i)
+            hook();
         best = std::min(best, t.seconds());
     }
     return best / kIters;

@@ -379,59 +379,25 @@ FleetServer::publishFleetMetrics()
     if (!metrics::registry().enabled())
         return;
     // Merged lifetime view (locks statsLock_/queueLock_ internally,
-    // and the pool's own lock — all leaves, never nested here).
+    // and the pool's own lock — all leaves, never nested here).  Two
+    // workers can race here with their `now`s read in either order;
+    // the baseline's max rule publishes each count once.
     FleetStats now = stats();
-    std::vector<gpu::NamedCounter> deltas;
+    std::vector<gpu::NamedCounter> totals, deltas;
+    gpu::appendCounters(totals, now);
     {
         sim::LockGuard g(statsLock_);
-        // Saturating deltas: two workers can race stats() reads, so a
-        // later-locking worker may hold an older `now`; whoever locked
-        // first already published those counts.
-        auto sub = [](uint64_t a, uint64_t b) {
-            return a > b ? a - b : 0;
-        };
-        FleetStats d;
-        d.jobsSubmitted = sub(now.jobsSubmitted, published_.jobsSubmitted);
-        d.jobsCompleted = sub(now.jobsCompleted, published_.jobsCompleted);
-        d.jobsFaulted = sub(now.jobsFaulted, published_.jobsFaulted);
-        d.jobsRejected = sub(now.jobsRejected, published_.jobsRejected);
-        d.jobsBadRequest =
-            sub(now.jobsBadRequest, published_.jobsBadRequest);
-        d.queueNsTotal = sub(now.queueNsTotal, published_.queueNsTotal);
-        d.execNsTotal = sub(now.execNsTotal, published_.execNsTotal);
-        d.bytesIn = sub(now.bytesIn, published_.bytesIn);
-        d.bytesOut = sub(now.bytesOut, published_.bytesOut);
-        d.spawns = sub(now.spawns, published_.spawns);
-        d.recycles = sub(now.recycles, published_.recycles);
-        d.recycleFailures =
-            sub(now.recycleFailures, published_.recycleFailures);
-        d.acquireWaits = sub(now.acquireWaits, published_.acquireWaits);
-        auto newer = [&](uint64_t FleetStats::*f) {
-            published_.*f = std::max(published_.*f, now.*f);
-        };
-        newer(&FleetStats::jobsSubmitted);
-        newer(&FleetStats::jobsCompleted);
-        newer(&FleetStats::jobsFaulted);
-        newer(&FleetStats::jobsRejected);
-        newer(&FleetStats::jobsBadRequest);
-        newer(&FleetStats::queueNsTotal);
-        newer(&FleetStats::execNsTotal);
-        newer(&FleetStats::bytesIn);
-        newer(&FleetStats::bytesOut);
-        newer(&FleetStats::spawns);
-        newer(&FleetStats::recycles);
-        newer(&FleetStats::recycleFailures);
-        newer(&FleetStats::acquireWaits);
-        gpu::appendCounters(deltas, d);
+        metricsBase_.appendDeltas(deltas, totals);
     }
     metrics::Registry &reg = metrics::registry();
-    reg.publish(deltas);
-    // Level-valued series go in as gauges (store-latest), not sums.
+    // Level-valued series go in as gauges (store-latest), set before
+    // the batch so the registry ignores the batch's deltas for them.
     reg.setGauge("fleet.queue_depth", now.queueDepth);
     reg.setGauge("fleet.sessions_live", now.sessionsLive);
     reg.setGauge("fleet.sessions_idle", now.sessionsIdle);
     reg.setGauge("fleet.queue_peak", now.queuePeak);
     reg.setGauge("fleet.tenants_seen", now.tenantsSeen);
+    reg.publish(deltas);
 }
 
 // -------------------------------------------------------------- socket

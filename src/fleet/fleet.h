@@ -52,6 +52,7 @@
 #include "fleet/proto.h"
 #include "fleet/session_pool.h"
 #include "fleet/warm_image.h"
+#include "metrics/metrics.h"
 #include "trace/trace.h"
 
 namespace bifsim::fleet {
@@ -169,9 +170,8 @@ class FleetServer
     /** Per-tenant lifetime totals, served in the v2 FLTS reply. */
     std::map<std::string, StatsReply::TenantRow> tenantStats_
         GUARDED_BY(statsLock_);
-    /** Merged counters as of the last §5k metrics publish; the
-     *  registry gets saturating deltas against this baseline. */
-    FleetStats published_ GUARDED_BY(statsLock_);
+    /** Metrics baseline (§5k) for the merged stats() counters. */
+    metrics::CounterBaseline metricsBase_ GUARDED_BY(statsLock_);
 
     /** Construction time (trace::nowNs), for FLTS uptime. */
     const uint64_t startNs_;

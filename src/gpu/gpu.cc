@@ -230,8 +230,7 @@ GpuDevice::reset()
     jobCount_ = 0;
     faultStatus_ = 0;
     faultAddress_ = 0;
-    sys_ = SystemStats{};
-    sysPublished_ = sys_;   // Rebaseline: deltas must not wrap.
+    setSysStatsLocked(SystemStats{});
     total_ = KernelStats{};
     lastJob_ = JobResult{};
     sched_ = SchedStats{};
@@ -348,8 +347,7 @@ GpuDevice::restoreState(snapshot::ChunkReader &r)
     jobCount_ = job_count;
     faultStatus_ = fault_status;
     faultAddress_ = fault_address;
-    sys_ = sys;
-    sysPublished_ = sys_;   // Rebaseline: deltas must not wrap.
+    setSysStatsLocked(sys);
     total_ = std::move(total);
     lastJob_ = std::move(last);
     cacheStats_ = cache_stats;
@@ -431,8 +429,7 @@ void
 GpuDevice::resetStats()
 {
     sim::LockGuard g(lock_);
-    sys_ = SystemStats{};
-    sysPublished_ = sys_;   // Rebaseline: deltas must not wrap.
+    setSysStatsLocked(SystemStats{});
     total_ = KernelStats{};
     lastJob_ = JobResult{};
     sched_ = SchedStats{};
@@ -689,26 +686,40 @@ GpuDevice::runJob(const JobDescriptor &desc)
     // Always-on metrics (§5k): job completion is the natural merge
     // point, so the per-job kernel/TLB/sched deltas publish as one
     // batch.  sys_ counters accumulate outside runJob too (MMIO,
-    // IRQs), so their delta is taken against the last published
-    // baseline; a faulted job's sys increments fold into the next
-    // successful publish.
+    // IRQs), so the batch carries their growth since the last publish;
+    // a faulted job's sys increments fold into the next successful
+    // publish.
     if (metrics::registry().enabled()) {
         std::vector<NamedCounter> deltas;
         appendCounters(deltas, result.kernel);
         appendCounters(deltas, result.tlb);
         appendCounters(deltas, jobSched);
-        SystemStats sysDelta = sys_;
-        sysDelta.pagesAccessed -= sysPublished_.pagesAccessed;
-        sysDelta.ctrlRegReads -= sysPublished_.ctrlRegReads;
-        sysDelta.ctrlRegWrites -= sysPublished_.ctrlRegWrites;
-        sysDelta.irqsAsserted -= sysPublished_.irqsAsserted;
-        sysDelta.computeJobs -= sysPublished_.computeJobs;
-        sysPublished_ = sys_;
-        appendCounters(deltas, sysDelta);
+        appendSysDeltasLocked(deltas);
         metrics::registry().publish(deltas);
     }
     raiseIrqLocked(kIrqJobDone);
     return true;
+}
+
+void
+GpuDevice::appendSysDeltasLocked(std::vector<NamedCounter> &batch)
+{
+    std::vector<NamedCounter> now;
+    appendCounters(now, sys_);
+    sysBase_.appendDeltas(batch, now);
+}
+
+void
+GpuDevice::setSysStatsLocked(const SystemStats &s)
+{
+    std::vector<NamedCounter> pending;
+    appendSysDeltasLocked(pending);
+    if (!pending.empty())
+        metrics::registry().publish(pending);
+    sys_ = s;
+    std::vector<NamedCounter> now;
+    appendCounters(now, sys_);
+    sysBase_.rebase(now);
 }
 
 void

@@ -62,6 +62,7 @@
 #include "instrument/stats.h"
 #include "mem/device.h"
 #include "mem/phys_mem.h"
+#include "metrics/metrics.h"
 #include "trace/trace.h"
 
 namespace bifsim::replay {
@@ -352,10 +353,10 @@ class GpuDevice : public Device
     bool irqLevel_ GUARDED_BY(lock_) = false;
 
     SystemStats sys_ GUARDED_BY(lock_);
-    /** sys_ as of the last metrics publish (§5k): sys_ counters also
-     *  grow outside runJob (MMIO, IRQs), so the always-on registry
-     *  gets the delta against this baseline at each job completion. */
-    SystemStats sysPublished_ GUARDED_BY(lock_);
+    /** Metrics baseline for sys_ (§5k): sys_ counters also grow
+     *  outside runJob (MMIO, IRQs), so each job-completion batch
+     *  carries their growth since the last publish. */
+    metrics::CounterBaseline sysBase_ GUARDED_BY(lock_);
     KernelStats total_ GUARDED_BY(lock_);
     JobResult lastJob_ GUARDED_BY(lock_);
     SchedStats sched_ GUARDED_BY(lock_);   ///< Accumulated over jobs.
@@ -412,6 +413,16 @@ class GpuDevice : public Device
      *  it only latches its own pending bits; DESIGN.md §5f). */
     void raiseIrqLocked(uint32_t bits) REQUIRES(lock_);
     void updateIrqOutput() REQUIRES(lock_);
+
+    /** Appends sys_'s growth since the last metrics publish to
+     *  @p batch (§5k). */
+    void appendSysDeltasLocked(std::vector<NamedCounter> &batch)
+        REQUIRES(lock_);
+
+    /** Replaces sys_ on a reset or restore.  Growth not yet published
+     *  is published first (work done before a reset still counts);
+     *  @p s becomes the baseline (restored counts are not work done). */
+    void setSysStatsLocked(const SystemStats &s) REQUIRES(lock_);
 };
 
 } // namespace bifsim::gpu

@@ -52,21 +52,6 @@ ShaderCacheL2::purge()
     }
 }
 
-size_t
-ShaderCacheL2::liveCount() const
-{
-    uint64_t cur = epoch_.load(std::memory_order_acquire);
-    size_t live = 0;
-    for (const std::atomic<Node *> &head : buckets_) {
-        for (const Node *n = head.load(std::memory_order_acquire);
-             n != nullptr; n = n->next) {
-            if (n->epoch == cur)
-                live++;
-        }
-    }
-    return live;
-}
-
 std::shared_ptr<DecodedShader>
 ShaderCacheL1::get(const ShaderCacheL2 &l2, uint32_t va)
 {

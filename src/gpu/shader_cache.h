@@ -101,9 +101,6 @@ class ShaderCacheL2
      */
     void purge();
 
-    /** Live (current-epoch) entries; approximate under concurrency. */
-    size_t liveCount() const;
-
   private:
     static constexpr size_t kBuckets = 64;
 

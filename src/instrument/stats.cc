@@ -2,7 +2,6 @@
 
 #include "cpu/core.h"
 #include "fleet/fleet_stats.h"
-#include "metrics/metrics.h"
 
 namespace bifsim::gpu {
 
@@ -318,17 +317,6 @@ appendCounters(std::vector<NamedCounter> &out, const fleet::FleetStats &f)
     out.push_back({"fleet.sessions_live", f.sessionsLive});
     out.push_back({"fleet.sessions_idle", f.sessionsIdle});
     out.push_back({"fleet.queue_depth", f.queueDepth});
-}
-
-void
-appendCounters(std::vector<NamedCounter> &out,
-               const metrics::RegistryStats &m)
-{
-    out.push_back({"metrics.publishes", m.publishes});
-    out.push_back({"metrics.samples", m.samples});
-    out.push_back({"metrics.reader_retries", m.readerRetries});
-    out.push_back({"metrics.slots_dropped", m.slotsDropped});
-    out.push_back({"metrics.shards", m.shards});
 }
 
 } // namespace bifsim::gpu

@@ -28,10 +28,6 @@ namespace bifsim::fleet {
 struct FleetStats;
 }
 
-namespace bifsim::metrics {
-struct RegistryStats;
-}
-
 namespace bifsim::gpu {
 
 /** Decode-time static metrics for one clause. */
@@ -232,11 +228,6 @@ void appendCounters(std::vector<NamedCounter> &out,
  *  spawn/recycle activity) under the "fleet." prefix. */
 void appendCounters(std::vector<NamedCounter> &out,
                     const fleet::FleetStats &f);
-
-/** Appends the metrics registry's self-observation counters (§5k)
- *  under the "metrics." prefix. */
-void appendCounters(std::vector<NamedCounter> &out,
-                    const metrics::RegistryStats &m);
 
 /**
  * A set of GPU virtual page numbers: a bitmap over the whole 20-bit VPN

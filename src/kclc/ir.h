@@ -107,9 +107,6 @@ struct LFunc
     }
 };
 
-/** Renders the IR as text (for tests and debugging). */
-std::string dumpFunc(const LFunc &f);
-
 } // namespace bifsim::kclc
 
 #endif // BIFSIM_KCLC_IR_H

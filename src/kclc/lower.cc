@@ -964,45 +964,4 @@ lower(const Kernel &kernel)
     return lo.run();
 }
 
-std::string
-dumpFunc(const LFunc &f)
-{
-    std::string s = "func " + f.name + "\n";
-    auto operand = [](const LOperand &o) -> std::string {
-        switch (o.kind) {
-          case LOperand::Kind::None: return "-";
-          case LOperand::Kind::VReg: return strfmt("v%u", o.idx);
-          case LOperand::Kind::Special: return strfmt("sr%u", o.idx);
-        }
-        return "?";
-    };
-    for (size_t b = 0; b < f.blocks.size(); ++b) {
-        const LBlock &blk = f.blocks[b];
-        s += strfmt("  b%zu:\n", b);
-        for (const LInstr &in : blk.instrs) {
-            s += strfmt("    %s", bif::opName(in.op));
-            if (in.dst != kNoVReg)
-                s += strfmt(" v%u,", in.dst);
-            for (const LOperand &o : in.src) {
-                if (o.kind != LOperand::Kind::None)
-                    s += " " + operand(o);
-            }
-            s += strfmt(" imm=%d\n", in.imm);
-        }
-        switch (blk.term) {
-          case TermKind::Jump:
-            s += strfmt("    jump b%u\n", blk.target0);
-            break;
-          case TermKind::CondJump:
-            s += strfmt("    condjump v%u ? b%u : b%u\n", blk.condVreg,
-                        blk.target0, blk.target1);
-            break;
-          case TermKind::Return:
-            s += "    return\n";
-            break;
-        }
-    }
-    return s;
-}
-
 } // namespace bifsim::kclc

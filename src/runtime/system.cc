@@ -73,6 +73,14 @@ System::runCpu(uint64_t max_insts)
     uint64_t executed = 0;
     uint64_t last = cpu_->stats().instret;
     unsigned idle_spins = 0;
+    // Sampled metrics publish: every exit counts its instructions, and
+    // a batch goes to the registry once kCpuPublishBatch accumulate.
+    auto finish = [&](sa32::StopReason r) {
+        cpuUnpublished_ += executed;
+        if (cpuUnpublished_ >= kCpuPublishBatch)
+            publishMetrics();
+        return r;
+    };
     while (executed < max_insts) {
         uint64_t batch = std::min(max_insts - executed, kTimerSlice);
         sa32::StopReason r = cpu_->run(batch);
@@ -85,19 +93,15 @@ System::runCpu(uint64_t max_insts)
 
         if (r == sa32::StopReason::MaxInsts)
             continue;   // Slice exhausted; overall budget decides.
-        if (r != sa32::StopReason::Wfi) {
-            publishCpuMetrics(false);
-            return r;
-        }
+        if (r != sa32::StopReason::Wfi)
+            return finish(r);
 
         // The guest is waiting for an interrupt.  Sleep until a device
         // wakes us (GPU IRQ through the INTC) or a short timeout lets
         // guest time advance for the timer.  Bail out eventually so a
         // guest with nothing pending cannot hang the host.
-        if (++idle_spins > 50000) {
-            publishCpuMetrics(false);
-            return sa32::StopReason::Wfi;
-        }
+        if (++idle_spins > 50000)
+            return finish(sa32::StopReason::Wfi);
         {
             // Predicate-checked sleep: a wake() that fired between the
             // WFI stop above and this park is latched in wakePending_
@@ -115,62 +119,26 @@ System::runCpu(uint64_t max_insts)
         }
         timer_->tick(1000);   // Guest time passes while asleep.
     }
-    publishCpuMetrics(false);
-    return sa32::StopReason::MaxInsts;
-}
-
-void
-System::publishCpuMetrics(bool force)
-{
-    if (!metrics::registry().enabled())
-        return;
-    const sa32::CoreStats &now = cpu_->stats();
-    if (!force && now.instret - cpuPublished_.instret < kCpuPublishBatch)
-        return;
-    // CoreStats counters are monotone while the core runs, so the
-    // member-wise difference is the delta batch.  A reset() or
-    // snapshot restore since the last publish can move any of them
-    // backwards; when that happened, rebaseline to zero and publish
-    // the post-reset counts as-is (the registry is cumulative across
-    // the process, not a mirror of one core).
-    sa32::CoreStats d = now;
-    if (now.instret < cpuPublished_.instret ||
-        now.traps < cpuPublished_.traps ||
-        now.interrupts < cpuPublished_.interrupts ||
-        now.blocksDecoded < cpuPublished_.blocksDecoded ||
-        now.blockHits < cpuPublished_.blockHits ||
-        now.cacheFlushes < cpuPublished_.cacheFlushes ||
-        now.dbtBlocks < cpuPublished_.dbtBlocks ||
-        now.dbtChainLinks < cpuPublished_.dbtChainLinks ||
-        now.dbtChainFollows < cpuPublished_.dbtChainFollows ||
-        now.dbtChainBreaks < cpuPublished_.dbtChainBreaks ||
-        now.dbtRetires < cpuPublished_.dbtRetires) {
-        cpuPublished_ = sa32::CoreStats{};
-    }
-    d.instret -= cpuPublished_.instret;
-    d.blocksDecoded -= cpuPublished_.blocksDecoded;
-    d.blockHits -= cpuPublished_.blockHits;
-    d.traps -= cpuPublished_.traps;
-    d.interrupts -= cpuPublished_.interrupts;
-    d.cacheFlushes -= cpuPublished_.cacheFlushes;
-    d.dbtBlocks -= cpuPublished_.dbtBlocks;
-    d.dbtChainLinks -= cpuPublished_.dbtChainLinks;
-    d.dbtChainFollows -= cpuPublished_.dbtChainFollows;
-    d.dbtChainBreaks -= cpuPublished_.dbtChainBreaks;
-    d.dbtRetires -= cpuPublished_.dbtRetires;
-    cpuPublished_ = now;
-    if (d.instret == 0 && d.traps == 0 && d.interrupts == 0 &&
-        d.cacheFlushes == 0)
-        return;
-    std::vector<gpu::NamedCounter> deltas;
-    gpu::appendCounters(deltas, d);
-    metrics::registry().publish(deltas);
+    return finish(sa32::StopReason::MaxInsts);
 }
 
 void
 System::publishMetrics()
 {
-    publishCpuMetrics(true);
+    cpuUnpublished_ = 0;
+    std::vector<gpu::NamedCounter> now, deltas;
+    gpu::appendCounters(now, cpu_->stats());
+    cpuBase_.appendDeltas(deltas, now);
+    if (!deltas.empty())
+        metrics::registry().publish(deltas);
+}
+
+void
+System::rebaseCpuMetrics()
+{
+    std::vector<gpu::NamedCounter> now;
+    gpu::appendCounters(now, cpu_->stats());
+    cpuBase_.rebase(now);
 }
 
 void
@@ -184,7 +152,9 @@ System::reset()
     timer_->reset();
     uart_->reset();
     mem_.clear();
+    publishMetrics();   // Work done before the reset still counts.
     cpu_->reset();
+    rebaseCpuMetrics();
 }
 
 void
@@ -203,14 +173,6 @@ System::saveSnapshot(snapshot::Writer &w) const
     timer_->saveState(w.chunk(snapshot::kTagTimer));
     intc_->saveState(w.chunk(snapshot::kTagIntc));
     gpu_->saveState(w.chunk(snapshot::kTagGpu));
-}
-
-void
-System::saveSnapshotFile(const std::string &path) const
-{
-    snapshot::Writer w;
-    saveSnapshot(w);
-    snapshot::writeFileAtomic(path, w.finish());
 }
 
 void
@@ -254,6 +216,7 @@ System::restoreSnapshot(const snapshot::Image &image)
         {
             snap::ChunkReader r = image.chunk(snap::kTagCpu);
             cpu_->restoreState(r);
+            rebaseCpuMetrics();   // Restored counts are not work done.
         }
         {
             // Fleet fast path (DESIGN.md §5j): when RAM is a CoW view

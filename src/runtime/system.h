@@ -27,6 +27,7 @@
 #include "gpu/gpu.h"
 #include "mem/bus.h"
 #include "mem/phys_mem.h"
+#include "metrics/metrics.h"
 #include "snapshot/snapshot.h"
 #include "soc/devices.h"
 
@@ -113,9 +114,6 @@ class System
      */
     void saveSnapshot(snapshot::Writer &w) const;
 
-    /** Saves a complete snapshot image to @p path. */
-    void saveSnapshotFile(const std::string &path) const;
-
     /**
      * Restores the whole machine from a validated @p image.
      *
@@ -131,14 +129,15 @@ class System
      * metrics registry (§5k) regardless of the sampling threshold.
      * runCpu() publishes on its own every ~64k retired instructions;
      * call this before reading the registry when exact agreement with
-     * cpu().stats() matters (tests, end-of-run reports).
+     * the work run matters (tests, end-of-run reports).  reset() and
+     * restoreSnapshot() re-baseline, so the registry counts only
+     * instructions executed in this process, never restored ones.
      */
     void publishMetrics();
 
   private:
-    /** Sampled CPU publish: no-op until the instret delta since the
-     *  last publish reaches the batch threshold (or @p force). */
-    void publishCpuMetrics(bool force);
+    /** Makes the current CPU counters the metrics baseline. */
+    void rebaseCpuMetrics();
 
     SystemConfig cfg_;
     PhysMem mem_;
@@ -161,10 +160,11 @@ class System
     sim::CondVar wakeCv_;
     bool wakePending_ GUARDED_BY(wakeLock_) = false;
 
-    /** CPU counters as of the last metrics publish.  Touched only on
-     *  the thread driving runCpu() (a System is single-driver, §5f),
-     *  so it needs no lock. */
-    sa32::CoreStats cpuPublished_;
+    /** CPU metrics baseline and the instructions run since the last
+     *  publish.  Touched only on the thread driving runCpu() (a System
+     *  is single-driver, §5f), so they need no lock. */
+    metrics::CounterBaseline cpuBase_;
+    uint64_t cpuUnpublished_ = 0;
 };
 
 } // namespace bifsim::rt

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "workloads/factories.h"
 #include "workloads/workload.h"
 
 namespace bifsim::workloads {
@@ -1233,10 +1234,9 @@ kernel void scan_add_offsets(global float* out,
 class SobelFilter final : public Workload
 {
   public:
-    explicit SobelFilter(double scale, uint32_t side_override = 0)
+    explicit SobelFilter(double scale)
     {
-        side_ = side_override ? side_override
-                              : scaledSide(1536, scale, 64, 16);
+        side_ = scaledSide(1536, scale, 64, 16);
         Rng rng(47);
         in_.resize(static_cast<size_t>(side_) * side_);
         for (float &v : in_)
@@ -1497,11 +1497,6 @@ std::unique_ptr<Workload>
 makeSobelFilter(double s)
 {
     return std::make_unique<SobelFilter>(s);
-}
-std::unique_ptr<Workload>
-makeSobelFilterSized(uint32_t side)
-{
-    return std::make_unique<SobelFilter>(1.0, side);
 }
 std::unique_ptr<Workload>
 makeUrng(double s)

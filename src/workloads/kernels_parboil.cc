@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "workloads/factories.h"
 #include "workloads/workload.h"
 
 namespace bifsim::workloads {

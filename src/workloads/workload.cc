@@ -3,29 +3,9 @@
 #include <map>
 
 #include "common/logging.h"
+#include "workloads/factories.h"
 
 namespace bifsim::workloads {
-
-// Factories implemented in kernels_amdapp.cc / kernels_parboil.cc.
-std::unique_ptr<Workload> makeBinarySearch(double s);
-std::unique_ptr<Workload> makeBinomialOption(double s);
-std::unique_ptr<Workload> makeBitonicSort(double s);
-std::unique_ptr<Workload> makeDct(double s);
-std::unique_ptr<Workload> makeDwtHaar1D(double s);
-std::unique_ptr<Workload> makeFloydWarshall(double s);
-std::unique_ptr<Workload> makeMatrixTranspose(double s);
-std::unique_ptr<Workload> makeRecursiveGaussian(double s);
-std::unique_ptr<Workload> makeReduction(double s);
-std::unique_ptr<Workload> makeScanLargeArrays(double s);
-std::unique_ptr<Workload> makeSobelFilter(double s);
-std::unique_ptr<Workload> makeUrng(double s);
-std::unique_ptr<Workload> makeBackProp(double s);
-std::unique_ptr<Workload> makeBfs(double s);
-std::unique_ptr<Workload> makeCutcp(double s);
-std::unique_ptr<Workload> makeNearestNeighbor(double s);
-std::unique_ptr<Workload> makeSgemm(double s);
-std::unique_ptr<Workload> makeSpmv(double s);
-std::unique_ptr<Workload> makeStencil(double s);
 
 namespace {
 

@@ -4,7 +4,8 @@
  * per-component round-trips, whole-system restore semantics, and the
  * headline property — restore-then-run is bit-identical to
  * run-through, for sgemm and a divergent-CFG workload, in Direct and
- * FullSystem modes, on both interpreter paths.
+ * FullSystem modes, on both interpreter paths — and that the metrics
+ * registry counts only the CPU work run across reset and restore.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "gpu/shader_core.h"
 #include "instrument/stats.h"
 #include "mem/phys_mem.h"
+#include "metrics/metrics.h"
 #include "replay/replay.h"
 #include "runtime/session.h"
 #include "snapshot/snapshot.h"
@@ -1177,6 +1179,73 @@ TEST(SessionSnapshot, FileRoundTripAtomicWrite)
     EXPECT_EQ(got, 0xfeedfaceu);
     std::remove(path.c_str());
     EXPECT_THROW(rt::Session::fromSnapshot(path, cfg), SnapshotError);
+}
+
+// ---------------------------------------------------------------------
+// Metrics across reset and restore: the registry counts the work done
+// in this process, never counts a restored image carries
+// ---------------------------------------------------------------------
+
+/** The process-wide registry's total for @p name. */
+uint64_t
+registryTotal(const char *name)
+{
+    metrics::Registry &reg = metrics::registry();
+    return reg.totals()[reg.slot(name)];
+}
+
+/** Image of a booted FullSystem session: its CPU chunk carries the
+ *  instructions the guest OS boot retired. */
+Image
+bootedImage()
+{
+    rt::Session s(smallCfg(true), rt::Mode::FullSystem);
+    Writer w;
+    s.saveSnapshot(w);
+    return Image::fromBytes(w.finish());
+}
+
+TEST(SnapshotMetrics, WarmBootPublishesNoRestoredInstret)
+{
+    Image img = bootedImage();
+    uint64_t before = registryTotal("cpu.instret");
+    auto s = rt::Session::fromSnapshot(img, smallCfg(true));
+    ASSERT_GT(s->system().cpu().stats().instret, 0u);
+    s->system().publishMetrics();
+    EXPECT_EQ(0u, registryTotal("cpu.instret") - before);
+}
+
+TEST(SnapshotMetrics, RecyclesPublishExactlyTheInstructionsRun)
+{
+    Image img = bootedImage();
+    auto s = rt::Session::fromSnapshot(img, smallCfg(true));
+    rt::System &sys = s->system();
+    uint64_t before = registryTotal("cpu.instret");
+    uint64_t executed = 0;
+    for (int round = 0; round < 5; ++round) {
+        uint64_t i0 = sys.cpu().stats().instret;
+        sys.runCpu(20000);
+        executed += sys.cpu().stats().instret - i0;
+        sys.publishMetrics();
+        s->resetFromSnapshot(img);
+    }
+    sys.publishMetrics();
+    EXPECT_EQ(100000u, executed);   // The driver busy-polls: no WFI.
+    EXPECT_EQ(executed, registryTotal("cpu.instret") - before);
+}
+
+TEST(SnapshotMetrics, WorkBeforeResetIsCounted)
+{
+    auto s = rt::Session::fromSnapshot(bootedImage(), smallCfg(true));
+    rt::System &sys = s->system();
+    uint64_t before = registryTotal("cpu.instret");
+    uint64_t i0 = sys.cpu().stats().instret;
+    sys.runCpu(20000);   // Below the sampled-publish threshold.
+    uint64_t executed = sys.cpu().stats().instret - i0;
+    sys.reset();
+    sys.publishMetrics();
+    EXPECT_GT(executed, 0u);
+    EXPECT_EQ(executed, registryTotal("cpu.instret") - before);
 }
 
 } // namespace
