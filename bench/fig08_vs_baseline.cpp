@@ -9,7 +9,6 @@
 #include <cmath>
 #include <vector>
 
-#include "baseline/m2ssim.h"
 #include "bench_util.h"
 #include "common/logging.h"
 #include "workloads/workload.h"
@@ -36,8 +35,7 @@ main(int argc, char **argv)
         double t_m2s;
         {
             auto wl = workloads::makeWorkload(name, opt.scale);
-            baseline::M2sSim sim(256u << 20);
-            workloads::M2sDevice dev(sim);
+            workloads::M2sDevice dev(256u << 20);
             dev.build(wl->source(), kclc::CompilerOptions());
             bench::Timer t;
             workloads::RunResult rr = wl->run(dev);

@@ -1,7 +1,10 @@
 #include "workloads/device.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
+#include "common/bits.h"
 #include "common/logging.h"
 
 namespace bifsim::workloads {
@@ -90,19 +93,24 @@ M2sDevice::build(const std::string &source,
 BufHandle
 M2sDevice::alloc(size_t bytes)
 {
-    return sim_.alloc(bytes);
+    heap_ = static_cast<uint32_t>(roundUp(heap_, 4096));
+    uint32_t off = heap_;
+    heap_ += static_cast<uint32_t>(roundUp(std::max<size_t>(bytes, 4), 4));
+    if (heap_ > mem_.size())
+        simError("m2s device memory exhausted");
+    return off;
 }
 
 void
 M2sDevice::write(BufHandle h, const void *src, size_t len, size_t offset)
 {
-    sim_.write(h + static_cast<uint32_t>(offset), src, len);
+    std::memcpy(mem_.data() + h + offset, src, len);
 }
 
 void
 M2sDevice::read(BufHandle h, void *dst, size_t len, size_t offset)
 {
-    sim_.read(h + static_cast<uint32_t>(offset), dst, len);
+    std::memcpy(dst, mem_.data() + h + offset, len);
 }
 
 bool
@@ -121,7 +129,8 @@ M2sDevice::launch(const std::string &kernel, Dim3 global, Dim3 local,
     uint32_t grid[3] = {global.x, global.y, global.z};
     uint32_t wg[3] = {local.x, local.y, local.z};
     launches_++;
-    return sim_.launch(it->second, grid, wg, raw, error);
+    return gpu::ref::launch<gpu::ref::Fetch::Redecode>(
+        it->second, grid, wg, raw, mem_, stats_, error);
 }
 
 } // namespace bifsim::workloads

@@ -5,8 +5,8 @@
  * @file
  * A small device abstraction so every benchmark workload can run
  * unmodified on either the full simulator (rt::Session, in direct or
- * full-system mode) or on the Multi2Sim-style baseline (m2ssim) for
- * the Fig. 8/9 comparisons.
+ * full-system mode) or on the Multi2Sim-style baseline (the reference
+ * interpreter in gpu/ref) for the Fig. 8 comparison.
  */
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "baseline/m2ssim.h"
+#include "gpu/ref/ref_interp.h"
 #include "kclc/compiler.h"
 #include "runtime/session.h"
 
@@ -114,11 +114,21 @@ class SessionDevice : public Device
     std::map<BufHandle, rt::Buffer> buffers_;
 };
 
-/** Device backed by the Multi2Sim-style baseline. */
+/**
+ * Device backed by the Multi2Sim-style baseline, which reproduces the
+ * shortcuts the paper criticises in Multi2Sim-class simulators:
+ *  - GPU-only: no job manager, GPU MMU or interrupts; kernels run
+ *    through an intercepted runtime call, not a driver;
+ *  - flat memory: buffers are offsets into one host array, handed out
+ *    by a bump allocator;
+ *  - per-instruction re-decode, one work-item at a time
+ *    (gpu::ref::launch with Fetch::Redecode);
+ *  - only an instruction breakdown and the job dimensions as output.
+ */
 class M2sDevice : public Device
 {
   public:
-    explicit M2sDevice(baseline::M2sSim &sim) : sim_(sim) {}
+    explicit M2sDevice(size_t mem_bytes = 64u << 20) : mem_(mem_bytes) {}
 
     void build(const std::string &source,
                const kclc::CompilerOptions &opts) override;
@@ -130,8 +140,13 @@ class M2sDevice : public Device
                 const std::vector<WArg> &args,
                 std::string &error) override;
 
+    /** Cumulative counts over every launch. */
+    const gpu::ref::LaunchStats &stats() const { return stats_; }
+
   private:
-    baseline::M2sSim &sim_;
+    std::vector<uint8_t> mem_;
+    uint32_t heap_ = 4096;
+    gpu::ref::LaunchStats stats_;
     std::map<std::string, std::vector<uint8_t>> binaries_;
 };
 

@@ -216,9 +216,16 @@ TEST(MetricsRegistry, SnapshotSeesBatchesAtomically)
     Registry reg;
     constexpr uint64_t kBatches = 20000;
     std::atomic<bool> done{false};
+    std::atomic<bool> seen{false};
     std::thread writer([&] {
-        for (uint64_t i = 0; i < kBatches; ++i)
+        for (uint64_t i = 0; i < kBatches; ++i) {
             reg.publish({{"t8.a", 1}, {"t8.b", 1}});
+            // Hold after the first batch until the reader has read it,
+            // so reads overlap writes even when the host deschedules
+            // the reader for the whole run.
+            while (i == 0 && !seen.load(std::memory_order_acquire))
+                std::this_thread::yield();
+        }
         done.store(true, std::memory_order_release);
     });
 
@@ -237,6 +244,7 @@ TEST(MetricsRegistry, SnapshotSeesBatchesAtomically)
         EXPECT_EQ(a, b) << "torn batch";
         prev_a = a;
         ++reads;
+        seen.store(true, std::memory_order_release);
     }
     writer.join();
     auto totals = reg.totals();

@@ -1,11 +1,10 @@
 /** @file End-to-end workload tests: every Table II benchmark verifies
- *  against its host reference on the full simulator; a subset also
- *  runs through the guest driver (full-system) and on the m2ssim
- *  baseline (which must agree with the full model). */
+ *  against its host reference on the full simulator and agrees with
+ *  the reference interpreter (the Multi2Sim-style baseline); a subset
+ *  also runs through the guest driver (full-system). */
 
 #include <gtest/gtest.h>
 
-#include "baseline/m2ssim.h"
 #include "common/logging.h"
 #include "workloads/cost_model.h"
 #include "workloads/kfusion.h"
@@ -101,29 +100,95 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-class WorkloadBaseline : public ::testing::TestWithParam<std::string>
+/** A device that forwards to another and records the bytes of every
+ *  read, i.e. everything a workload takes back from the device. */
+class RecordingDevice : public Device
+{
+  public:
+    explicit RecordingDevice(Device &inner) : inner_(inner) {}
+
+    void
+    build(const std::string &source,
+          const kclc::CompilerOptions &opts) override
+    {
+        inner_.build(source, opts);
+    }
+
+    BufHandle alloc(size_t bytes) override { return inner_.alloc(bytes); }
+
+    void
+    write(BufHandle b, const void *src, size_t len, size_t offset) override
+    {
+        inner_.write(b, src, len, offset);
+    }
+
+    void
+    read(BufHandle b, void *dst, size_t len, size_t offset) override
+    {
+        inner_.read(b, dst, len, offset);
+        const uint8_t *p = static_cast<const uint8_t *>(dst);
+        reads.insert(reads.end(), p, p + len);
+    }
+
+    bool
+    launch(const std::string &kernel, Dim3 global, Dim3 local,
+           const std::vector<WArg> &args, std::string &error) override
+    {
+        launches_++;
+        return inner_.launch(kernel, global, local, args, error);
+    }
+
+    std::vector<uint8_t> reads;
+
+  private:
+    Device &inner_;
+};
+
+class WorkloadReference : public ::testing::TestWithParam<std::string>
 {
 };
 
-/** The Multi2Sim-style baseline must produce the same functional
- *  results as the full-system model. */
-TEST_P(WorkloadBaseline, BaselineAgrees)
+/** Every Table II workload reads back the same bytes from the reference
+ *  interpreter (as the Multi2Sim-style baseline) as from the executor
+ *  at 1 and 4 workers, and both count the same Fig. 11 instruction mix
+ *  (except bfs, whose atomics the two order differently). */
+TEST_P(WorkloadReference, MatchesExecutor)
 {
     setInformEnabled(false);
-    auto wl = makeWorkload(GetParam(), kTinyScale);
-    baseline::M2sSim sim(128u << 20);
-    M2sDevice dev(sim);
-    dev.build(wl->source(), kclc::CompilerOptions());
-    RunResult rr = wl->run(dev);
-    EXPECT_TRUE(rr.ok) << rr.error;
-    EXPECT_GT(sim.stats().instructions, 0u);
-    EXPECT_GT(sim.stats().slotDecodes, sim.stats().instructions);
+    auto run = [&](Device &inner) {
+        auto wl = makeWorkload(GetParam(), kTinyScale);
+        RecordingDevice dev(inner);
+        dev.build(wl->source(), kclc::CompilerOptions());
+        RunResult rr = wl->run(dev);
+        EXPECT_TRUE(rr.ok) << rr.error;
+        return dev.reads;
+    };
+    M2sDevice ref(128u << 20);
+    std::vector<uint8_t> want = run(ref);
+    const gpu::ref::LaunchStats &rs = ref.stats();
+    EXPECT_GT(rs.instructions, 0u);
+    EXPECT_GT(rs.slotDecodes, rs.instructions);
+
+    for (unsigned workers : {1u, 4u}) {
+        rt::SystemConfig cfg;
+        cfg.gpu.hostThreads = workers;
+        rt::Session session(cfg);
+        SessionDevice dev(session);
+        std::vector<uint8_t> got = run(dev);
+        EXPECT_EQ(got.size(), want.size()) << workers << " workers";
+        EXPECT_TRUE(got == want)
+            << "read-back bytes differ at " << workers << " workers";
+        if (GetParam() == "bfs")
+            continue;
+        gpu::KernelStats ks = session.system().gpu().totalKernelStats();
+        EXPECT_EQ(ks.arithInstrs, rs.arith) << workers << " workers";
+        EXPECT_EQ(ks.lsInstrs, rs.loadStore) << workers << " workers";
+        EXPECT_EQ(ks.cfInstrs, rs.controlFlow) << workers << " workers";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Subset, WorkloadBaseline,
-    ::testing::Values("sobelfilter", "reduction", "dct",
-                      "matrixtranspose", "binarysearch"),
+    All, WorkloadReference, ::testing::ValuesIn(allWorkloadNames()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
