@@ -15,7 +15,6 @@
  * to BENCH_interp_hotpath.json in the current directory.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -70,7 +69,9 @@ struct RunMetrics
     uint64_t instrs = 0;
     uint64_t accesses = 0;
     double refMips = 0;      ///< mad_loop only: reference interpreter.
+    double refMipsNoise = 0;     ///< 1.4826 x MAD of refMips.
     double refSpeedup = 0;   ///< mad_loop only: mips / refMips.
+    double refSpeedupNoise = 0;  ///< 1.4826 x MAD of refSpeedup.
     uint64_t refInstrs = 0;  ///< Per launch, summed over threads.
 };
 
@@ -85,14 +86,7 @@ struct KernelCase
 
 /** Timed repetitions per kernel; executor and reference alternate
  *  within each, and every reported figure is the median. */
-constexpr int kReps = 5;
-
-double
-median(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-}
+constexpr unsigned kReps = 5;
 
 /** Runs one launch's threads of mad_loop case @p kc (output buffer at
  *  GPU VA @p out_va) through the reference interpreter over a flat
@@ -160,13 +154,9 @@ runCase(const KernelCase &kc)
     rt::NDRange global{static_cast<uint32_t>(kc.n), 1, 1};
     rt::NDRange local{64, 1, 1};
 
-    // Warm-up launch: populates the decode cache and faults in pages so
-    // the timed region measures steady-state interpretation.
-    s.enqueue(k, global, local, args);
-
     RunMetrics m;
-    std::vector<double> secs, ref_mips, ratios;
-    for (int rep = 0; rep < kReps; ++rep) {
+    std::vector<double> ref_mips, ratios;
+    auto rep = [&] {
         gpu::KernelStats total;
         gpu::TlbStats tlb;
         bench::Timer t;
@@ -179,25 +169,38 @@ runCase(const KernelCase &kc)
             total.merge(r.kernel);
             tlb.merge(r.tlb);
         }
-        secs.push_back(t.seconds());
+        double secs = t.seconds();
         m.instrs = total.totalInstrs();
         m.accesses = total.globalLdSt + total.localLdSt;
         m.tlbHitRate = tlb.hitRate();
-        if (kc.iters == 0)
-            continue;
-        m.refInstrs = 0;
-        double ref_secs = runReference(kc, ck.mod, c.gpuVa, m.refInstrs);
-        double mips = m.instrs / secs.back() / 1e6;
-        ref_mips.push_back(m.refInstrs / ref_secs / 1e6);
-        ratios.push_back(mips / ref_mips.back());
-    }
-    m.secs = median(secs);
+        if (kc.iters > 0) {
+            m.refInstrs = 0;
+            double ref_secs =
+                runReference(kc, ck.mod, c.gpuVa, m.refInstrs);
+            ref_mips.push_back(m.refInstrs / ref_secs / 1e6);
+            ratios.push_back(m.instrs / secs / 1e6 / ref_mips.back());
+        }
+        return secs;
+    };
+    // One warm-up repetition populates the decode cache and faults in
+    // pages, so the timed ones measure steady-state interpretation.  It
+    // runs here rather than inside measure() so that the paired
+    // reference figures hold the timed repetitions only.
+    rep();
+    ref_mips.clear();
+    ratios.clear();
+    bench::Measurement secs = bench::measure(rep, kReps, 0);
+    m.secs = secs.median;
     m.mips = m.instrs / m.secs / 1e6;
     m.nsPerAccess =
         m.accesses ? m.secs * 1e9 / static_cast<double>(m.accesses) : 0;
     if (kc.iters > 0) {
-        m.refMips = median(ref_mips);
-        m.refSpeedup = median(ratios);
+        bench::Measurement rm = bench::summarize(std::move(ref_mips));
+        bench::Measurement rs = bench::summarize(std::move(ratios));
+        m.refMips = rm.median;
+        m.refMipsNoise = rm.mad;
+        m.refSpeedup = rs.median;
+        m.refSpeedupNoise = rs.mad;
     }
     return m;
 }
@@ -224,8 +227,8 @@ main(int argc, char **argv)
         {"triad", kTriad, n * 4, 0, 12},
     };
 
-    std::printf("%-10s %10s %10s %9s %10s %9s\n", "kernel", "MIPS",
-                "ref MIPS", "vs ref", "ns/access", "TLB hit%");
+    std::printf("%-10s %10s %10s %9s %7s %10s %9s\n", "kernel", "MIPS",
+                "ref MIPS", "vs ref", "+-", "ns/access", "TLB hit%");
 
     // The executor's MIPS over the reference interpreter's on mad_loop:
     // medians of 1.91-3.95 over 24 runs of the warp-wide executor on a
@@ -248,7 +251,9 @@ main(int argc, char **argv)
         k.set("tlb_hit_rate", json::Value(m.tlbHitRate));
         if (kc.iters > 0) {
             k.set("ref_mips", json::Value(m.refMips));
+            k.set("ref_mips_noise", json::Value(m.refMipsNoise));
             k.set("ref_speedup", json::Value(m.refSpeedup));
+            k.set("ref_speedup_noise", json::Value(m.refSpeedupNoise));
             gate_speedup = m.refSpeedup;
             if (m.refSpeedup < kMinSpeedupVsRef)
                 ok = false;
@@ -267,9 +272,10 @@ main(int argc, char **argv)
         kernels.push(std::move(k));
         std::printf("%-10s %10.1f", kc.name, m.mips);
         if (kc.iters > 0)
-            std::printf(" %10.1f %8.2fx", m.refMips, m.refSpeedup);
+            std::printf(" %10.1f %8.2fx %7.2f", m.refMips, m.refSpeedup,
+                        m.refSpeedupNoise);
         else
-            std::printf(" %10s %9s", "-", "-");
+            std::printf(" %10s %9s %7s", "-", "-", "-");
         std::printf(" %10.1f %8.1f%%\n", m.nsPerAccess,
                     100.0 * m.tlbHitRate);
     }

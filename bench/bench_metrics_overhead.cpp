@@ -174,8 +174,6 @@ hookCostSecs(const gpu::JobResult &job)
     sched.groupsRun = 32;
     sched.steals = 1;
     sched.stealAttempts = 2;
-    sched.shaderL1Hits = 100;
-    sched.shaderL2Fills = 10;
     gpu::SystemStats sys;
     metrics::CounterBaseline sysBase;
     auto hook = [&] {

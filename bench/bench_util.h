@@ -93,6 +93,21 @@ median(std::vector<double> v)
     return v.size() % 2 ? v[h] : (v[h - 1] + v[h]) / 2;
 }
 
+/** Summarises @p samples: median, 1.4826 x MAD and the noisy flag. */
+inline Measurement
+summarize(std::vector<double> samples)
+{
+    Measurement m;
+    m.samples = std::move(samples);
+    m.median = median(m.samples);
+    std::vector<double> dev;
+    for (double x : m.samples)
+        dev.push_back(std::fabs(x - m.median));
+    m.mad = 1.4826 * median(dev);
+    m.noisy = m.mad > Measurement::kNoisyFraction * m.median;
+    return m;
+}
+
 /**
  * The one timing primitive: runs @p rep @p warmup times and discards
  * the results, then @p reps times and summarises them.  @p rep runs
@@ -106,16 +121,10 @@ measure(Rep &&rep, unsigned reps = 5, unsigned warmup = 1)
 {
     for (unsigned i = 0; i < warmup; ++i)
         rep();
-    Measurement m;
+    std::vector<double> samples;
     for (unsigned i = 0; i < reps; ++i)
-        m.samples.push_back(rep());
-    m.median = median(m.samples);
-    std::vector<double> dev;
-    for (double x : m.samples)
-        dev.push_back(std::fabs(x - m.median));
-    m.mad = 1.4826 * median(dev);
-    m.noisy = m.mad > Measurement::kNoisyFraction * m.median;
-    return m;
+        samples.push_back(rep());
+    return summarize(std::move(samples));
 }
 
 /** Prints the standard bench banner. */

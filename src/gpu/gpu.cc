@@ -78,6 +78,13 @@ GpuDevice::~GpuDevice()
 }
 
 void
+GpuDevice::flushShadersLocked()
+{
+    shaders_.clear();
+    shaderGen_++;
+}
+
+void
 GpuDevice::updateIrqOutput()
 {
     bool level = (irqRaw_ & irqMask_) != 0;
@@ -145,12 +152,8 @@ GpuDevice::mmioWrite(Addr offset, uint32_t value)
         updateIrqOutput();
         break;
       case kRegGpuCmd:
-        // Decode-cache flush: epoch bump only — stale nodes become
-        // unreachable immediately (even to a decode already in flight;
-        // see shader_cache.h) and are reclaimed at the next quiescent
-        // purge.  Safe while workers hold L1 pins.
         if (value == 1)
-            shaderCache_.invalidate();
+            flushShadersLocked();
         break;
       case kRegJsSubmit:
         jsStatus_ = kJsRunning;
@@ -182,7 +185,7 @@ GpuDevice::mmioWrite(Addr offset, uint32_t value)
         // stale the moment the root changes.  (Re-writing the current
         // root, as drivers do on every submit, keeps the cache.)
         if (static_cast<Addr>(value) != mmu_.root()) {
-            shaderCache_.invalidate();
+            flushShadersLocked();
             if (devBuf_)
                 devBuf_->instant("as_root_switch", "mmio", "root",
                                  value);
@@ -235,8 +238,7 @@ GpuDevice::reset()
     lastJob_ = JobResult{};
     sched_ = SchedStats{};
     cacheStats_ = ShaderCacheStats{};
-    shaderCache_.purge();   // Quiescent: waitIdle() above, lock_ held.
-    jmL1_.clear();
+    flushShadersLocked();
     jmTlb_.flush();
     mmu_.setRoot(0);
     updateIrqOutput();
@@ -353,11 +355,8 @@ GpuDevice::restoreState(snapshot::ChunkReader &r)
     cacheStats_ = cache_stats;
     // Decoded shaders were compiled against the old address space;
     // setRoot()'s epoch bump makes every worker drop its host-pointer
-    // TLB at the next clause boundary.  The purge is legal here: the
-    // quiescence check above plus the restore contract (no concurrent
-    // submits) guarantee no lookup is in flight.
-    shaderCache_.purge();
-    jmL1_.clear();
+    // TLB at the next clause boundary.
+    flushShadersLocked();
     jmTlb_.flush();
     mmu_.setRoot(root);
     updateIrqOutput();
@@ -470,24 +469,22 @@ GpuDevice::getShader(uint32_t binary_va, std::string &error,
 {
     kind = JobFaultKind::BadBinary;
     uint64_t t0 = jmBuf_ ? trace::nowNs() : 0;
-    // Submit-path L1 in front of the shared L2 — a hit takes no lock at
-    // all (jmL1_ is private to the chain-execution thread; the L2 read
-    // path is lock-free).  Only the guest-visible hit counter still
-    // takes the device lock, once per job rather than per access.
-    if (std::shared_ptr<DecodedShader> s =
-            jmL1_.get(shaderCache_, binary_va)) {
+    // Read the generation in the lookup's critical section, *before*
+    // the guest bytes are read: if a flush lands while we decode, the
+    // insert below is skipped and the next job re-decodes.
+    uint64_t gen;
+    {
         sim::LockGuard g(lock_);
-        cacheStats_.hits++;
-        if (jmBuf_)
-            jmBuf_->span("decode", "shader", t0, "hit", 1, "va",
-                         binary_va);
-        return s;
+        auto it = shaders_.find(binary_va);
+        if (it != shaders_.end()) {
+            cacheStats_.hits++;
+            if (jmBuf_)
+                jmBuf_->span("decode", "shader", t0, "hit", 1, "va",
+                             binary_va);
+            return it->second;
+        }
+        gen = shaderGen_;
     }
-
-    // Stamp the node with the epoch observed *before* the guest bytes
-    // are read: if a flush lands while we decode, the insert below is
-    // already stale and the next job re-decodes (see shader_cache.h).
-    uint64_t decode_epoch = shaderCache_.epoch();
 
     // Decode phase (paper §III-B2): executed exactly once per shader.
     std::vector<uint8_t> header;
@@ -545,8 +542,9 @@ GpuDevice::getShader(uint32_t binary_va, std::string &error,
 
     auto shader =
         std::make_shared<DecodedShader>(DecodedShader::build(std::move(mod)));
-    shaderCache_.insert(binary_va, shader, decode_epoch);
     sim::LockGuard g(lock_);
+    if (shaderGen_ == gen)
+        shaders_[binary_va] = shader;
     cacheStats_.decodes++;
     if (jmBuf_)
         jmBuf_->span("decode", "shader", t0, "hit", 0, "va", binary_va);
@@ -598,7 +596,6 @@ GpuDevice::runJob(const JobDescriptor &desc)
     ctx.desc = desc;
     ctx.mmu = &mmu_;
     ctx.mem = &mem_;
-    ctx.shaderCache = &shaderCache_;
     ctx.deques = deques_.get();
     ctx.numWorkers = static_cast<unsigned>(workers_.size());
     ctx.collect = cfg_.instrument;

@@ -50,13 +50,13 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 
 #include "analysis/analysis.h"
 #include "gpu/gmmu.h"
-#include "gpu/shader_cache.h"
 #include "gpu/shader_core.h"
 #include "gpu/work_queue.h"
 #include "instrument/stats.h"
@@ -248,12 +248,11 @@ class GpuDevice : public Device
     void saveState(snapshot::ChunkWriter &w) const EXCLUDES(lock_);
 
     /**
-     * Restores from @p r.  Purges the shader decode cache and installs
+     * Restores from @p r.  Clears the shader decode cache and installs
      * the saved translation root through GpuMmu::setRoot(), whose epoch
      * bump invalidates every worker's host-pointer TLB, so no stale
      * translation or decoded shader can be served after a restore.
-     * Threading: any single thread, no concurrent MMIO/submits (the
-     * cache purge requires the device to stay quiescent throughout).
+     * Threading: any single thread, no concurrent MMIO/submits.
      */
     void restoreState(snapshot::ChunkReader &r) EXCLUDES(lock_);
 
@@ -361,12 +360,16 @@ class GpuDevice : public Device
     JobResult lastJob_ GUARDED_BY(lock_);
     SchedStats sched_ GUARDED_BY(lock_);   ///< Accumulated over jobs.
 
-    ShaderCacheL2 shaderCache_;    ///< Shared decode cache (own sync).
-    ShaderCacheL1 jmL1_;           ///< Submit-path L1.  Serialised by
-                                   ///< the one-chain-at-a-time rule,
-                                   ///< like jmTlb_.
-    GpuTlb jmTlb_;                 ///< Chain-walk TLB (readVaRange).
+    /** Decode cache (paper §III-B2): binary VA -> decoded image.  Every
+     *  flush clears it and bumps shaderGen_, and a miss caches its
+     *  decode only if shaderGen_ did not move meanwhile (getShader).
+     *  A running job pins its image through JobContext::shaderRef, so
+     *  clearing is legal at any time. */
+    std::unordered_map<uint32_t, std::shared_ptr<DecodedShader>>
+        shaders_ GUARDED_BY(lock_);
+    uint64_t shaderGen_ GUARDED_BY(lock_) = 0;
     ShaderCacheStats cacheStats_ GUARDED_BY(lock_);   ///< Guest-visible.
+    GpuTlb jmTlb_;                 ///< Chain-walk TLB (readVaRange).
 
     // Worker pool.  Parked workers wait on poolCv_; a job is published
     // by setting activeJob_ and bumping jobSeq_ under poolLock_, and
@@ -412,6 +415,9 @@ class GpuDevice : public Device
      *  sink must therefore never call back into GPU MMIO (it doesn't —
      *  it only latches its own pending bits; DESIGN.md §5f). */
     void raiseIrqLocked(uint32_t bits) REQUIRES(lock_);
+    /** Drops every decoded shader (GPU_CMD flush, root switch, reset,
+     *  restore). */
+    void flushShadersLocked() REQUIRES(lock_);
     void updateIrqOutput() REQUIRES(lock_);
 
     /** Appends sys_'s growth since the last metrics publish to

@@ -251,17 +251,21 @@ WorkgroupExecutor::memAccess(uint32_t va, unsigned size, bool write,
     if (job_->collect)
         notePage(vpn);
     if (uint8_t *host = e->host) [[likely]] {
+        // Guest work-items may race on global memory (bfs sets one mask
+        // byte from many of them).  Relaxed atomics keep such a race
+        // defined on the host; on x86-64 and AArch64 they are plain
+        // loads and stores.  The access is aligned (checked above).
         host += va & (kGpuPageBytes - 1);
+        uint32_t *word = reinterpret_cast<uint32_t *>(host);
         if (write) {
             if (size == 1)
-                *host = static_cast<uint8_t>(val);
+                __atomic_store_n(host, static_cast<uint8_t>(val),
+                                 __ATOMIC_RELAXED);
             else
-                std::memcpy(host, &val, 4);
+                __atomic_store_n(word, val, __ATOMIC_RELAXED);
         } else {
-            if (size == 1)
-                val = *host;
-            else
-                std::memcpy(&val, host, 4);
+            val = size == 1 ? __atomic_load_n(host, __ATOMIC_RELAXED)
+                            : __atomic_load_n(word, __ATOMIC_RELAXED);
         }
         return true;
     }
@@ -355,7 +359,7 @@ WorkgroupExecutor::commitClause(Warp &w, uint32_t c, uint32_t mask,
     }
     if (!job_->collect)
         return;
-    groupExec_[c] += std::popcount(mask);
+    coll_.clauseExec[c] += std::popcount(mask);
     if (!has_cf)
         return;   // Every lane falls through to c + 1.
 
@@ -671,7 +675,7 @@ WorkgroupExecutor::runWarp(Warp &w)
             for (uint32_t m = mask; m; m &= m - 1)
                 w.pc[std::countr_zero(m)] = minpc + 1;
             if (job_->collect)
-                groupExec_[minpc] += std::popcount(mask);
+                coll_.clauseExec[minpc] += std::popcount(mask);
             w.atBarrier = true;
             return WarpStop::Barrier;
         }
@@ -705,26 +709,7 @@ WorkgroupExecutor::beginJob(JobContext *job, unsigned worker_index)
     tlb_.walks = 0;
     lastPageIns_ = 0xffffffffu;
     sched_ = SchedStats{};
-    // Resolve the shader through the worker's private L1 so steady-state
-    // jobs touch no shared cache line (not even a refcount).  The pin
-    // keeps the image alive even if the L2 is invalidated mid-job.
-    shaderRef_.reset();
-    if (job->shaderCache) {
-        uint64_t fills_before = shaderL1_.l2Fills;
-        shaderRef_ = shaderL1_.get(*job->shaderCache, job->desc.binaryVa);
-        if (shaderRef_) {
-            if (shaderL1_.l2Fills != fills_before)
-                sched_.shaderL2Fills++;
-            else
-                sched_.shaderL1Hits++;
-        }
-    }
-    if (shaderRef_.get() != job->shader)
-        shaderRef_ = job->shaderRef;   // Cache raced an invalidation;
-                                       // the context's pin is canonical.
-    size_t num_clauses = job->shader->mod.clauses.size();
-    coll_.reset(num_clauses);
-    groupExec_.assign(num_clauses, 0);
+    coll_.reset(job->shader->mod.clauses.size());
     uint32_t local_bytes =
         std::max(job->desc.localSize, job->shader->mod.localBytes);
     local_.assign(local_bytes, 0);
@@ -766,19 +751,6 @@ WorkgroupExecutor::initWarp(Warp &w, uint32_t warp_idx,
 }
 
 void
-WorkgroupExecutor::foldGroupExec()
-{
-    // Lazy instrumentation fold (paper §IV-A): once per workgroup, not
-    // per clause.
-    for (size_t c = 0; c < groupExec_.size(); ++c) {
-        if (groupExec_[c]) {
-            coll_.clauseExec[c] += groupExec_[c];
-            groupExec_[c] = 0;
-        }
-    }
-}
-
-void
 WorkgroupExecutor::runGroup(uint32_t linear_group)
 {
     const JobDescriptor &d = job_->desc;
@@ -803,12 +775,9 @@ WorkgroupExecutor::runGroup(uint32_t linear_group)
         Warp w;
         for (uint32_t wi = 0; wi < num_warps; ++wi) {
             initWarp(w, wi, group_threads);
-            if (runWarp(w) == WarpStop::Fault) {
-                foldGroupExec();
+            if (runWarp(w) == WarpStop::Fault)
                 return;
-            }
         }
-        foldGroupExec();
         return;
     }
 
@@ -831,10 +800,8 @@ WorkgroupExecutor::runGroup(uint32_t linear_group)
                 continue;
             }
             WarpStop s = runWarp(w);
-            if (s == WarpStop::Fault) {
-                foldGroupExec();
+            if (s == WarpStop::Fault)
                 return;
-            }
             if (s == WarpStop::Barrier)
                 any_barrier = true;
         }
@@ -846,7 +813,6 @@ WorkgroupExecutor::runGroup(uint32_t linear_group)
                 w.atBarrier = false;
         }
     }
-    foldGroupExec();
 }
 
 void

@@ -41,7 +41,6 @@
 
 #include "gpu/gmmu.h"
 #include "gpu/isa/bif.h"
-#include "gpu/shader_cache.h"
 #include "gpu/work_queue.h"
 #include "instrument/stats.h"
 #include "mem/phys_mem.h"
@@ -146,7 +145,6 @@ struct JobContext
     JobDescriptor desc;
     GpuMmu *mmu = nullptr;
     PhysMem *mem = nullptr;
-    const ShaderCacheL2 *shaderCache = nullptr;  ///< Worker L1 backing.
     SliceDeque *deques = nullptr;       ///< Per-worker slice deques
                                         ///< (numWorkers of them).
     unsigned numWorkers = 1;
@@ -182,8 +180,7 @@ struct JobContext
  *
  * Owns the worker's TLB, the simulator-private local-memory buffer (the
  * paper's §III-B3 mechanism for running more thread-groups in parallel
- * than the guest has shader cores), the worker's shader-cache L1 and
- * the instrumentation collectors.
+ * than the guest has shader cores) and the instrumentation collectors.
  *
  * Threading: every method runs on the owning worker thread only.  The
  * accessors (collector(), tlb(), sched()) are read by the dispatching
@@ -197,8 +194,8 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
   public:
     WorkgroupExecutor() = default;
 
-    /** Prepares for a new job: syncs the TLB epoch, resets the
-     *  collectors and resolves the shader through the worker's L1.
+    /** Prepares for a new job: syncs the TLB epoch and resets the
+     *  collectors and the local-memory buffer.
      *  @param worker_index  This worker's slot in JobContext::deques. */
     void beginJob(JobContext *job, unsigned worker_index);
 
@@ -247,8 +244,6 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
     WorkerCollector coll_;
     SchedStats sched_;
     unsigned index_ = 0;           ///< Slot in JobContext::deques.
-    ShaderCacheL1 shaderL1_;       ///< Worker-private decode cache.
-    std::shared_ptr<DecodedShader> shaderRef_;  ///< Job-duration pin.
     uint32_t groupId_[3] = {0, 0, 0};
     uint32_t curGroup_ = 0;        ///< Linear index of running group.
     bool groupFault_ = false;      ///< Current group raised a fault.
@@ -260,17 +255,12 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
     std::vector<Warp> warps_;      ///< Barrier-path warps, reused
                                    ///< across groups.
 
-    // Lazy instrumentation (§IV-A): clause execution counts accumulate
-    // into this scratch array while a workgroup runs and fold into the
-    // collector once per group, off the per-clause path.
-    std::vector<uint64_t> groupExec_;
     uint32_t lastPageIns_ = 0xffffffffu;  ///< Last page-set insert.
 
     void runSlice(const GroupSlice &s);
     void runGroup(uint32_t linear_group);
     WarpStop runWarp(Warp &warp);
     void initWarp(Warp &w, uint32_t warp_idx, uint32_t group_threads);
-    void foldGroupExec();
 
     /** Executes clause @p c for the @p mask lanes of @p warp over the
      *  flattened micro-op stream.  Returns false on fault. */

@@ -276,8 +276,6 @@ appendCounters(std::vector<NamedCounter> &out, const SchedStats &s)
     out.push_back({"sched.groups_run", s.groupsRun});
     out.push_back({"sched.steals", s.steals});
     out.push_back({"sched.steal_attempts", s.stealAttempts});
-    out.push_back({"sched.shader_l1_hits", s.shaderL1Hits});
-    out.push_back({"sched.shader_l2_fills", s.shaderL2Fills});
 }
 
 void

@@ -168,9 +168,6 @@ struct SchedStats
     uint64_t groupsRun = 0;      ///< Workgroups executed.
     uint64_t steals = 0;         ///< Slices taken from another worker.
     uint64_t stealAttempts = 0;  ///< Steal scans that probed a victim.
-    uint64_t shaderL1Hits = 0;   ///< Worker shader-L1 hits.
-    uint64_t shaderL2Fills = 0;  ///< Worker shader-L1 misses served
-                                 ///< by the shared L2.
 
     void
     merge(const SchedStats &o)
@@ -179,8 +176,6 @@ struct SchedStats
         groupsRun += o.groupsRun;
         steals += o.steals;
         stealAttempts += o.stealAttempts;
-        shaderL1Hits += o.shaderL1Hits;
-        shaderL2Fills += o.shaderL2Fills;
     }
 };
 

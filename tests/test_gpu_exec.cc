@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "gpu/gpu.h"
 #include "gpu/isa/bif.h"
@@ -427,6 +430,44 @@ class GpuRawDeviceTest : public ::testing::Test
                                           : 0u));
     }
 
+    static constexpr uint32_t kBinVa = 0x00100000;
+    static constexpr uint32_t kDescVa = 0x00101000;
+    static constexpr uint32_t kOutVa = 0x00200000;
+
+    /** A shader whose every thread stores @p value at kOutVa. */
+    static std::vector<uint8_t>
+    storeConstBinary(uint32_t value)
+    {
+        return bif::encode(buildModule({{
+            mk(Op::MovImm, 1, kNone, kNone, kNone,
+               static_cast<int32_t>(value)),
+            mk(Op::MovImm, 2, kNone, kNone, kNone, kOutVa),
+            mk(Op::StGlobal, kNone, 2, 1, kNone, 0),
+            mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
+        }}));
+    }
+
+    /** Writes, at @p desc_pa, a one-job chain running the shader at
+     *  kBinVa as a single thread. */
+    void
+    writeComputeDesc(Addr desc_pa)
+    {
+        gpu::JobDescriptor d;
+        d.jobType = gpu::JobDescriptor::kTypeCompute;
+        d.binaryVa = kBinVa;
+        uint8_t raw[gpu::JobDescriptor::kSizeBytes];
+        d.writeTo(raw);
+        mem.writeBlock(desc_pa, raw, sizeof(raw));
+    }
+
+    /** Submits the chain at kDescVa and waits for it to finish. */
+    static void
+    runChain(gpu::GpuDevice &dev)
+    {
+        dev.mmioWrite(gpu::kRegJsSubmit, kDescVa);
+        dev.waitIdle();
+    }
+
     PhysMem mem;
 };
 
@@ -471,21 +512,8 @@ TEST_F(GpuRawDeviceTest, DecodeCacheInvalidatedOnRootSwitch)
     Addr desc_pa = kBase + 0xa000, out_pa = kBase + 0xb000;
     mem.fill(root_a, 0, 0x4000);
 
-    constexpr uint32_t kBinVa = 0x00100000;
-    constexpr uint32_t kDescVa = 0x00101000;
-    constexpr uint32_t kOutVa = 0x00200000;
-
-    auto store_const = [&](uint32_t value) {
-        return buildModule({{
-            mk(Op::MovImm, 1, kNone, kNone, kNone,
-               static_cast<int32_t>(value)),
-            mk(Op::MovImm, 2, kNone, kNone, kNone, kOutVa),
-            mk(Op::StGlobal, kNone, 2, 1, kNone, 0),
-            mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
-        }});
-    };
-    std::vector<uint8_t> bin_a = bif::encode(store_const(111));
-    std::vector<uint8_t> bin_b = bif::encode(store_const(222));
+    std::vector<uint8_t> bin_a = storeConstBinary(111);
+    std::vector<uint8_t> bin_b = storeConstBinary(222);
     mem.writeBlock(shader_a, bin_a.data(), bin_a.size());
     mem.writeBlock(shader_b, bin_b.data(), bin_b.size());
 
@@ -496,18 +524,11 @@ TEST_F(GpuRawDeviceTest, DecodeCacheInvalidatedOnRootSwitch)
     map(root_b, l0_b, kBinVa, shader_b, false);
     map(root_b, l0_b, kDescVa, desc_pa, false);
     map(root_b, l0_b, kOutVa, out_pa, true);
-
-    gpu::JobDescriptor d;
-    d.jobType = gpu::JobDescriptor::kTypeCompute;
-    d.binaryVa = kBinVa;
-    uint8_t raw[gpu::JobDescriptor::kSizeBytes];
-    d.writeTo(raw);
-    mem.writeBlock(desc_pa, raw, sizeof(raw));
+    writeComputeDesc(desc_pa);
 
     gpu::GpuDevice dev(mem, gpu::GpuConfig{}, [](bool) {});
     dev.mmioWrite(gpu::kRegAsTranstab, static_cast<uint32_t>(root_a));
-    dev.mmioWrite(gpu::kRegJsSubmit, kDescVa);
-    dev.waitIdle();
+    runChain(dev);
     ASSERT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsDone);
     EXPECT_EQ(mem.read<uint32_t>(out_pa), 111u);
 
@@ -515,10 +536,110 @@ TEST_F(GpuRawDeviceTest, DecodeCacheInvalidatedOnRootSwitch)
     // cache entry must not serve the old decode.
     dev.mmioWrite(gpu::kRegAsTranstab, static_cast<uint32_t>(root_b));
     dev.mmioWrite(gpu::kRegAsCommand, 1);
-    dev.mmioWrite(gpu::kRegJsSubmit, kDescVa);
-    dev.waitIdle();
+    runChain(dev);
     ASSERT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsDone);
     EXPECT_EQ(mem.read<uint32_t>(out_pa), 222u);
+}
+
+TEST_F(GpuRawDeviceTest, DecodeCacheKeepsRewrittenBinaryUntilGpuCmdFlush)
+{
+    // The cache is keyed by VA alone: bytes rewritten in place under the
+    // same root keep running the cached decode until GPU_CMD = 1.
+    Addr root = kBase + 0x4000, l0 = kBase + 0x5000;
+    Addr shader_pa = kBase + 0x8000, desc_pa = kBase + 0xa000;
+    Addr out_pa = kBase + 0xb000;
+    mem.fill(root, 0, 0x2000);
+    map(root, l0, kBinVa, shader_pa, false);
+    map(root, l0, kDescVa, desc_pa, false);
+    map(root, l0, kOutVa, out_pa, true);
+    writeComputeDesc(desc_pa);
+    std::vector<uint8_t> bin_a = storeConstBinary(111);
+    std::vector<uint8_t> bin_b = storeConstBinary(222);
+    ASSERT_EQ(bin_a.size(), bin_b.size());
+    mem.writeBlock(shader_pa, bin_a.data(), bin_a.size());
+
+    gpu::GpuDevice dev(mem, gpu::GpuConfig{}, [](bool) {});
+    dev.mmioWrite(gpu::kRegAsTranstab, static_cast<uint32_t>(root));
+    runChain(dev);
+    ASSERT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsDone);
+    EXPECT_EQ(mem.read<uint32_t>(out_pa), 111u);
+
+    mem.writeBlock(shader_pa, bin_b.data(), bin_b.size());
+    runChain(dev);
+    ASSERT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsDone);
+    EXPECT_EQ(mem.read<uint32_t>(out_pa), 111u);
+    gpu::ShaderCacheStats cs = dev.shaderCacheStats();
+    EXPECT_EQ(cs.decodes, 1u);
+    EXPECT_EQ(cs.hits, 1u);
+
+    dev.mmioWrite(gpu::kRegGpuCmd, 1);
+    runChain(dev);
+    ASSERT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsDone);
+    EXPECT_EQ(mem.read<uint32_t>(out_pa), 222u);
+    cs = dev.shaderCacheStats();
+    EXPECT_EQ(cs.decodes, 2u);
+    EXPECT_EQ(cs.hits, 1u);
+}
+
+TEST_F(GpuRawDeviceTest, DecodeCacheFlushRacingAsyncChains)
+{
+    // A second host thread flushes the decode cache while the Job
+    // Manager thread looks shaders up, decodes and inserts them.  Every
+    // job must still run the right code, and every job is counted
+    // exactly once as a decode or a hit.
+    Addr root = kBase + 0x4000, l0 = kBase + 0x5000;
+    Addr shader_pa = kBase + 0x8000, desc_pa = kBase + 0xa000;
+    Addr out_pa = kBase + 0xb000;
+    mem.fill(root, 0, 0x2000);
+    map(root, l0, kBinVa, shader_pa, false);
+    map(root, l0, kDescVa, desc_pa, false);
+    map(root, l0, kOutVa, out_pa, true);
+    writeComputeDesc(desc_pa);
+    std::vector<uint8_t> bin = bif::encode(buildModule({{
+        mk(Op::MovImm, 1, kNone, kNone, kNone, 1),
+        mk(Op::MovImm, 2, kNone, kNone, kNone, kOutVa),
+        mk(Op::AtomAddG, 3, 2, 1, kNone, 0),
+        mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
+    }}));
+    mem.writeBlock(shader_pa, bin.data(), bin.size());
+    mem.write<uint32_t>(out_pa, 0);
+
+    gpu::GpuConfig cfg;
+    cfg.hostThreads = 2;
+    ASSERT_FALSE(cfg.syncSubmit);
+    gpu::GpuDevice dev(mem, cfg, [](bool) {});
+    dev.mmioWrite(gpu::kRegAsTranstab, static_cast<uint32_t>(root));
+
+    constexpr uint32_t kChains = 300;
+    std::atomic<bool> stop{false};
+    std::thread flusher([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            dev.mmioWrite(gpu::kRegGpuCmd, 1);
+            // Paced near one chain's round trip, so jobs both hit and
+            // miss, and some flushes land mid-decode.
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+    });
+    uint32_t ran = 0;
+    while (ran < kChains) {
+        runChain(dev);
+        if (dev.mmioRead(gpu::kRegJsStatus) != gpu::kJsDone ||
+            mem.read<uint32_t>(out_pa) != ran + 1)
+            break;
+        ++ran;
+    }
+    stop = true;
+    flusher.join();
+    // Checked after the join: a failed assert must not leave the
+    // flusher running.
+    ASSERT_EQ(ran, kChains)
+        << "JS_STATUS " << dev.mmioRead(gpu::kRegJsStatus) << ", count "
+        << mem.read<uint32_t>(out_pa);
+
+    EXPECT_EQ(dev.mmioRead(gpu::kRegJsJobCount), kChains);
+    gpu::ShaderCacheStats cs = dev.shaderCacheStats();
+    EXPECT_GE(cs.decodes, 1u);
+    EXPECT_EQ(cs.decodes + cs.hits, kChains);
 }
 
 TEST(GpuWrittenPages, PhysicalPathAtomicsMarkTheirPage)
