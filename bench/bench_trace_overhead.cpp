@@ -8,6 +8,15 @@
  * tracing-on column bounds the recording cost; the disabled path is
  * exercised by bench_interp_hotpath, whose MIPS must stay within 2% of
  * its recorded baseline.  Results go to BENCH_trace_overhead.json.
+ *
+ * Each kernel is a bench::measure(): one discarded warm-up repetition,
+ * then 40 timed ones.  A repetition times tracing off and on back to
+ * back, alternating which runs first, and yields their ratio, so host
+ * drift cancels out of it.  The overhead is the median ratio minus 1,
+ * with its spread (1.4826 x MAD) under "overhead_noise"; each side's
+ * seconds are the median of its own timings.  One pair's ratio
+ * spreads ~10% on a shared 4-vCPU host; 40 pairs hold the median to a
+ * few percent, well inside the baseline differ's overhead band.
  */
 
 #include <cstdio>
@@ -136,29 +145,43 @@ main(int argc, char **argv)
         {"triad", kTriad, n * 4, 0, 12},
     };
 
-    std::printf("%-10s %12s %12s %10s %10s\n", "kernel", "off MIPS",
-                "on MIPS", "overhead", "events");
+    std::printf("%-10s %12s %12s %10s %7s %10s\n", "kernel", "off MIPS",
+                "on MIPS", "overhead", "+-", "events");
 
+    constexpr unsigned kReps = 40;
     bench::Report report("trace_overhead", opt.scale);
     json::Value kernels = json::Value::array();
     for (size_t i = 0; i < cases.size(); ++i) {
         const KernelCase &kc = cases[i];
-        // Interleaved best-of-3 per side: the kernels run low
-        // single-digit milliseconds, so one host blip would swing the
-        // overhead ratio the CI baseline differ watches.
+        // Paired repetitions: triad runs ~20 ms a side, so one host
+        // blip between two separately timed sides would swing the
+        // overhead ratio the baseline differ watches.
         RunMetrics off, on;
-        off.secs = on.secs = 1e30;
-        for (int rep = 0; rep < 3; ++rep) {
-            RunMetrics o = runCase(kc, false);
-            if (o.secs < off.secs)
-                off = o;
-            RunMetrics e = runCase(kc, true);
-            if (e.secs < on.secs)
-                on = e;
-        }
-        double overhead = off.secs > 0 ? on.secs / off.secs - 1.0 : 0;
-        std::printf("%-10s %12.1f %12.1f %9.1f%% %10zu\n", kc.name,
-                    off.mips, on.mips, 100.0 * overhead, on.events);
+        std::vector<double> off_secs, on_secs;
+        unsigned rep = 0;
+        bench::Measurement ratio = bench::measure(
+            [&] {
+                bool on_first = rep++ % 2 == 0;
+                RunMetrics a = runCase(kc, on_first);
+                RunMetrics b = runCase(kc, !on_first);
+                off = on_first ? b : a;
+                on = on_first ? a : b;
+                off_secs.push_back(off.secs);
+                on_secs.push_back(on.secs);
+                return on.secs / off.secs;
+            },
+            kReps);
+        // Drop the warm-up pair's timings.
+        off_secs.erase(off_secs.begin());
+        on_secs.erase(on_secs.begin());
+        off.secs = bench::median(off_secs);
+        off.mips = off.instrs / off.secs / 1e6;
+        on.secs = bench::median(on_secs);
+        on.mips = on.instrs / on.secs / 1e6;
+        double overhead = ratio.median - 1.0;
+        std::printf("%-10s %12.1f %12.1f %9.1f%% %6.1f%% %10zu\n",
+                    kc.name, off.mips, on.mips, 100.0 * overhead,
+                    100.0 * ratio.mad, on.events);
         json::Value k = json::Value::object();
         k.set("name", json::Value(kc.name));
         k.set("instrs", json::Value(off.instrs));
@@ -172,6 +195,7 @@ main(int argc, char **argv)
         onv.set("events", json::Value(static_cast<uint64_t>(on.events)));
         k.set("on", std::move(onv));
         k.set("overhead", json::Value(overhead));
+        k.set("overhead_noise", json::Value(ratio.mad));
         kernels.push(std::move(k));
     }
     report.metrics().set("kernels", std::move(kernels));

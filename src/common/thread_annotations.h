@@ -30,9 +30,9 @@
  * `sim::` wrappers so the analysis sees every lock — and every
  * `sim::Mutex` member must be referenced by at least one annotation
  * (`GUARDED_BY` / `REQUIRES` / `ACQUIRE` / `EXCLUDES` / ...) in its
- * file.  Lock-free structures (`SliceDeque`, the GMMU epoch protocol,
- * per-thread `GpuTlb`) are exempt by design; the why is documented per
- * structure and in §5i.
+ * file.  Lock-free structures (the GMMU epoch protocol, per-thread
+ * `GpuTlb`) are exempt by design; the why is documented per structure
+ * and in §5i.
  */
 
 #include <condition_variable>

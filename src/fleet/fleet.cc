@@ -22,7 +22,7 @@ FleetServer::FleetServer(std::shared_ptr<const snapshot::Image> image,
                          FleetConfig cfg)
     : cfg_(std::move(cfg)), info_(inspectWarmImage(*image)),
       pool_(std::make_unique<SessionPool>(image, cfg_.pool)),
-      tracer_(cfg_.trace, cfg_.traceBufferEvents),
+      tracer_(cfg_.trace),
       startNs_(trace::nowNs())
 {
     cfg_.workers = std::max(1u, cfg_.workers);

@@ -65,7 +65,6 @@ struct FleetConfig
     size_t maxQueuedPerTenant = 32;  ///< Admission cap per tenant.
     size_t maxQueuedTotal = 256;     ///< Admission cap, all tenants.
     bool trace = false;              ///< Fleet-level job tracing.
-    size_t traceBufferEvents = 1u << 14;
 };
 
 /** Ceiling on thread count per job (admission-time sanity cap). */

@@ -25,7 +25,7 @@ constexpr unsigned kMaxHostThreads = 256;
 
 /** Slices dealt per worker at job start.  >1 so late-finishing workers
  *  leave stealable tail work; small so slices stay coarse enough that
- *  the per-slice deque traffic is negligible. */
+ *  the per-slice queue locking is negligible. */
 constexpr uint32_t kSlicesPerWorker = 4;
 
 /** Resolves GpuConfig::hostThreads (0 = auto, see gpu.h). */
@@ -48,7 +48,7 @@ resolveHostThreads(unsigned configured)
 
 GpuDevice::GpuDevice(PhysMem &mem, GpuConfig cfg, IrqFn irq)
     : mem_(mem), cfg_(cfg), irq_(std::move(irq)), mmu_(mem),
-      tracer_(cfg.trace, cfg.traceBufferEvents)
+      tracer_(cfg.trace)
 {
     cfg_.hostThreads = resolveHostThreads(cfg_.hostThreads);
     devBuf_ = tracer_.registerThread("gpu-device");
@@ -570,17 +570,27 @@ GpuDevice::runJob(const JobDescriptor &desc)
         return fail(JobFaultKind::BadDescriptor, 0,
                     strfmt("unsupported job type %u", desc.jobType));
     }
+    // Both products are bounded after every factor, in 64 bits: a
+    // 32-bit product of guest dimensions can wrap to a small value and
+    // pass the bound.
+    uint64_t group_threads = 1;
+    uint64_t total_groups = 1;
     for (int d = 0; d < 3; ++d) {
         if (desc.wg[d] == 0 || desc.grid[d] == 0 ||
             desc.grid[d] % desc.wg[d] != 0) {
             return fail(JobFaultKind::BadDimensions, 0,
                         "grid not a multiple of workgroup size");
         }
-    }
-    uint32_t group_threads = desc.wg[0] * desc.wg[1] * desc.wg[2];
-    if (group_threads == 0 || group_threads > kMaxGroupThreads) {
-        return fail(JobFaultKind::BadDimensions, 0,
-                    "workgroup too large");
+        group_threads *= desc.wg[d];
+        if (group_threads > kMaxGroupThreads) {
+            return fail(JobFaultKind::BadDimensions, 0,
+                        "workgroup too large");
+        }
+        total_groups *= desc.grid[d] / desc.wg[d];
+        if (total_groups > UINT32_MAX) {
+            return fail(JobFaultKind::BadDimensions, 0,
+                        "too many workgroups");
+        }
     }
 
     std::string err;
@@ -601,7 +611,7 @@ GpuDevice::runJob(const JobDescriptor &desc)
     ctx.collect = cfg_.instrument;
     for (int d = 0; d < 3; ++d)
         ctx.groups[d] = desc.grid[d] / desc.wg[d];
-    ctx.totalGroups = ctx.groups[0] * ctx.groups[1] * ctx.groups[2];
+    ctx.totalGroups = static_cast<uint32_t>(total_groups);
 
     if (desc.argsVa != 0) {
         std::vector<uint8_t> argbytes;
@@ -651,18 +661,17 @@ GpuDevice::runJob(const JobDescriptor &desc)
     }
     result.pagesAccessed = jobPages_.size();
 
-    if (ctx.faulted.load()) {
-        // Copy the winning fault out under its own lock, then release it
-        // before fail() takes the device lock — faultLock and lock_ are
-        // never held together.  (The completion barrier already ordered
-        // the write, but the contract is per-lock, not per-barrier.)
-        JobFault f;
-        {
-            sim::LockGuard g(ctx.faultLock);
-            f = ctx.fault;
-        }
-        return fail(f.kind, f.va, std::move(f.detail));
+    // Copy the winning fault out under its own lock, then release it
+    // before fail() takes the device lock — faultLock and lock_ are
+    // never held together.  (The completion barrier already ordered
+    // the write, but the contract is per-lock, not per-barrier.)
+    JobFault f;
+    {
+        sim::LockGuard g(ctx.faultLock);
+        f = ctx.fault;
     }
+    if (f.kind != JobFaultKind::None)
+        return fail(f.kind, f.va, std::move(f.detail));
 
     sim::LockGuard g(lock_);
     lastJob_ = result;
@@ -723,16 +732,13 @@ void
 GpuDevice::distributeSlices(uint32_t total_groups)
 {
     const unsigned nw = static_cast<unsigned>(workers_.size());
-    // Upper bound on slices any single deque can receive: every slice
-    // in the job lands on worker 0 under skewSlices.
-    const uint32_t max_slices = nw * kSlicesPerWorker;
     for (unsigned w = 0; w < nw; ++w)
-        deques_[w].reset(cfg_.skewSlices ? max_slices : kSlicesPerWorker);
+        deques_[w].reset();
 
     // Each worker owns one contiguous block of the grid (locality of
     // guest data between neighbouring groups), split into a few slices
     // so finished workers find stealable tail work in slow workers'
-    // deques instead of idling at the barrier.
+    // queues instead of idling at the barrier.
     uint32_t next = 0;
     for (unsigned w = 0; w < nw && next < total_groups; ++w) {
         uint32_t block =

@@ -38,10 +38,11 @@
  * handlers run on the CPU/caller thread under lock_; the Job Manager
  * chain loop runs on its own thread (or inline on the submitting
  * thread under GpuConfig::syncSubmit); workgroups execute on the
- * worker pool, which parks on poolLock_ between jobs.  lock_ and
- * poolLock_ are never held together (the job dispatch in runJob takes
- * poolLock_ strictly after the chain walk released lock_); neither is
- * ever held while executing guest shader code.
+ * worker pool, which parks on poolLock_ between jobs and claims slices
+ * of the grid from per-worker queues, each under its own leaf lock
+ * (work_queue.h).  lock_ and poolLock_ are never held together (the
+ * job dispatch in runJob takes poolLock_ strictly after the chain walk
+ * released lock_); no lock is held while executing guest shader code.
  */
 
 #include <atomic>
@@ -86,7 +87,7 @@ struct GpuConfig
     unsigned hostThreads = 8;
 
     /**
-     * Debug knob: deal every workgroup slice to worker 0's deque so
+     * Debug knob: deal every workgroup slice to worker 0's queue so
      * all other workers must steal.  Exists to make the stealing path
      * deterministically reachable from stress tests; never enable for
      * performance runs.
@@ -96,7 +97,6 @@ struct GpuConfig
     bool instrument = true;    ///< Collect execution statistics.
     bool trace = false;        ///< Job-lifecycle tracing (src/trace/);
                                ///< off costs one branch per event site.
-    size_t traceBufferEvents = 1u << 14;   ///< Ring capacity per thread.
 
     /**
      * Deterministic co-simulation: a JS_SUBMIT write runs the whole
@@ -374,7 +374,7 @@ class GpuDevice : public Device
     // Worker pool.  Parked workers wait on poolCv_; a job is published
     // by setting activeJob_ and bumping jobSeq_ under poolLock_, and
     // completion is the workersDone_ == workers barrier on poolDoneCv_.
-    // The slice deques are (re)filled only while the pool is parked.
+    // The slice queues are (re)filled only while the pool is parked.
     sim::Mutex poolLock_;
     sim::CondVar poolCv_;
     sim::CondVar poolDoneCv_;
@@ -382,7 +382,8 @@ class GpuDevice : public Device
     uint64_t jobSeq_ GUARDED_BY(poolLock_) = 0;
     unsigned workersDone_ GUARDED_BY(poolLock_) = 0;
     std::vector<WorkgroupExecutor> executors_;   ///< Cache-line aligned.
-    std::unique_ptr<SliceDeque[]> deques_;   ///< One per worker.
+    std::unique_ptr<SliceDeque[]> deques_;   ///< One per worker; each
+                                             ///< under its own leaf lock.
     PageSet jobPages_;             ///< Union of the workers' page sets.
                                    ///< JM thread only (runJob).
     std::vector<std::thread> workers_;
@@ -397,7 +398,7 @@ class GpuDevice : public Device
     /** Executes one job; returns false on fault (chain stops). */
     bool runJob(const JobDescriptor &desc) EXCLUDES(lock_, poolLock_);
 
-    /** Deals the grid into per-worker slice deques (pool parked). */
+    /** Deals the grid into per-worker slice queues (pool parked). */
     void distributeSlices(uint32_t total_groups);
 
     /** Reads @p len bytes at GPU VA @p va through the MMU. */

@@ -138,7 +138,6 @@ JobContext::raiseFault(uint32_t group, JobFaultKind kind, uint32_t va,
         fault.va = va;
         fault.detail = detail;
     }
-    faulted.store(true, std::memory_order_release);
 }
 
 namespace {
@@ -819,7 +818,7 @@ void
 WorkgroupExecutor::runSlice(const GroupSlice &s)
 {
     sched_.slicesRun++;
-    // No early-out on job_->faulted: every group always runs, so RAM
+    // No early-out on a latched fault: every group always runs, so RAM
     // contents, pagesAccessed and merged kernel statistics are the
     // same whether a fault in another group landed early or late.
     for (uint32_t g = s.begin; g < s.end; ++g) {
@@ -842,42 +841,28 @@ WorkgroupExecutor::runUntilDone()
     const unsigned n = job_->numWorkers;
     GroupSlice s;
     for (;;) {
-        // Drain our own deque first (LIFO pop: best locality).
+        // Drain our own queue first (newest slice: best locality).
         if (deques[index_].pop(s)) {
             runSlice(s);
             continue;
         }
-        // Own deque empty: scan the other workers' deques for a steal
-        // (FIFO from the top — the slices their owner will reach last).
-        bool lost_race = false;
+        // Own queue empty: scan the other workers' queues for a steal
+        // (the oldest slice: the one its owner would reach last).
         bool got = false;
         for (unsigned i = 1; i < n && !got; ++i) {
             unsigned victim = (index_ + i) % n;
             sched_.stealAttempts++;
-            switch (deques[victim].steal(s)) {
-              case SliceDeque::Steal::Got:
-                got = true;
-                break;
-              case SliceDeque::Steal::Lost:
-                lost_race = true;
-                break;
-              case SliceDeque::Steal::Empty:
-                break;
-            }
+            got = deques[victim].steal(s) == SliceDeque::Steal::Got;
         }
-        if (got) {
-            sched_.steals++;
-            if (traceBuf_) [[unlikely]]
-                traceBuf_->instant("steal", "sched", "groups",
-                                   s.end - s.begin);
-            runSlice(s);
-            continue;
-        }
-        // A clean scan (every deque Empty, no lost races) proves no
-        // unclaimed work remains: in-flight slices are finished by
-        // whoever claimed them, and nobody pushes after job start.
-        if (!lost_race)
+        // A scan that finds every queue empty proves no unclaimed work
+        // remains: in-flight slices are finished by whoever claimed
+        // them, and nobody pushes after job start.
+        if (!got)
             return;
+        sched_.steals++;
+        if (traceBuf_) [[unlikely]]
+            traceBuf_->instant("steal", "sched", "groups", s.end - s.begin);
+        runSlice(s);
     }
 }
 

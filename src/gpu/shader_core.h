@@ -10,11 +10,11 @@
  * static instrumentation precomputed), then a dispatcher iterates over
  * the job dimensions creating warps of four threads ("quads") that
  * execute clauses in lockstep.  Thread-groups (OpenCL workgroups) are
- * distributed as contiguous slices into per-worker Chase-Lev deques at
- * job start; idle workers steal slices from victims (work_queue.h) —
- * the "virtual cores" optimisation: more host threads than guest
- * shader cores, with simulator-private local memory per host thread
- * and no shared-counter traffic on the claim path.
+ * dealt as contiguous slices into per-worker queues at job start; idle
+ * workers steal slices from victims (work_queue.h) — the "virtual
+ * cores" optimisation: more host threads than guest shader cores, with
+ * simulator-private local memory per host thread and no job-wide
+ * counter on the claim path.
  *
  * Execution: at decode time each clause's tuples are lowered into a
  * dense pre-resolved micro-op array (opcode, unified-register operand
@@ -31,7 +31,6 @@
  * executor (paper §V-A2).
  */
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -145,15 +144,13 @@ struct JobContext
     JobDescriptor desc;
     GpuMmu *mmu = nullptr;
     PhysMem *mem = nullptr;
-    SliceDeque *deques = nullptr;       ///< Per-worker slice deques
+    SliceDeque *deques = nullptr;       ///< Per-worker slice queues
                                         ///< (numWorkers of them).
     unsigned numWorkers = 1;
     uint32_t args[kMaxArgWords] = {};
     uint32_t groups[3] = {1, 1, 1};
     uint32_t totalGroups = 1;
     bool collect = true;                ///< Instrumentation enabled.
-
-    std::atomic<bool> faulted{false};
 
     /** Fault latch lock.  Never held together with the GPU device lock
      *  (runJob copies the fault out under faultLock, releases it, then
@@ -199,8 +196,8 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
      *  @param worker_index  This worker's slot in JobContext::deques. */
     void beginJob(JobContext *job, unsigned worker_index);
 
-    /** Runs slices from the worker's own deque, then steals from the
-     *  other workers' deques until a full scan finds them all empty. */
+    /** Runs slices from the worker's own queue, then steals from the
+     *  other workers' queues until a full scan finds them all empty. */
     void runUntilDone();
 
     /** Folds per-clause execution counts into the kernel totals

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -448,13 +450,17 @@ class GpuRawDeviceTest : public ::testing::Test
     }
 
     /** Writes, at @p desc_pa, a one-job chain running the shader at
-     *  kBinVa as a single thread. */
+     *  kBinVa over @p grid in workgroups of @p wg (default: a single
+     *  thread). */
     void
-    writeComputeDesc(Addr desc_pa)
+    writeComputeDesc(Addr desc_pa, std::array<uint32_t, 3> grid = {1, 1, 1},
+                     std::array<uint32_t, 3> wg = {1, 1, 1})
     {
         gpu::JobDescriptor d;
         d.jobType = gpu::JobDescriptor::kTypeCompute;
         d.binaryVa = kBinVa;
+        std::copy(grid.begin(), grid.end(), d.grid);
+        std::copy(wg.begin(), wg.end(), d.wg);
         uint8_t raw[gpu::JobDescriptor::kSizeBytes];
         d.writeTo(raw);
         mem.writeBlock(desc_pa, raw, sizeof(raw));
@@ -466,6 +472,35 @@ class GpuRawDeviceTest : public ::testing::Test
     {
         dev.mmioWrite(gpu::kRegJsSubmit, kDescVa);
         dev.waitIdle();
+    }
+
+    /** Runs the one-job chain over @p grid and @p wg on a fresh
+     *  device and expects a BadDimensions fault before any work-item
+     *  stores. */
+    void
+    expectBadDimensions(std::array<uint32_t, 3> grid,
+                        std::array<uint32_t, 3> wg)
+    {
+        Addr root = kBase + 0x4000, l0 = kBase + 0x5000;
+        Addr shader_pa = kBase + 0x8000, desc_pa = kBase + 0xa000;
+        Addr out_pa = kBase + 0xb000;
+        mem.fill(root, 0, 0x2000);
+        map(root, l0, kBinVa, shader_pa, false);
+        map(root, l0, kDescVa, desc_pa, false);
+        map(root, l0, kOutVa, out_pa, true);
+        writeComputeDesc(desc_pa, grid, wg);
+        std::vector<uint8_t> bin = storeConstBinary(111);
+        mem.writeBlock(shader_pa, bin.data(), bin.size());
+        mem.write<uint32_t>(out_pa, 0);
+
+        gpu::GpuDevice dev(mem, gpu::GpuConfig{}, [](bool) {});
+        dev.mmioWrite(gpu::kRegAsTranstab, static_cast<uint32_t>(root));
+        runChain(dev);
+        EXPECT_EQ(dev.mmioRead(gpu::kRegJsStatus), gpu::kJsFault);
+        EXPECT_EQ(dev.mmioRead(gpu::kRegAsFaultStatus),
+                  static_cast<uint32_t>(gpu::JobFaultKind::BadDimensions));
+        EXPECT_EQ(dev.mmioRead(gpu::kRegJsJobCount), 0u);
+        EXPECT_EQ(mem.read<uint32_t>(out_pa), 0u);
     }
 
     PhysMem mem;
@@ -640,6 +675,21 @@ TEST_F(GpuRawDeviceTest, DecodeCacheFlushRacingAsyncChains)
     gpu::ShaderCacheStats cs = dev.shaderCacheStats();
     EXPECT_GE(cs.decodes, 1u);
     EXPECT_EQ(cs.decodes + cs.hits, kChains);
+}
+
+TEST_F(GpuRawDeviceTest, WrappedWorkgroupSizeFaults)
+{
+    // Regression: the workgroup's thread count was a 32-bit product,
+    // so 0x80000001 * 2 * 1 wrapped to 2, passed the 1024-thread bound
+    // and ran two work-items.
+    expectBadDimensions({0x80000001u, 2, 1}, {0x80000001u, 2, 1});
+}
+
+TEST_F(GpuRawDeviceTest, WrappedGroupCountFaults)
+{
+    // Regression: 65536 * 65536 groups wrapped the 32-bit group count
+    // to 0, and the job reported JOB_DONE having run nothing.
+    expectBadDimensions({65536, 65536, 1}, {1, 1, 1});
 }
 
 TEST(GpuWrittenPages, PhysicalPathAtomicsMarkTheirPage)

@@ -7,7 +7,7 @@
  *
  * The multi-threaded tests here are the designated TSan subjects for
  * the scheduler: they drive owner pop vs. thief steal races on the
- * deques and worker L1 vs. shared L2 traffic on the decode cache.
+ * slice queues.
  */
 
 #include <gtest/gtest.h>
@@ -38,18 +38,17 @@ using gpu::SliceDeque;
 TEST(SliceDeque, OwnerPopsLifoThievesStealFifo)
 {
     SliceDeque dq;
-    dq.reset(4);
+    dq.reset();
     dq.push(GroupSlice{0, 10});
     dq.push(GroupSlice{10, 20});
     dq.push(GroupSlice{20, 30});
-    EXPECT_EQ(dq.sizeApprox(), 3u);
 
     GroupSlice s;
-    // Owner takes the newest slice (bottom).
+    // Owner takes the newest slice (back).
     ASSERT_TRUE(dq.pop(s));
     EXPECT_EQ(s.begin, 20u);
     EXPECT_EQ(s.end, 30u);
-    // A thief takes the oldest (top).
+    // A thief takes the oldest (front).
     ASSERT_EQ(dq.steal(s), SliceDeque::Steal::Got);
     EXPECT_EQ(s.begin, 0u);
     EXPECT_EQ(s.end, 10u);
@@ -58,31 +57,41 @@ TEST(SliceDeque, OwnerPopsLifoThievesStealFifo)
     EXPECT_EQ(s.begin, 10u);
     EXPECT_FALSE(dq.pop(s));
     EXPECT_EQ(dq.steal(s), SliceDeque::Steal::Empty);
-    EXPECT_EQ(dq.sizeApprox(), 0u);
 }
 
 TEST(SliceDeque, ResetReusesAndReclaimsSlots)
 {
+    // Each round leaves slices behind (popped from both ends only
+    // part-way); reset() must drop them, and the next round's slices
+    // must come back in order from both ends.
     SliceDeque dq;
-    for (int round = 0; round < 3; ++round) {
-        dq.reset(8);
+    for (uint32_t round = 0; round < 3; ++round) {
+        dq.reset();
+        const uint32_t base = round * 100;
         for (uint32_t i = 0; i < 8; ++i)
-            dq.push(GroupSlice{i, i + 1});
+            dq.push(GroupSlice{base + i, base + i + 1});
         GroupSlice s;
-        uint32_t seen = 0;
-        while (dq.pop(s))
-            seen++;
-        EXPECT_EQ(seen, 8u);
+        ASSERT_EQ(dq.steal(s), SliceDeque::Steal::Got);
+        EXPECT_EQ(s.begin, base);
+        ASSERT_TRUE(dq.pop(s));
+        EXPECT_EQ(s.begin, base + 7);
+        ASSERT_EQ(dq.steal(s), SliceDeque::Steal::Got);
+        EXPECT_EQ(s.begin, base + 1);
     }
-}
+    dq.reset();
+    GroupSlice s;
+    EXPECT_FALSE(dq.pop(s));
+    EXPECT_EQ(dq.steal(s), SliceDeque::Steal::Empty);
 
-TEST(SliceDeque, PackRoundTripsExtremes)
-{
-    GroupSlice s{0xfffffff0u, 0xffffffffu};
-    GroupSlice r = GroupSlice::unpack(s.pack());
-    EXPECT_EQ(r.begin, s.begin);
-    EXPECT_EQ(r.end, s.end);
-    EXPECT_EQ(r.size(), 15u);
+    // Emptied from both ends, the queue reports empty to both.
+    for (uint32_t i = 0; i < 4; ++i)
+        dq.push(GroupSlice{i, i + 1});
+    uint32_t seen = 0;
+    while (dq.pop(s) && dq.steal(s) == SliceDeque::Steal::Got)
+        seen += 2;
+    EXPECT_EQ(seen, 4u);
+    EXPECT_FALSE(dq.pop(s));
+    EXPECT_EQ(dq.steal(s), SliceDeque::Steal::Empty);
 }
 
 TEST(SliceDeque, ConcurrentOwnerAndThievesClaimEachSliceOnce)
@@ -93,7 +102,7 @@ TEST(SliceDeque, ConcurrentOwnerAndThievesClaimEachSliceOnce)
     constexpr uint32_t kSlices = 1024;
     constexpr unsigned kThieves = 3;
     SliceDeque dq;
-    dq.reset(kSlices);
+    dq.reset();
     for (uint32_t i = 0; i < kSlices; ++i)
         dq.push(GroupSlice{i, i + 1});
 
@@ -111,8 +120,6 @@ TEST(SliceDeque, ConcurrentOwnerAndThievesClaimEachSliceOnce)
               case SliceDeque::Steal::Got:
                 claimed[s.begin].fetch_add(1);
                 break;
-              case SliceDeque::Steal::Lost:
-                break;   // Retry.
               case SliceDeque::Steal::Empty:
                 return;
             }
@@ -235,21 +242,21 @@ struct SchedRun
 };
 
 SchedRun
-runTinyGroups(unsigned host_threads, bool skew)
+runTinyGroups(unsigned host_threads, bool skew, uint32_t groups = kGroups)
 {
     rt::SystemConfig cfg;
     cfg.gpu.hostThreads = host_threads;
     cfg.gpu.skewSlices = skew;
     rt::Session s(cfg);
     rt::KernelHandle k = loadModule(s, tinyGroupsKernel());
-    rt::Buffer out = s.alloc(kGroups * 4);
+    rt::Buffer out = s.alloc(groups * 4);
     gpu::JobResult r =
-        s.enqueue(k, rt::NDRange{kGroups, 1, 1}, rt::NDRange{1, 1, 1},
+        s.enqueue(k, rt::NDRange{groups, 1, 1}, rt::NDRange{1, 1, 1},
                   {rt::Arg::buf(out)});
     EXPECT_FALSE(r.faulted) << r.fault.detail;
     SchedRun run;
-    run.out.resize(kGroups);
-    s.read(out, run.out.data(), kGroups * 4);
+    run.out.resize(groups);
+    s.read(out, run.out.data(), groups * 4);
     run.kernel = r.kernel;
     run.pagesAccessed = r.pagesAccessed;
     run.sched = s.system().gpu().schedulerStats();
@@ -275,22 +282,32 @@ TEST(GpuSched, ResultsInvariantUnderWorkerCountAndSkew)
 {
     // The scheduler may run any workgroup on any worker in any order;
     // guest-visible results and instrumentation totals must not care.
-    SchedRun base = runTinyGroups(1, false);
-    for (uint32_t i = 0; i < kGroups; ++i)
-        ASSERT_EQ(base.out[i], kLoopSum + i);
-    for (unsigned threads : {2u, 8u}) {
-        for (bool skew : {false, true}) {
-            SchedRun run = runTinyGroups(threads, skew);
-            EXPECT_EQ(run.out, base.out)
-                << threads << " threads, skew=" << skew;
-            EXPECT_EQ(run.kernel.totalInstrs(), base.kernel.totalInstrs());
-            EXPECT_EQ(run.kernel.clausesExecuted,
-                      base.kernel.clausesExecuted);
-            EXPECT_EQ(run.kernel.workgroups, base.kernel.workgroups);
-            EXPECT_EQ(run.kernel.threadsLaunched,
-                      base.kernel.threadsLaunched);
-            EXPECT_EQ(run.pagesAccessed, base.pagesAccessed);
-            EXPECT_EQ(run.sched.groupsRun, kGroups);
+    // 1021 groups is prime, so at 2 and 8 workers neither the blocks
+    // nor the slices of the deal divide evenly; the group counts show
+    // every group ran exactly once.
+    for (uint32_t groups : {kGroups, 1021u}) {
+        SchedRun base = runTinyGroups(1, false, groups);
+        for (uint32_t i = 0; i < groups; ++i)
+            ASSERT_EQ(base.out[i], kLoopSum + i) << groups << " groups";
+        EXPECT_EQ(base.kernel.workgroups, groups);
+        EXPECT_EQ(base.sched.groupsRun, groups);
+        for (unsigned threads : {2u, 8u}) {
+            for (bool skew : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << groups << " groups, " << threads
+                             << " threads, skew=" << skew);
+                SchedRun run = runTinyGroups(threads, skew, groups);
+                EXPECT_EQ(run.out, base.out);
+                EXPECT_EQ(run.kernel.totalInstrs(),
+                          base.kernel.totalInstrs());
+                EXPECT_EQ(run.kernel.clausesExecuted,
+                          base.kernel.clausesExecuted);
+                EXPECT_EQ(run.kernel.workgroups, groups);
+                EXPECT_EQ(run.kernel.threadsLaunched,
+                          base.kernel.threadsLaunched);
+                EXPECT_EQ(run.pagesAccessed, base.pagesAccessed);
+                EXPECT_EQ(run.sched.groupsRun, groups);
+            }
         }
     }
 }
