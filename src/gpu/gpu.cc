@@ -44,6 +44,66 @@ resolveHostThreads(unsigned configured)
     return std::min(t, kMaxHostThreads);
 }
 
+/**
+ * Derives a job's KernelStats from its workers' raw counts, once, at
+ * job completion (paper §IV-A): each clause's static metrics times the
+ * threads that ran it, and its CFG edges from the threads that left it
+ * for its one static successor (the rest fell through to c + 1).  Every
+ * workgroup always runs, so the launch counts come from the job's
+ * dimensions and stay counted with instrumentation off.  The inputs
+ * are sums, so the result does not depend on which worker ran (or
+ * stole) which workgroup.
+ */
+KernelStats
+foldKernelStats(const JobContext &job,
+                const std::vector<WorkgroupExecutor> &executors)
+{
+    KernelStats k;
+    const JobDescriptor &d = job.desc;
+    const uint64_t group_threads = uint64_t{d.wg[0]} * d.wg[1] * d.wg[2];
+    k.workgroups = job.totalGroups;
+    k.threadsLaunched = k.workgroups * group_threads;
+    k.warpsLaunched = k.workgroups * ((group_threads + bif::kWarpWidth - 1) /
+                                      bif::kWarpWidth);
+    if (!job.collect)
+        return k;
+
+    const DecodedShader &sh = *job.shader;
+    for (uint32_t c = 0; c < sh.info.size(); ++c) {
+        uint64_t n = 0;
+        uint64_t taken = 0;
+        for (const WorkgroupExecutor &ex : executors) {
+            n += ex.collector().clauseExec[c];
+            taken += ex.collector().taken[c];
+        }
+        if (!n)
+            continue;
+        const ClauseStaticInfo &ci = sh.info[c];
+        k.arithInstrs += ci.arith * n;
+        k.lsInstrs += ci.ls * n;
+        k.cfInstrs += ci.cf * n;
+        k.nopSlots += ci.nop * n;
+        k.grfReads += ci.grfReads * n;
+        k.grfWrites += ci.grfWrites * n;
+        k.tempAccesses += (ci.tempReads + ci.tempWrites) * n;
+        k.constReads += ci.constReads * n;
+        k.romReads += ci.romReads * n;
+        k.globalLdSt += (ci.globalLd + ci.globalSt) * n;
+        k.localLdSt += (ci.localLd + ci.localSt) * n;
+        k.clausesExecuted += n;
+        k.clauseSizes.sample(ci.sizeTuples, n);
+        if (sh.succ[c] == kNoSuccessor)
+            continue;
+        if (taken)
+            k.cfgEdges[cfgEdgeKey(c, sh.succ[c])] += taken;
+        if (taken < n)
+            k.cfgEdges[cfgEdgeKey(c, c + 1)] += n - taken;
+    }
+    for (const WorkgroupExecutor &ex : executors)
+        k.divergentBranches += ex.collector().divergent;
+    return k;
+}
+
 } // namespace
 
 GpuDevice::GpuDevice(PhysMem &mem, GpuConfig cfg, IrqFn irq)
@@ -643,24 +703,6 @@ GpuDevice::runJob(const JobDescriptor &desc)
         activeJob_ = nullptr;
     }
 
-    // Merge per-worker collectors (paper §IV-A: totalled at job
-    // completion, no hot-path synchronisation).  All merges are sums
-    // and set unions, so the result is independent of which worker ran
-    // (or stole) which workgroup — the determinism the multi-worker
-    // snapshot tests rely on.
-    JobResult result;
-    SchedStats jobSched;
-    jobPages_.clear();
-    for (WorkgroupExecutor &ex : executors_) {
-        result.kernel.merge(ex.collector().kernel);
-        jobPages_.merge(ex.collector().pages);
-        result.tlb.lastPageHits += ex.tlb().lastPageHits;
-        result.tlb.arrayHits += ex.tlb().arrayHits;
-        result.tlb.walks += ex.tlb().walks;
-        jobSched.merge(ex.sched());
-    }
-    result.pagesAccessed = jobPages_.size();
-
     // Copy the winning fault out under its own lock, then release it
     // before fail() takes the device lock — faultLock and lock_ are
     // never held together.  (The completion barrier already ordered
@@ -672,6 +714,24 @@ GpuDevice::runJob(const JobDescriptor &desc)
     }
     if (f.kind != JobFaultKind::None)
         return fail(f.kind, f.va, std::move(f.detail));
+
+    // Merge the workers' counts (paper §IV-A: totalled at job
+    // completion, no hot-path synchronisation).  All merges are sums
+    // and set unions, so the result is independent of which worker ran
+    // (or stole) which workgroup — the determinism the multi-worker
+    // snapshot tests rely on.
+    JobResult result;
+    result.kernel = foldKernelStats(ctx, executors_);
+    SchedStats jobSched;
+    jobPages_.clear();
+    for (const WorkgroupExecutor &ex : executors_) {
+        jobPages_.merge(ex.collector().pages);
+        result.tlb.lastPageHits += ex.tlb().lastPageHits;
+        result.tlb.arrayHits += ex.tlb().arrayHits;
+        result.tlb.walks += ex.tlb().walks;
+        jobSched.merge(ex.sched());
+    }
+    result.pagesAccessed = jobPages_.size();
 
     sim::LockGuard g(lock_);
     lastJob_ = result;
@@ -863,7 +923,6 @@ GpuDevice::workerMain(unsigned idx)
 
         executors_[idx].beginJob(job, idx);
         executors_[idx].runUntilDone();
-        executors_[idx].finalize();
 
         l.lock();
         workersDone_++;

@@ -274,7 +274,7 @@ encode(const Module &mod)
     put32(static_cast<uint32_t>(mod.rom.size()));
     put32(mod.regCount);
     put32(mod.localBytes);
-    put32(mod.usesBarrier ? kFlagUsesBarrier : 0);
+    put32(mod.usesBarrier ? static_cast<uint32_t>(kFlagUsesBarrier) : 0u);
 
     for (const Clause &cl : mod.clauses) {
         bool has_branch = false;

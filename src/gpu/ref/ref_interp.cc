@@ -448,20 +448,23 @@ launch(const std::vector<uint8_t> &binary, const uint32_t grid[3],
         return false;
     }
     RefContext ctx;
+    // The group size is bounded after every factor: even in 64 bits the
+    // full product of three guest dimensions can wrap to 0.
+    uint64_t group_items = 1;
     for (int d = 0; d < 3; ++d) {
         if (wg[d] == 0 || grid[d] == 0 || grid[d] % wg[d] != 0) {
             error = "bad dimensions";
             return false;
         }
+        group_items *= wg[d];
+        if (group_items > kMaxGroupItems) {
+            error = strfmt("bad dimensions: over %llu work-items per group",
+                           static_cast<unsigned long long>(kMaxGroupItems));
+            return false;
+        }
         ctx.localSize[d] = wg[d];
         ctx.gridSize[d] = grid[d];
         ctx.numGroups[d] = grid[d] / wg[d];
-    }
-    uint64_t group_items = uint64_t{wg[0]} * wg[1] * wg[2];
-    if (group_items > kMaxGroupItems) {
-        error = strfmt("bad dimensions: %llu work-items per group",
-                       static_cast<unsigned long long>(group_items));
-        return false;
     }
     std::vector<uint8_t> local(mod.localBytes);
     ctx.args = args;

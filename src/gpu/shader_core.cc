@@ -8,14 +8,12 @@
 
 #include "common/bits.h"
 #include "common/logging.h"
+#include "instrument/cfg.h"
 #include "trace/trace.h"
 
 namespace bifsim::gpu {
 
 using bif::Op;
-
-/** CFG node id used for thread exit (Ret). */
-constexpr uint32_t kCfgExitNode = 0xffffffffu;
 
 namespace {
 
@@ -53,7 +51,7 @@ DecodedShader::build(bif::Module m)
     s.info = analyzeClauses(s.mod);
     size_t nc = s.mod.clauses.size();
     s.isBarrier.resize(nc, 0);
-    s.hasCf.resize(nc, 0);
+    s.succ.resize(nc, kNoSuccessor);
     s.uopStart.reserve(nc + 1);
 
     for (size_t c = 0; c < nc; ++c) {
@@ -64,8 +62,10 @@ DecodedShader::build(bif::Module m)
                     continue;
                 if (in.op == Op::Barrier)
                     s.isBarrier[c] = 1;
-                if (bif::category(in.op) == bif::Category::ControlFlow)
-                    s.hasCf[c] = 1;
+                else if (in.op == Op::Ret)
+                    s.succ[c] = instrument::kCfgExit;
+                else if (bif::category(in.op) == bif::Category::ControlFlow)
+                    s.succ[c] = static_cast<uint32_t>(in.imm);
 
                 MicroOp u;
                 u.op = in.op;
@@ -204,17 +204,6 @@ srem(uint32_t a, uint32_t b)
 } // namespace
 
 void
-WorkgroupExecutor::notePage(uint32_t vpn)
-{
-    // Streams of accesses hit the same page; a compare against the last
-    // insert keeps even the bitmap test off most accesses.
-    if (vpn != lastPageIns_) {
-        coll_.pages.insert(vpn);
-        lastPageIns_ = vpn;
-    }
-}
-
-void
 WorkgroupExecutor::raiseFault(JobFaultKind kind, uint32_t va,
                               const std::string &detail)
 {
@@ -246,9 +235,14 @@ WorkgroupExecutor::memAccess(uint32_t va, unsigned size, bool write,
                                    : "load translation fault");
             return false;
         }
+        // Only a miss can reach a page new to this job: beginJob
+        // flushes the last-page entry and a successful lookup installs
+        // it, so a hit is on a page already in the set.  (A failed walk
+        // can refill the entry under `last`, but then the job faults
+        // and reports no statistics.)
+        if (job_->collect)
+            coll_.pages.insert(vpn);
     }
-    if (job_->collect)
-        notePage(vpn);
     if (uint8_t *host = e->host) [[likely]] {
         // Guest work-items may race on global memory (bfs sets one mask
         // byte from many of them).  Relaxed atomics keep such a race
@@ -307,9 +301,9 @@ WorkgroupExecutor::atomicHostPtr(uint32_t va)
                        "atomic translation fault");
             return nullptr;
         }
+        if (job_->collect)
+            coll_.pages.insert(vpn);   // Misses only, as in memAccess.
     }
-    if (job_->collect)
-        notePage(vpn);
     if (e->host)
         return reinterpret_cast<uint32_t *>(
             e->host + (va & (kGpuPageBytes - 1)));
@@ -346,43 +340,28 @@ WorkgroupExecutor::localAccess(uint32_t offset, bool write, uint32_t &val)
 
 void
 WorkgroupExecutor::commitClause(Warp &w, uint32_t c, uint32_t mask,
-                                bool has_cf, const uint32_t *next_pc,
-                                uint32_t exits)
+                                const uint32_t *next_pc, uint32_t exits)
 {
     // Commit lane PCs (paper §IV-C: PCs are tracked on clause
-    // boundaries).
+    // boundaries).  A clause has one static successor besides c + 1
+    // (DecodedShader::succ), so the lanes that do not fall through are
+    // all the CFG needs: the job merge turns the counts into edges.
     w.live &= ~exits;
+    uint32_t taken = exits;
     for (uint32_t m = mask & ~exits; m; m &= m - 1) {
         unsigned l = std::countr_zero(m);
         w.pc[l] = next_pc[l];
+        if (next_pc[l] != c + 1)
+            taken |= 1u << l;
     }
     if (!job_->collect)
         return;
-    coll_.clauseExec[c] += std::popcount(mask);
-    if (!has_cf)
-        return;   // Every lane falls through to c + 1.
-
-    // One CFG-edge update per distinct successor, weighted by its lane
-    // count; more than one successor is a divergent branch.
-    uint32_t succ[bif::kWarpWidth];
-    for (unsigned l = 0; l < bif::kWarpWidth; ++l)
-        succ[l] = (exits >> l) & 1 ? kCfgExitNode : next_pc[l];
-    uint32_t todo = mask;
-    unsigned targets = 0;
-    while (todo) {
-        uint32_t nxt = succ[std::countr_zero(todo)];
-        uint32_t same = 0;
-        for (uint32_t m = todo; m; m &= m - 1) {
-            unsigned l = std::countr_zero(m);
-            if (succ[l] == nxt)
-                same |= 1u << l;
-        }
-        coll_.kernel.cfgEdges[cfgEdgeKey(c, nxt)] += std::popcount(same);
-        todo &= ~same;
-        targets++;
+    unsigned lanes = std::popcount(mask);
+    coll_.clauseExec[c] += lanes;
+    if (unsigned t = std::popcount(taken)) {
+        coll_.taken[c] += t;
+        coll_.divergent += t < lanes;   // Some lanes fell through.
     }
-    if (targets > 1)
-        coll_.kernel.divergentBranches++;
 }
 
 namespace {
@@ -627,7 +606,7 @@ WorkgroupExecutor::execClause(Warp &w, uint32_t c, uint32_t mask)
         blend(d, r, on);
     }
 
-    commitClause(w, c, mask, sh.hasCf[c] != 0, next_pc, exits);
+    commitClause(w, c, mask, next_pc, exits);
     return true;
 }
 
@@ -649,7 +628,7 @@ WorkgroupExecutor::runWarp(Warp &w)
 
         if (!w.live)
             return WarpStop::Done;
-        uint32_t minpc = kCfgExitNode;
+        uint32_t minpc = std::numeric_limits<uint32_t>::max();
         for (uint32_t m = w.live; m; m &= m - 1)
             minpc = std::min(minpc, w.pc[std::countr_zero(m)]);
         if (minpc >= job_->shader->mod.clauses.size()) {
@@ -696,17 +675,14 @@ WorkgroupExecutor::beginJob(JobContext *job, unsigned worker_index)
 {
     job_ = job;
     index_ = worker_index;
-    if (traceBuf_) {
+    if (traceBuf_)
         jobStartTs_ = trace::nowNs();
-        groupsRun_ = 0;
-    }
     // Epoch-based shootdown: the device bumps the MMU epoch at job
     // boundaries (and on AS_COMMAND); stale worker TLBs flush here.
     tlb_.syncEpoch(*job->mmu);
     tlb_.lastPageHits = 0;
     tlb_.arrayHits = 0;
     tlb_.walks = 0;
-    lastPageIns_ = 0xffffffffu;
     sched_ = SchedStats{};
     coll_.reset(job->shader->mod.clauses.size());
     uint32_t local_bytes =
@@ -766,10 +742,6 @@ WorkgroupExecutor::runGroup(uint32_t linear_group)
     uint32_t num_warps =
         (group_threads + bif::kWarpWidth - 1) / bif::kWarpWidth;
 
-    coll_.kernel.workgroups++;
-    coll_.kernel.warpsLaunched += num_warps;
-    coll_.kernel.threadsLaunched += group_threads;
-
     if (!job_->shader->anyBarrier) {
         Warp w;
         for (uint32_t wi = 0; wi < num_warps; ++wi) {
@@ -825,7 +797,6 @@ WorkgroupExecutor::runSlice(const GroupSlice &s)
         if (traceBuf_) [[unlikely]] {
             uint64_t t0 = trace::nowNs();
             runGroup(g);
-            groupsRun_++;
             traceBuf_->span("workgroup", "exec", t0, "group", g);
         } else {
             runGroup(g);
@@ -858,43 +829,15 @@ WorkgroupExecutor::runUntilDone()
         // remains: in-flight slices are finished by whoever claimed
         // them, and nobody pushes after job start.
         if (!got)
-            return;
+            break;
         sched_.steals++;
         if (traceBuf_) [[unlikely]]
             traceBuf_->instant("steal", "sched", "groups", s.end - s.begin);
         runSlice(s);
     }
-}
-
-void
-WorkgroupExecutor::finalize()
-{
-    if (traceBuf_ && job_)
+    if (traceBuf_) [[unlikely]]
         traceBuf_->span("worker_exec", "exec", jobStartTs_, "groups",
-                        groupsRun_);
-    if (!job_ || !job_->collect)
-        return;
-    const std::vector<ClauseStaticInfo> &info = job_->shader->info;
-    KernelStats &k = coll_.kernel;
-    for (size_t c = 0; c < coll_.clauseExec.size(); ++c) {
-        uint64_t n = coll_.clauseExec[c];
-        if (!n)
-            continue;
-        const ClauseStaticInfo &ci = info[c];
-        k.arithInstrs += ci.arith * n;
-        k.lsInstrs += ci.ls * n;
-        k.cfInstrs += ci.cf * n;
-        k.nopSlots += ci.nop * n;
-        k.grfReads += ci.grfReads * n;
-        k.grfWrites += ci.grfWrites * n;
-        k.tempAccesses += (ci.tempReads + ci.tempWrites) * n;
-        k.constReads += ci.constReads * n;
-        k.romReads += ci.romReads * n;
-        k.globalLdSt += (ci.globalLd + ci.globalSt) * n;
-        k.localLdSt += (ci.localLd + ci.localSt) * n;
-        k.clausesExecuted += n;
-        k.clauseSizes.sample(ci.sizeTuples, n);
-    }
+                        sched_.groupsRun);
 }
 
 } // namespace bifsim::gpu

@@ -64,6 +64,9 @@ struct MicroOp
     int32_t imm = 0;
 };
 
+/** DecodedShader::succ entry of a clause with no control-flow edge. */
+constexpr uint32_t kNoSuccessor = 0xfffffffeu;
+
 /** A decoded shader with precomputed static instrumentation. */
 struct DecodedShader
 {
@@ -75,7 +78,12 @@ struct DecodedShader
     // once per shader at decode time).
     std::vector<MicroOp> uops;        ///< All clauses, Nop slots elided.
     std::vector<uint32_t> uopStart;   ///< Per clause, size clauses+1.
-    std::vector<uint8_t> hasCf;       ///< Per clause: any control flow?
+    /** Per clause: where its control flow sends a thread other than
+     *  c + 1: the branch target, instrument::kCfgExit for Ret, or
+     *  kNoSuccessor (no control flow, or a barrier).  BIF allows
+     *  control flow only in slot 1 of a clause's final tuple, so a
+     *  clause has at most one such successor. */
+    std::vector<uint32_t> succ;
     bool anyBarrier = false;          ///< Any barrier clause at all?
 
     /** Builds the derived tables from @p m. */
@@ -200,11 +208,7 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
      *  other workers' queues until a full scan finds them all empty. */
     void runUntilDone();
 
-    /** Folds per-clause execution counts into the kernel totals
-     *  (called once per worker at job completion, paper §IV-A). */
-    void finalize();
-
-    /** The worker's merged statistics (valid after finalize()). */
+    /** The worker's raw event counts for the current job. */
     const WorkerCollector &collector() const { return coll_; }
 
     /** The worker's TLB (counters folded into the job result). */
@@ -247,12 +251,9 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
 
     trace::TraceBuffer *traceBuf_ = nullptr;   ///< Null = tracing off.
     uint64_t jobStartTs_ = 0;      ///< beginJob timestamp (trace only).
-    uint64_t groupsRun_ = 0;       ///< Groups claimed this job (trace).
 
     std::vector<Warp> warps_;      ///< Barrier-path warps, reused
                                    ///< across groups.
-
-    uint32_t lastPageIns_ = 0xffffffffu;  ///< Last page-set insert.
 
     void runSlice(const GroupSlice &s);
     void runGroup(uint32_t linear_group);
@@ -264,8 +265,8 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
     bool execClause(Warp &warp, uint32_t c, uint32_t mask);
 
     /** Commits the @p mask lanes' next PCs (or exits) at the end of
-     *  clause @p c, with its CFG-edge and divergence bookkeeping. */
-    void commitClause(Warp &warp, uint32_t c, uint32_t mask, bool has_cf,
+     *  clause @p c and counts its runs, taken lanes and splits. */
+    void commitClause(Warp &warp, uint32_t c, uint32_t mask,
                       const uint32_t *next_pc, uint32_t exits);
 
     /** Raises @p kind against the current workgroup: latches it into
@@ -276,7 +277,6 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
     bool memAccess(uint32_t va, unsigned size, bool write, uint32_t &val);
     bool localAccess(uint32_t offset, bool write, uint32_t &val);
     uint32_t *atomicHostPtr(uint32_t va);
-    void notePage(uint32_t vpn);
 };
 
 static_assert(alignof(WorkgroupExecutor) == sim::kCacheLineBytes);

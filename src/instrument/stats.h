@@ -5,10 +5,14 @@
  * @file
  * Instrumentation counters (paper §IV).
  *
- * Static per-clause metrics are computed once at decode time; execution
- * merely accumulates thread-weighted clause frequencies, so the
- * measured overhead stays small (paper: <5%).  Per-worker collectors
- * are merged at job completion with no hot-path synchronisation.
+ * Static per-clause metrics are computed once at decode time.  While a
+ * job runs, each worker only counts raw events into its own
+ * WorkerCollector: how many threads ran each clause, how many left it
+ * other than to the next clause, how many warp executions split, and
+ * which pages it touched.  At job completion the device sums the
+ * workers' counts and derives the job's KernelStats (totals, clause
+ * sizes, CFG edges) once, so the measured overhead stays small (paper:
+ * <5%) and execution needs no synchronisation and builds no map.
  */
 
 #include <cstdint>
@@ -289,18 +293,21 @@ class PageSet
     std::vector<uint32_t> vpns_;
 };
 
-/** Per-worker collector, merged into the job totals at completion. */
+/** Per-worker raw event counts, summed and folded at job completion. */
 struct WorkerCollector
 {
-    KernelStats kernel;
-    std::vector<uint64_t> clauseExec;          ///< Per-clause thread count.
-    PageSet pages;                             ///< GPU-touched page numbers.
+    std::vector<uint64_t> clauseExec;   ///< Per clause: threads that ran it.
+    std::vector<uint64_t> taken;        ///< Per clause: threads that left it
+                                        ///< for anything but clause c + 1.
+    uint64_t divergent = 0;             ///< Warp executions that split.
+    PageSet pages;                      ///< GPU-touched page numbers.
 
     void
     reset(size_t num_clauses)
     {
-        kernel = KernelStats{};
         clauseExec.assign(num_clauses, 0);
+        taken.assign(num_clauses, 0);
+        divergent = 0;
         pages.clear();
     }
 };

@@ -37,7 +37,7 @@ toInstr(const LInstr &in)
 {
     Instr b;
     b.op = in.op;
-    b.dst = in.dst == kNoVReg ? bif::kOperandNone
+    b.dst = in.dst == kNoVReg ? static_cast<uint8_t>(bif::kOperandNone)
                               : static_cast<uint8_t>(in.dst);
     b.src0 = operandByte(in.src[0]);
     b.src1 = operandByte(in.src[1]);

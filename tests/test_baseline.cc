@@ -142,6 +142,23 @@ TEST(M2sDevice, RejectsBadDimensions)
     EXPECT_NE(err.find("bad dimensions"), std::string::npos);
 }
 
+TEST(RefLaunch, RejectsWrappedGroupSize)
+{
+    // 2^31 * 2^31 * 4 work-items per group is 2^64, which wraps a
+    // 64-bit product to 0 and would launch a group with nothing in it.
+    kclc::CompiledKernel k = kclc::compileKernel(kSaxpy, "saxpy");
+    uint32_t grid[3] = {0x80000000u, 0x80000000u, 4};
+    uint32_t wg[3] = {0x80000000u, 0x80000000u, 4};
+    std::vector<uint8_t> mem(4096, 0);
+    LaunchStats st;
+    std::string err;
+    EXPECT_FALSE(gpu::ref::launch<Fetch::Decoded>(k.binary, grid, wg,
+                                                  {0, 0, 0, 0}, mem, st,
+                                                  err));
+    EXPECT_NE(err.find("bad dimensions"), std::string::npos) << err;
+    EXPECT_EQ(st.workGroups, 0u);
+}
+
 TEST(M2sDevice, OutOfRangeAccessFails)
 {
     M2sDevice dev(1 << 20);

@@ -10,10 +10,12 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <thread>
 
 #include "gpu/gpu.h"
 #include "gpu/isa/bif.h"
+#include "instrument/cfg.h"
 #include "runtime/session.h"
 
 namespace bifsim {
@@ -163,51 +165,124 @@ TEST_F(GpuExecTest, FloatPipeline)
 
 TEST_F(GpuExecTest, WarpDivergenceReconverges)
 {
-    // Threads with lane < 2 take one path, others another; all store.
-    // clause0: cmp + branch, clause1: then, clause2: else, clause3: join
+    // Threads with lane < 2 take one path, others another; all store,
+    // then odd lanes branch past the Ret clause and lane 3 falls off
+    // the end of the shader.
     bif::Module m = buildModule({
         {
+            // c0: gid; divergent BranchNZ.
             mk(Op::MovImm, 1, kNone, kNone, kNone, 2),
             mk(Op::ICmp, 2, bif::kSrLaneId, 1, kNone,
                static_cast<int32_t>(bif::CmpMode::Lt)),
+            mk(Op::IMul, 4, bif::kSrGroupIdX, bif::kSrLocalSizeX, kNone,
+               0),
+            mk(Op::IAdd, 4, 4, bif::kSrLocalIdX, kNone, 0),
             mk(Op::BranchNZ, kNone, 2, kNone, kNone, 2),
         },
         {
-            // else path (fallthrough): v = 100
+            // c1: else path (fallthrough): v = 100; unconditional Branch.
             mk(Op::MovImm, 3, kNone, kNone, kNone, 100),
             mk(Op::Branch, kNone, kNone, kNone, kNone, 3),
         },
         {
-            // then path: v = 7
+            // c2: then path: v = 7; a BranchZ whose target is c + 1.
             mk(Op::MovImm, 3, kNone, kNone, kNone, 7),
+            mk(Op::BranchZ, kNone, bif::kSrLocalIdX, kNone, kNone, 3),
         },
         {
-            // join: out[gid] = v
-            mk(Op::MovImm, 4, kNone, kNone, kNone, 2),
-            mk(Op::IShl, 5, bif::kSrLocalIdX, 4, kNone, 0),
+            // c3: join: out[gid] = v; odd lanes branch to c5.
+            mk(Op::IShl, 5, 4, 1, kNone, 0),
             mk(Op::LdArg, 6, kNone, kNone, kNone, 0),
             mk(Op::IAdd, 5, 5, 6, kNone, 0),
             mk(Op::StGlobal, kNone, 5, 3, kNone, 0),
+            mk(Op::MovImm, 7, kNone, kNone, kNone, 1),
+            mk(Op::IAnd, 8, bif::kSrLaneId, 7, kNone, 0),
+            mk(Op::BranchNZ, kNone, 8, kNone, kNone, 5),
+        },
+        {
+            // c4: Ret.
             mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
         },
+        {
+            // c5: the last clause branches back to c4 (lane 1) or falls
+            // off the end (lane 3).
+            mk(Op::BranchNZ, kNone, 2, kNone, kNone, 4),
+        },
     });
-    rt::KernelHandle k = loadModule(session, m);
-    rt::Buffer out = session.alloc(4 * 4);
-    gpu::JobResult r =
-        session.enqueue(k, rt::NDRange{4, 1, 1}, rt::NDRange{4, 1, 1},
-                        {rt::Arg::buf(out)});
-    ASSERT_FALSE(r.faulted) << r.fault.detail;
-    uint32_t got[4];
-    session.read(out, got, 16);
-    EXPECT_EQ(got[0], 7u);
-    EXPECT_EQ(got[1], 7u);
-    EXPECT_EQ(got[2], 100u);
-    EXPECT_EQ(got[3], 100u);
-    EXPECT_GE(r.kernel.divergentBranches, 1u);
-    // CFG edges from the branching clause split 50/50.
-    auto it = r.kernel.cfgEdges.find(gpu::cfgEdgeKey(0, 2));
-    ASSERT_NE(it, r.kernel.cfgEdges.end());
-    EXPECT_EQ(it->second, 2u);
+    ASSERT_EQ(m.clauses.size(), 6u);
+    const std::map<uint64_t, uint64_t> edges = {
+        {gpu::cfgEdgeKey(0, 1), 8},     {gpu::cfgEdgeKey(0, 2), 8},
+        {gpu::cfgEdgeKey(1, 3), 8},     {gpu::cfgEdgeKey(2, 3), 8},
+        {gpu::cfgEdgeKey(3, 4), 8},     {gpu::cfgEdgeKey(3, 5), 8},
+        {gpu::cfgEdgeKey(4, instrument::kCfgExit), 12},
+        {gpu::cfgEdgeKey(5, 4), 4},
+        {gpu::cfgEdgeKey(5, 6), 4},
+    };
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        rt::SystemConfig cfg;
+        cfg.gpu.hostThreads = threads;
+        rt::Session s(cfg, rt::Mode::Direct);
+        rt::KernelHandle k = loadModule(s, m);
+        rt::Buffer out = s.alloc(16 * 4);
+        gpu::JobResult r =
+            s.enqueue(k, rt::NDRange{16, 1, 1}, rt::NDRange{8, 1, 1},
+                      {rt::Arg::buf(out)});
+        ASSERT_FALSE(r.faulted) << r.fault.detail;
+        uint32_t got[16];
+        s.read(out, got, sizeof(got));
+        for (uint32_t i = 0; i < 16; ++i)
+            EXPECT_EQ(got[i], i % 4 < 2 ? 7u : 100u) << i;
+        // One split per warp at c0, c3 and c5; none at c2 (both of its
+        // successors are c3).
+        EXPECT_EQ(r.kernel.divergentBranches, 12u);
+        EXPECT_EQ(r.kernel.cfgEdges, edges);
+        EXPECT_EQ(r.kernel.clausesExecuted, 68u);
+        EXPECT_EQ(r.kernel.workgroups, 2u);
+    }
+}
+
+TEST_F(GpuExecTest, PagesAccessedCountsLoadsStoresAndAtomics)
+{
+    // Each of 16 threads loads in[gid * 1 KiB] (four pages), stores
+    // out[gid] (one page) and adds 1 to a counter (one page).
+    bif::Module m = buildModule({{
+        mk(Op::IMul, 1, bif::kSrGroupIdX, bif::kSrLocalSizeX, kNone, 0),
+        mk(Op::IAdd, 1, 1, bif::kSrLocalIdX, kNone, 0),
+        mk(Op::MovImm, 2, kNone, kNone, kNone, 10),
+        mk(Op::IShl, 3, 1, 2, kNone, 0),
+        mk(Op::LdArg, 4, kNone, kNone, kNone, 0),
+        mk(Op::IAdd, 3, 3, 4, kNone, 0),
+        mk(Op::LdGlobal, 5, 3, kNone, kNone, 0),
+        mk(Op::MovImm, 2, kNone, kNone, kNone, 2),
+    }, {
+        mk(Op::IShl, 3, 1, 2, kNone, 0),
+        mk(Op::LdArg, 4, kNone, kNone, kNone, 1),
+        mk(Op::IAdd, 3, 3, 4, kNone, 0),
+        mk(Op::StGlobal, kNone, 3, 5, kNone, 0),
+        mk(Op::LdArg, 4, kNone, kNone, kNone, 2),
+        mk(Op::MovImm, 6, kNone, kNone, kNone, 1),
+        mk(Op::AtomAddG, 7, 4, 6, kNone, 0),
+        mk(Op::Ret, kNone, kNone, kNone, kNone, 0),
+    }});
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        rt::SystemConfig cfg;
+        cfg.gpu.hostThreads = threads;
+        rt::Session s(cfg, rt::Mode::Direct);
+        rt::KernelHandle k = loadModule(s, m);
+        rt::Buffer in = s.alloc(16 * 1024);
+        rt::Buffer out = s.alloc(16 * 4);
+        rt::Buffer counter = s.alloc(4);
+        gpu::JobResult r = s.enqueue(
+            k, rt::NDRange{16, 1, 1}, rt::NDRange{4, 1, 1},
+            {rt::Arg::buf(in), rt::Arg::buf(out), rt::Arg::buf(counter)});
+        ASSERT_FALSE(r.faulted) << r.fault.detail;
+        uint32_t n = 0;
+        s.read(counter, &n, 4);
+        EXPECT_EQ(n, 16u);
+        EXPECT_EQ(r.pagesAccessed, 6u);
+    }
 }
 
 TEST_F(GpuExecTest, LocalMemoryAndBarrier)

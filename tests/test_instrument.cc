@@ -199,13 +199,14 @@ TEST(WorkerCollectorTest, ResetClears)
     WorkerCollector c;
     c.reset(4);
     c.clauseExec[2] = 7;
+    c.taken[3] = 5;
+    c.divergent = 9;
     c.pages.insert(123);
-    c.kernel.arithInstrs = 9;
     c.reset(2);
-    EXPECT_EQ(c.clauseExec.size(), 2u);
-    EXPECT_EQ(c.clauseExec[0], 0u);
+    EXPECT_EQ(c.clauseExec, (std::vector<uint64_t>{0, 0}));
+    EXPECT_EQ(c.taken, (std::vector<uint64_t>{0, 0}));
+    EXPECT_EQ(c.divergent, 0u);
     EXPECT_EQ(c.pages.size(), 0u);
-    EXPECT_EQ(c.kernel.arithInstrs, 0u);
 }
 
 } // namespace
