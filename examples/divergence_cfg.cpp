@@ -29,7 +29,11 @@ main(int argc, char **argv)
     setInformEnabled(false);
 
     auto wl = workloads::makeWorkload("bfs", scale);
-    rt::Session session;
+    // One host worker: bfs work-items race on global memory, so more
+    // workers make the CFG shares differ from run to run.
+    rt::SystemConfig sys_cfg;
+    sys_cfg.gpu.hostThreads = 1;
+    rt::Session session(sys_cfg);
     workloads::SessionDevice dev(session);
     dev.build(wl->source(), kclc::CompilerOptions());
     workloads::RunResult rr = wl->run(dev);

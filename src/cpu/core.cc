@@ -5,6 +5,7 @@
 #include "common/bits.h"
 #include "common/logging.h"
 #include "cpu/dbt.h"
+#include "instrument/stats.h"
 
 namespace bifsim::sa32 {
 
@@ -49,17 +50,7 @@ Core::saveState(snapshot::ChunkWriter &w) const
     w.u32(mcause_);
     w.u32(mtval_);
     w.u32(satp_);
-    w.u64(stats_.instret);
-    w.u64(stats_.blocksDecoded);
-    w.u64(stats_.blockHits);
-    w.u64(stats_.traps);
-    w.u64(stats_.interrupts);
-    w.u64(stats_.cacheFlushes);
-    w.u64(stats_.dbtBlocks);
-    w.u64(stats_.dbtChainLinks);
-    w.u64(stats_.dbtChainFollows);
-    w.u64(stats_.dbtChainBreaks);
-    w.u64(stats_.dbtRetires);
+    gpu::saveStats(w, stats_);
 }
 
 void
@@ -86,17 +77,7 @@ Core::restoreState(snapshot::ChunkReader &r)
     uint32_t mtval = r.u32();
     uint32_t satp = r.u32();
     CoreStats stats;
-    stats.instret = r.u64();
-    stats.blocksDecoded = r.u64();
-    stats.blockHits = r.u64();
-    stats.traps = r.u64();
-    stats.interrupts = r.u64();
-    stats.cacheFlushes = r.u64();
-    stats.dbtBlocks = r.u64();
-    stats.dbtChainLinks = r.u64();
-    stats.dbtChainFollows = r.u64();
-    stats.dbtChainBreaks = r.u64();
-    stats.dbtRetires = r.u64();
+    gpu::restoreStats(r, stats);
     r.expectEnd();
 
     for (unsigned i = 0; i < kNumRegs; ++i)

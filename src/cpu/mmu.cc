@@ -42,17 +42,14 @@ CpuMmu::translate(Addr va, AccessType type, Priv priv, uint32_t satp)
     uint32_t vpn = static_cast<uint32_t>(va >> 12);
     TlbEntry &e = tlb_[vpn % kTlbEntries];
     if (e.valid && e.vpn == vpn) {
-        stats_.tlbHits++;
         if ((e.perms & need) && (e.perms & kPteUser)) {
             res.ok = true;
             res.pa = (static_cast<Addr>(e.ppn) << 12) | (va & 0xfff);
             return res;
         }
-        stats_.faults++;
         res.cause = faultCause(type);
         return res;
     }
-    stats_.tlbMisses++;
     stats_.pageWalks++;
 
     Addr root = static_cast<Addr>(satp & 0xfffffu) << 12;
@@ -62,7 +59,6 @@ CpuMmu::translate(Addr va, AccessType type, Priv priv, uint32_t satp)
     uint64_t pte1 = 0;
     if (bus_.read(root + vpn1 * 4, 4, pte1) != BusResult::Ok ||
         !(pte1 & kPteValid)) {
-        stats_.faults++;
         res.cause = faultCause(type);
         return res;
     }
@@ -79,7 +75,6 @@ CpuMmu::translate(Addr va, AccessType type, Priv priv, uint32_t satp)
         if (bus_.read(l0 + vpn0 * 4, 4, pte0) != BusResult::Ok ||
             !(pte0 & kPteValid) ||
             !(pte0 & (kPteRead | kPteWrite | kPteExec))) {
-            stats_.faults++;
             res.cause = faultCause(type);
             return res;
         }
@@ -97,7 +92,6 @@ CpuMmu::translate(Addr va, AccessType type, Priv priv, uint32_t satp)
         res.pa = (static_cast<Addr>(leaf_ppn) << 12) | (va & 0xfff);
         return res;
     }
-    stats_.faults++;
     res.cause = faultCause(type);
     return res;
 }

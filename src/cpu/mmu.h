@@ -48,10 +48,7 @@ struct TranslateResult
 /** MMU statistics. */
 struct MmuStats
 {
-    uint64_t tlbHits = 0;
-    uint64_t tlbMisses = 0;
-    uint64_t pageWalks = 0;
-    uint64_t faults = 0;
+    uint64_t pageWalks = 0;   ///< TLB misses that walked the table.
 };
 
 /**

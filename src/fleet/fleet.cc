@@ -7,7 +7,6 @@
 #include <future>
 
 #ifdef __linux__
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -44,9 +43,18 @@ void
 FleetServer::requestShutdown()
 {
     shutdown_.store(true, std::memory_order_release);
-    sim::LockGuard g(queueLock_);
-    draining_ = true;
-    queueCv_.notify_all();
+    {
+        sim::LockGuard g(queueLock_);
+        draining_ = true;
+        queueCv_.notify_all();
+    }
+#ifdef __linux__
+    // Wake serve() out of accept(): it fails on a shut-down listening
+    // socket, at once and for good, so a shutdown cannot be missed.
+    sim::LockGuard g(connLock_);
+    if (listenFd_ >= 0)
+        ::shutdown(listenFd_, SHUT_RDWR);
+#endif
 }
 
 bool
@@ -319,7 +327,6 @@ FleetServer::workerMain(unsigned idx)
 {
     trace::TraceBuffer *tb =
         tracer_.registerThread("fleet-w" + std::to_string(idx));
-    uint64_t my_completed = 0;
     PendingJob job;
     while (popNext(job)) {
         uint64_t bytes_in = 0;
@@ -363,11 +370,9 @@ FleetServer::workerMain(unsigned idx)
             row.execNs += m.execNs;
         }
         publishFleetMetrics();
-        if (tb) {
+        if (tb)
             tb->span("job", "fleet", t0, "session", m.sessionId,
                      "status", static_cast<uint64_t>(m.status));
-            tb->counter("fleet.worker_jobs", ++my_completed);
-        }
         job.done(m);
         job = PendingJob{};   // Drop the closure (and any socket refs).
     }
@@ -392,11 +397,9 @@ FleetServer::publishFleetMetrics()
     metrics::Registry &reg = metrics::registry();
     // Level-valued series go in as gauges (store-latest), set before
     // the batch so the registry ignores the batch's deltas for them.
-    reg.setGauge("fleet.queue_depth", now.queueDepth);
-    reg.setGauge("fleet.sessions_live", now.sessionsLive);
-    reg.setGauge("fleet.sessions_idle", now.sessionsIdle);
-    reg.setGauge("fleet.queue_peak", now.queuePeak);
-    reg.setGauge("fleet.tenants_seen", now.tenantsSeen);
+    for (const gpu::CounterField<FleetStats> &c : gpu::kFleetCounters)
+        if (c.gauge)
+            reg.setGauge(c.name, now.*c.field);
     reg.publish(deltas);
 }
 
@@ -531,14 +534,12 @@ FleetServer::serve(const std::string &socket_path)
         return 1;
     }
 
+    {
+        sim::LockGuard g(connLock_);
+        listenFd_ = lfd;
+    }
     std::vector<std::thread> readers;
     while (!shuttingDown()) {
-        pollfd p{lfd, POLLIN, 0};
-        int n = ::poll(&p, 1, 200);
-        if (n < 0 && errno != EINTR)
-            break;
-        if (n <= 0 || !(p.revents & POLLIN))
-            continue;
         int cfd = ::accept4(lfd, nullptr, nullptr, SOCK_CLOEXEC);
         if (cfd < 0)
             continue;
@@ -549,13 +550,14 @@ FleetServer::serve(const std::string &socket_path)
         readers.emplace_back([this, cfd] { serveConnection(cfd); });
     }
 
-    ::close(lfd);
     ::unlink(socket_path.c_str());
     // Unblock readers parked in read(): half-close every live
     // connection, then wait for their threads (each drains its
     // pending results first).
     {
         sim::LockGuard g(connLock_);
+        listenFd_ = -1;
+        ::close(lfd);
         for (int fd : connFds_)
             ::shutdown(fd, SHUT_RDWR);
     }

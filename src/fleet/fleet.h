@@ -177,9 +177,12 @@ class FleetServer
 
     std::atomic<bool> shutdown_{false};
 
-    /** Open connection fds, so shutdown can unblock their readers. */
+    /** Open connection fds, so shutdown can unblock their readers,
+     *  and serve()'s listening fd (-1 outside serve()), so shutdown
+     *  can wake its accept(). */
     mutable sim::Mutex connLock_;
     std::vector<int> connFds_ GUARDED_BY(connLock_);
+    int listenFd_ GUARDED_BY(connLock_) = -1;
 
     std::vector<std::thread> workers_;
 

@@ -6,13 +6,14 @@
  * Fleet server counters (DESIGN.md §5j).
  *
  * A dependency-free leaf header: the fleet server fills this struct
- * and instrument/stats.cc turns it into "fleet."-prefixed
- * NamedCounters, keeping the counter registry (and simlint's
+ * and its counter table (instrument::kFleetCounters) names each field
+ * "fleet."-prefixed, keeping the counter registry (and simlint's
  * counters check, docs/METRICS.md) in one place without
  * instrument/ depending on the fleet subsystem proper.
  *
- * All counters are monotone accumulators except the two session
- * gauges, which snapshot the pool at query time.
+ * Counters are monotone accumulators except the five the table marks
+ * as gauges (levels, a high-water mark and a set size, taken at query
+ * time).
  */
 
 #include <cstdint>

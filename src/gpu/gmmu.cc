@@ -13,7 +13,7 @@ GpuMmu::lookup(uint32_t va, bool write, GpuTlb &tlb)
     if (e.vpn == vpn) [[likely]] {
         if (write && !e.writable) [[unlikely]]
             return nullptr;
-        tlb.arrayHits++;
+        tlb.stats.arrayHits++;
         tlb.last = &e;
         return &e;
     }
@@ -26,7 +26,7 @@ GpuMmu::walkFill(uint32_t va, bool write, GpuTlb &tlb)
     Addr root = root_.load(std::memory_order_acquire);
     if (root == 0)
         return nullptr;
-    tlb.walks++;   // Thread-local: the TLB belongs to the caller.
+    tlb.stats.walks++;   // Thread-local: the TLB belongs to the caller.
     if (tlb.traceBuf) [[unlikely]]
         tlb.traceBuf->instant("mmu_walk", "mmu", "va", va);
 

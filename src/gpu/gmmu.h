@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "instrument/stats.h"
 #include "mem/phys_mem.h"
 
 namespace bifsim::trace {
@@ -96,9 +97,7 @@ struct GpuTlb
     // Per-worker translation counters (no atomics; folded into the job
     // result at completion, so adding host threads adds no shared
     // counter traffic).
-    uint64_t lastPageHits = 0;
-    uint64_t arrayHits = 0;
-    uint64_t walks = 0;        ///< Full page-table walks through this TLB.
+    TlbStats stats;
 
     /** Owning thread's trace buffer (null = tracing off); walks record
      *  an mmu_walk instant into it. */

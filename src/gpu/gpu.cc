@@ -726,9 +726,7 @@ GpuDevice::runJob(const JobDescriptor &desc)
     jobPages_.clear();
     for (const WorkgroupExecutor &ex : executors_) {
         jobPages_.merge(ex.collector().pages);
-        result.tlb.lastPageHits += ex.tlb().lastPageHits;
-        result.tlb.arrayHits += ex.tlb().arrayHits;
-        result.tlb.walks += ex.tlb().walks;
+        result.tlb.merge(ex.tlb().stats);
         jobSched.merge(ex.sched());
     }
     result.pagesAccessed = jobPages_.size();

@@ -223,7 +223,7 @@ WorkgroupExecutor::memAccess(uint32_t va, unsigned size, bool write,
     uint32_t vpn = va >> kGpuPageShift;
     const GpuTlb::Entry *e = tlb_.last;
     if (e && e->vpn == vpn && (!write || e->writable)) [[likely]] {
-        tlb_.lastPageHits++;
+        tlb_.stats.lastPageHits++;
     } else {
         e = job_->mmu->lookup(va, write, tlb_);
         if (!e) [[unlikely]] {
@@ -293,7 +293,7 @@ WorkgroupExecutor::atomicHostPtr(uint32_t va)
     uint32_t vpn = va >> kGpuPageShift;
     const GpuTlb::Entry *e = tlb_.last;
     if (e && e->vpn == vpn && e->writable) {
-        tlb_.lastPageHits++;
+        tlb_.stats.lastPageHits++;
     } else {
         e = job_->mmu->lookup(va, true, tlb_);
         if (!e) {
@@ -680,9 +680,7 @@ WorkgroupExecutor::beginJob(JobContext *job, unsigned worker_index)
     // Epoch-based shootdown: the device bumps the MMU epoch at job
     // boundaries (and on AS_COMMAND); stale worker TLBs flush here.
     tlb_.syncEpoch(*job->mmu);
-    tlb_.lastPageHits = 0;
-    tlb_.arrayHits = 0;
-    tlb_.walks = 0;
+    tlb_.stats = TlbStats{};
     sched_ = SchedStats{};
     coll_.reset(job->shader->mod.clauses.size());
     uint32_t local_bytes =

@@ -13,24 +13,25 @@
  * workers' counts and derives the job's KernelStats (totals, clause
  * sizes, CFG edges) once, so the measured overhead stays small (paper:
  * <5%) and execution needs no synchronisation and builds no map.
+ *
+ * Every exported counter is registered once, by its entry in its
+ * struct's counter table (kKernelCounters ... kFleetCounters below).
+ * Merging, snapshot bytes and the "prefix.name" export all loop over
+ * those tables, so a counter is added by adding a field and its entry,
+ * and nothing else names it.
  */
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "common/histogram.h"
+#include "cpu/core.h"
+#include "fleet/fleet_stats.h"
 #include "gpu/isa/bif.h"
 #include "snapshot/snapshot.h"
-
-namespace bifsim::sa32 {
-struct CoreStats;
-}
-
-namespace bifsim::fleet {
-struct FleetStats;
-}
 
 namespace bifsim::gpu {
 
@@ -141,13 +142,7 @@ struct TlbStats
         return n ? static_cast<double>(n - walks) / n : 0.0;
     }
 
-    void
-    merge(const TlbStats &other)
-    {
-        lastPageHits += other.lastPageHits;
-        arrayHits += other.arrayHits;
-        walks += other.walks;
-    }
+    inline void merge(const TlbStats &other);
 };
 
 /** System-level statistics (paper Table III). */
@@ -173,21 +168,14 @@ struct SchedStats
     uint64_t steals = 0;         ///< Slices taken from another worker.
     uint64_t stealAttempts = 0;  ///< Steal scans that probed a victim.
 
-    void
-    merge(const SchedStats &o)
-    {
-        slicesRun += o.slicesRun;
-        groupsRun += o.groupsRun;
-        steals += o.steals;
-        stealAttempts += o.stealAttempts;
-    }
+    inline void merge(const SchedStats &o);
 };
 
 /**
- * A named counter value: the unified view over the KernelStats /
- * TlbStats / SystemStats structs used by the trace subsystem's counter
- * events and the human-readable job summaries.  Names are static
- * strings ("kernel.arith_instrs", "tlb.walks", "sys.irqs_asserted"...)
+ * A named counter value: the unified view over the stats structs used
+ * by the trace subsystem's counter events, the metrics registry and the
+ * human-readable job summaries.  Names point into the counter tables
+ * below ("kernel.arith_instrs", "tlb.walks", "sys.irqs_asserted"...),
  * so consumers can store the pointers without copying.
  */
 struct NamedCounter
@@ -196,37 +184,206 @@ struct NamedCounter
     uint64_t value;
 };
 
-/** @name Snapshot serialisation of the stats structs.
- *  @{ */
-void saveStats(snapshot::ChunkWriter &w, const KernelStats &k);
-void restoreStats(snapshot::ChunkReader &r, KernelStats &k);
-void saveStats(snapshot::ChunkWriter &w, const TlbStats &t);
-void restoreStats(snapshot::ChunkReader &r, TlbStats &t);
-void saveStats(snapshot::ChunkWriter &w, const SystemStats &s);
-void restoreStats(snapshot::ChunkReader &r, SystemStats &s);
+/** One registered counter of statistics struct S. */
+template <typename S>
+struct CounterField
+{
+    const char *name;       ///< Exported name, "prefix.lower_snake".
+    uint64_t S::*field;
+    bool gauge = false;     ///< A level (published store-latest), not
+                            ///< an accumulator.
+};
+
+/** Marks a table entry as a gauge (CounterField::gauge). */
+inline constexpr bool kGauge = true;
+
+/**
+ * @name Counter tables
+ * Each statistics struct's one list of its counters.  A table's order
+ * is both the appendCounters() order (metrics::CounterBaseline matches
+ * counters by position) and the snapshot byte order, so reordering a
+ * table changes both.  Merge, snapshot and export code loop over these
+ * tables; a counter exists once it has an entry here.
+ * @{
+ */
+inline constexpr CounterField<KernelStats> kKernelCounters[] = {
+    {"kernel.arith_instrs", &KernelStats::arithInstrs},
+    {"kernel.ls_instrs", &KernelStats::lsInstrs},
+    {"kernel.cf_instrs", &KernelStats::cfInstrs},
+    {"kernel.nop_slots", &KernelStats::nopSlots},
+    {"kernel.grf_reads", &KernelStats::grfReads},
+    {"kernel.grf_writes", &KernelStats::grfWrites},
+    {"kernel.temp_accesses", &KernelStats::tempAccesses},
+    {"kernel.const_reads", &KernelStats::constReads},
+    {"kernel.rom_reads", &KernelStats::romReads},
+    {"kernel.global_ldst", &KernelStats::globalLdSt},
+    {"kernel.local_ldst", &KernelStats::localLdSt},
+    {"kernel.clauses_executed", &KernelStats::clausesExecuted},
+    {"kernel.threads_launched", &KernelStats::threadsLaunched},
+    {"kernel.warps_launched", &KernelStats::warpsLaunched},
+    {"kernel.workgroups", &KernelStats::workgroups},
+    {"kernel.divergent_branches", &KernelStats::divergentBranches},
+};
+
+inline constexpr CounterField<TlbStats> kTlbCounters[] = {
+    {"tlb.last_page_hits", &TlbStats::lastPageHits},
+    {"tlb.array_hits", &TlbStats::arrayHits},
+    {"tlb.walks", &TlbStats::walks},
+};
+
+inline constexpr CounterField<SystemStats> kSysCounters[] = {
+    {"sys.pages_accessed", &SystemStats::pagesAccessed},
+    {"sys.ctrl_reg_reads", &SystemStats::ctrlRegReads},
+    {"sys.ctrl_reg_writes", &SystemStats::ctrlRegWrites},
+    {"sys.irqs_asserted", &SystemStats::irqsAsserted},
+    {"sys.compute_jobs", &SystemStats::computeJobs},
+};
+
+inline constexpr CounterField<SchedStats> kSchedCounters[] = {
+    {"sched.slices_run", &SchedStats::slicesRun},
+    {"sched.groups_run", &SchedStats::groupsRun},
+    {"sched.steals", &SchedStats::steals},
+    {"sched.steal_attempts", &SchedStats::stealAttempts},
+};
+
+inline constexpr CounterField<sa32::CoreStats> kCpuCounters[] = {
+    {"cpu.instret", &sa32::CoreStats::instret},
+    {"cpu.blocks_decoded", &sa32::CoreStats::blocksDecoded},
+    {"cpu.block_hits", &sa32::CoreStats::blockHits},
+    {"cpu.traps", &sa32::CoreStats::traps},
+    {"cpu.interrupts", &sa32::CoreStats::interrupts},
+    {"cpu.cache_flushes", &sa32::CoreStats::cacheFlushes},
+    {"cpu.dbt_blocks", &sa32::CoreStats::dbtBlocks},
+    {"cpu.dbt_chain_links", &sa32::CoreStats::dbtChainLinks},
+    {"cpu.dbt_chain_follows", &sa32::CoreStats::dbtChainFollows},
+    {"cpu.dbt_chain_breaks", &sa32::CoreStats::dbtChainBreaks},
+    {"cpu.dbt_retires", &sa32::CoreStats::dbtRetires},
+};
+
+inline constexpr CounterField<fleet::FleetStats> kFleetCounters[] = {
+    {"fleet.jobs_submitted", &fleet::FleetStats::jobsSubmitted},
+    {"fleet.jobs_completed", &fleet::FleetStats::jobsCompleted},
+    {"fleet.jobs_faulted", &fleet::FleetStats::jobsFaulted},
+    {"fleet.jobs_rejected", &fleet::FleetStats::jobsRejected},
+    {"fleet.jobs_bad_request", &fleet::FleetStats::jobsBadRequest},
+    {"fleet.queue_ns_total", &fleet::FleetStats::queueNsTotal},
+    {"fleet.exec_ns_total", &fleet::FleetStats::execNsTotal},
+    {"fleet.queue_peak", &fleet::FleetStats::queuePeak, kGauge},
+    {"fleet.tenants_seen", &fleet::FleetStats::tenantsSeen, kGauge},
+    {"fleet.bytes_in", &fleet::FleetStats::bytesIn},
+    {"fleet.bytes_out", &fleet::FleetStats::bytesOut},
+    {"fleet.spawns", &fleet::FleetStats::spawns},
+    {"fleet.recycles", &fleet::FleetStats::recycles},
+    {"fleet.recycle_failures", &fleet::FleetStats::recycleFailures},
+    {"fleet.acquire_waits", &fleet::FleetStats::acquireWaits},
+    {"fleet.sessions_live", &fleet::FleetStats::sessionsLive, kGauge},
+    {"fleet.sessions_idle", &fleet::FleetStats::sessionsIdle, kGauge},
+    {"fleet.queue_depth", &fleet::FleetStats::queueDepth, kGauge},
+};
 /** @} */
 
-/** Appends every scalar counter of @p k under the "kernel." prefix. */
-void appendCounters(std::vector<NamedCounter> &out, const KernelStats &k);
+/** Looks up a struct's counter table by type, for the loops below. */
+constexpr auto &
+counterTable(const KernelStats &)
+{
+    return kKernelCounters;
+}
 
-/** Appends every counter of @p t under the "tlb." prefix. */
-void appendCounters(std::vector<NamedCounter> &out, const TlbStats &t);
+constexpr auto &
+counterTable(const TlbStats &)
+{
+    return kTlbCounters;
+}
 
-/** Appends every counter of @p s under the "sys." prefix. */
-void appendCounters(std::vector<NamedCounter> &out, const SystemStats &s);
+constexpr auto &
+counterTable(const SystemStats &)
+{
+    return kSysCounters;
+}
 
-/** Appends every counter of @p s under the "sched." prefix. */
-void appendCounters(std::vector<NamedCounter> &out, const SchedStats &s);
+constexpr auto &
+counterTable(const SchedStats &)
+{
+    return kSchedCounters;
+}
 
-/** Appends every CPU core counter (execution tiers, traps, DBT
- *  translation activity) under the "cpu." prefix. */
-void appendCounters(std::vector<NamedCounter> &out,
-                    const sa32::CoreStats &c);
+constexpr auto &
+counterTable(const sa32::CoreStats &)
+{
+    return kCpuCounters;
+}
 
-/** Appends every fleet server counter (job outcomes, queueing, pool
- *  spawn/recycle activity) under the "fleet." prefix. */
-void appendCounters(std::vector<NamedCounter> &out,
-                    const fleet::FleetStats &f);
+constexpr auto &
+counterTable(const fleet::FleetStats &)
+{
+    return kFleetCounters;
+}
+
+// A plain stats struct is its counters and nothing else: a field added
+// without a table entry fails here.
+static_assert(sizeof(TlbStats) == std::size(kTlbCounters) * 8);
+static_assert(sizeof(SystemStats) == std::size(kSysCounters) * 8);
+static_assert(sizeof(SchedStats) == std::size(kSchedCounters) * 8);
+static_assert(sizeof(sa32::CoreStats) == std::size(kCpuCounters) * 8);
+static_assert(sizeof(fleet::FleetStats) == std::size(kFleetCounters) * 8);
+
+/** Adds every table counter of @p src into @p dst. */
+template <typename S>
+void
+addCounters(S &dst, const S &src)
+{
+    for (const CounterField<S> &c : counterTable(dst))
+        dst.*c.field += src.*c.field;
+}
+
+/** Appends every table counter of @p s, in table order. */
+template <typename S>
+void
+appendCounters(std::vector<NamedCounter> &out, const S &s)
+{
+    for (const CounterField<S> &c : counterTable(s))
+        out.push_back({c.name, s.*c.field});
+}
+
+/** @name Snapshot serialisation of the stats structs: one u64 per table
+ *  counter, in table order.  KernelStats adds its clause-size
+ *  histogram and CFG edges after its counters.
+ *  @{ */
+template <typename S>
+void
+saveStats(snapshot::ChunkWriter &w, const S &s)
+{
+    for (const CounterField<S> &c : counterTable(s))
+        w.u64(s.*c.field);
+}
+
+/** Parses into a local first, so a truncated chunk leaves @p s as it
+ *  was. */
+template <typename S>
+void
+restoreStats(snapshot::ChunkReader &r, S &s)
+{
+    S v;
+    for (const CounterField<S> &c : counterTable(v))
+        v.*c.field = r.u64();
+    s = v;
+}
+
+void saveStats(snapshot::ChunkWriter &w, const KernelStats &k);
+void restoreStats(snapshot::ChunkReader &r, KernelStats &k);
+/** @} */
+
+inline void
+TlbStats::merge(const TlbStats &other)
+{
+    addCounters(*this, other);
+}
+
+inline void
+SchedStats::merge(const SchedStats &o)
+{
+    addCounters(*this, o);
+}
 
 /**
  * A set of GPU virtual page numbers: a bitmap over the whole 20-bit VPN

@@ -21,7 +21,9 @@ namespace {
 const std::string kTagNeedle = std::string("make") + "Tag(\"";
 const std::string kHandlerNeedle = std::string("HAND") + "LER(";
 const std::string kDbtOpsNeedle = std::string("#define DBT") + "_OPS(X)";
-const std::string kCounterNeedle = std::string("out.push_") + "back({\"";
+// A counter table entry: {"prefix.name", &Struct::field[, kGauge]},
+const std::string kCounterNeedle = std::string("{") + "\"";
+const std::string kCounterFieldNeedle = std::string("\", ") + "&";
 const std::string kStdMutex = std::string("std::") + "mutex";
 const std::string kStdCondVar = std::string("std::") + "condition_variable";
 const std::string kStdSharedMutex = std::string("std::") + "shared_mutex";
@@ -301,12 +303,15 @@ checkCounterRegistry(const Options &opts)
     std::map<std::string, int> emitted;   // name -> first line
     for (size_t i = 0; i < lines.size(); ++i) {
         const std::string &l = lines[i];
-        size_t pos = l.find(kCounterNeedle);
-        if (pos == std::string::npos)
+        size_t pos = l.find_first_not_of(' ');
+        if (pos == std::string::npos ||
+            l.compare(pos, kCounterNeedle.size(), kCounterNeedle) != 0)
             continue;
         size_t start = pos + kCounterNeedle.size();
         size_t endq = l.find('"', start);
-        if (endq == std::string::npos)
+        if (endq == std::string::npos ||
+            l.compare(endq, kCounterFieldNeedle.size(),
+                      kCounterFieldNeedle) != 0)
             continue;
         std::string name = l.substr(start, endq - start);
         int lineNo = static_cast<int>(i + 1);
@@ -368,7 +373,7 @@ checkCounterRegistry(const Options &opts)
             diags.push_back(
                 Diag{opts.metricsDoc, line, "counters",
                      "documented counter \"" + name + "\" is not "
-                     "emitted by any appendCounters overload in " +
+                     "emitted by any counter table in " +
                      opts.statsFile});
     }
     return diags;

@@ -13,8 +13,10 @@
  *     4CC across the BSNP/BRPL serializers is claimed exactly once.
  *  2. DBT X-macro parity: the `DBT_OPS(X)` op list and the
  *     `HANDLER(Op)` bodies in src/cpu/dbt.cc are the same set.
- *  3. Counter registry: every counter name `appendCounters` emits is
- *     unique, matches `prefix.lower_snake`, and is documented in
+ *  3. Counter registry: every counter name registered in a counter
+ *     table (`{"name", &Struct::field}` entries in
+ *     src/instrument/stats.h) is unique, matches
+ *     `prefix.lower_snake`, and is documented in
  *     docs/METRICS.md — and the doc names no counter that doesn't
  *     exist.
  *  4. Mutex coverage: no raw std mutex/condition-variable member in
@@ -59,7 +61,7 @@ struct Options
     std::string root = ".";
     std::string srcDir = "src";
     std::string dbtFile = "src/cpu/dbt.cc";
-    std::string statsFile = "src/instrument/stats.cc";
+    std::string statsFile = "src/instrument/stats.h";
     std::string metricsDoc = "docs/METRICS.md";
 };
 

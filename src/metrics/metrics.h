@@ -10,8 +10,9 @@
  * simulator already aggregates at its natural merge points — GPU job
  * completion, System::runCpu return, fleet job completion — are
  * published here as batched deltas, so the registry sees exactly the
- * names `instrument::appendCounters` emits (the single registration
- * point simlint and docs/METRICS.md enforce) without adding any
+ * names `instrument::appendCounters` emits (each registered once, by
+ * its entry in a counter table of instrument/stats.h, which simlint
+ * and docs/METRICS.md enforce) without adding any
  * per-instruction or per-translation work to a hot path.
  *
  * Shape: one table behind one mutex.  Counter names (static strings)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
@@ -682,6 +683,27 @@ TEST(FleetServer, WelcomeMirrorsTheImageInventory)
     EXPECT_EQ(wl.bufferBytes, server.imageInfo().bufferBytes);
 }
 
+/** Connects to a daemon that binds @p path asynchronously, retrying
+ *  for up to 2 s.  @return the socket, or -1. */
+int
+connectTo(const std::string &path)
+{
+    for (int attempt = 0; attempt < 200; ++attempt) {
+        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd < 0)
+            return -1;
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)) == 0)
+            return fd;
+        ::close(fd);
+        ::usleep(10000);
+    }
+    return -1;
+}
+
 TEST(FleetServer, SocketEndToEnd)
 {
     std::string path =
@@ -689,21 +711,7 @@ TEST(FleetServer, SocketEndToEnd)
     fleet::FleetServer server(warmImage(), smallServer(2, 2));
     std::thread daemon([&] { EXPECT_EQ(server.serve(path), 0); });
 
-    // The daemon binds asynchronously; retry the connect briefly.
-    int fd = -1;
-    for (int attempt = 0; attempt < 200; ++attempt) {
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-        ::usleep(10000);
-    }
+    int fd = connectTo(path);
     ASSERT_GE(fd, 0) << "could not connect to " << path;
 
     fleet::Frame f;
@@ -751,6 +759,33 @@ TEST(FleetServer, SocketEndToEnd)
     ::close(fd);
     daemon.join();
     EXPECT_TRUE(server.shuttingDown());
+    ::unlink(path.c_str());
+}
+
+TEST(FleetServer, ShutdownWakesServeAtOnce)
+{
+    // requestShutdown() must wake serve() directly, not at its next
+    // poll of the listening socket: 20 serving daemons, each timed
+    // from the request to serve() returning.
+    std::string path = "/tmp/bifsim_test_fleet_stop_" +
+                       std::to_string(::getpid()) + ".sock";
+    std::chrono::steady_clock::duration stopping{};
+    for (int cycle = 0; cycle < 20; ++cycle) {
+        fleet::FleetServer server(warmImage(), smallServer(1, 1));
+        std::thread daemon([&] { EXPECT_EQ(server.serve(path), 0); });
+        int fd = connectTo(path);
+        fleet::Frame f;
+        bool welcomed = fd >= 0 && fleet::readFrame(fd, f) &&
+                        f.kind == fleet::kMsgWelcome;
+        auto t0 = std::chrono::steady_clock::now();
+        server.requestShutdown();
+        daemon.join();
+        stopping += std::chrono::steady_clock::now() - t0;
+        if (fd >= 0)
+            ::close(fd);
+        ASSERT_TRUE(welcomed) << "cycle " << cycle;
+    }
+    EXPECT_LT(stopping, std::chrono::seconds(1));
     ::unlink(path.c_str());
 }
 

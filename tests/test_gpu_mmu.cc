@@ -97,13 +97,13 @@ TEST_F(GpuMmuTest, TlbAvoidsRepeatWalks)
     Addr pa = 0;
     lookupPa(0x00100000, false, pa);
     // Walk counts are per-TLB (thread-local) — no shared counter.
-    uint64_t walks = tlb.walks;
+    uint64_t walks = tlb.stats.walks;
     for (int i = 0; i < 100; ++i)
         lookupPa(0x00100000 + i * 4, false, pa);
-    EXPECT_EQ(tlb.walks, walks);
+    EXPECT_EQ(tlb.stats.walks, walks);
     tlb.flush();
     lookupPa(0x00100000, false, pa);
-    EXPECT_EQ(tlb.walks, walks + 1);
+    EXPECT_EQ(tlb.stats.walks, walks + 1);
 }
 
 TEST_F(GpuMmuTest, TlbCachesWritePermission)
@@ -145,11 +145,11 @@ TEST_F(GpuMmuTest, LookupCachesHostPointer)
     // Repeat lookups are served from the TLB array without walking
     // (the one-entry last-page cache sits in the executor, above this
     // layer, and is exercised by the workload/differential tests).
-    uint64_t walks = tlb.walks;
+    uint64_t walks = tlb.stats.walks;
     for (int i = 0; i < 16; ++i)
         EXPECT_NE(mmu.lookup(0x00100000 + i * 64, false, tlb), nullptr);
-    EXPECT_EQ(tlb.walks, walks);
-    EXPECT_GE(tlb.arrayHits, 16u);
+    EXPECT_EQ(tlb.stats.walks, walks);
+    EXPECT_GE(tlb.stats.arrayHits, 16u);
     EXPECT_EQ(tlb.last, e);
 }
 
@@ -168,7 +168,7 @@ TEST_F(GpuMmuTest, AsCommandEpochBumpInvalidatesHostPointerEntries)
     const GpuTlb::Entry *e = dmmu.lookup(0x00100000, false, wtlb);
     ASSERT_NE(e, nullptr);
     ASSERT_NE(e->host, nullptr);
-    uint64_t walks = wtlb.walks;
+    uint64_t walks = wtlb.stats.walks;
 
     uint64_t epoch_before = dmmu.epoch();
     dev.mmioWrite(kRegAsCommand, 1);
@@ -183,7 +183,7 @@ TEST_F(GpuMmuTest, AsCommandEpochBumpInvalidatesHostPointerEntries)
 
     // The next lookup must re-walk the (possibly rewritten) tables.
     ASSERT_NE(dmmu.lookup(0x00100000, false, wtlb), nullptr);
-    EXPECT_EQ(wtlb.walks, walks + 1);
+    EXPECT_EQ(wtlb.stats.walks, walks + 1);
 
     // Unchanged epoch: the lazy check is a no-op.
     EXPECT_FALSE(wtlb.syncEpoch(dmmu));

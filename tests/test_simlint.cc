@@ -89,18 +89,18 @@ TEST(Simlint, CounterRegistryFindsAllViolationKinds)
         bifsim::lint::checkCounterRegistry(fixture("orphan_counter"));
     ASSERT_EQ(d.size(), 4u);
     // Scan-order first: duplicate emit at line 9 (first emit line 7).
-    EXPECT_EQ(d[0].file, "src/instrument/stats.cc");
+    EXPECT_EQ(d[0].file, "src/instrument/stats.h");
     EXPECT_EQ(d[0].line, 9);
     EXPECT_EQ(d[0].check, "counters");
     EXPECT_TRUE(contains(d[0].message, "\"sched.slices_run\""));
     EXPECT_TRUE(contains(d[0].message, "already emitted at line 7"));
     // Grammar violation at line 10.
-    EXPECT_EQ(d[1].file, "src/instrument/stats.cc");
+    EXPECT_EQ(d[1].file, "src/instrument/stats.h");
     EXPECT_EQ(d[1].line, 10);
     EXPECT_TRUE(contains(d[1].message, "\"sched.CamelCase\""));
     EXPECT_TRUE(contains(d[1].message, "grammar"));
     // Emitted but undocumented, at the emit line.
-    EXPECT_EQ(d[2].file, "src/instrument/stats.cc");
+    EXPECT_EQ(d[2].file, "src/instrument/stats.h");
     EXPECT_EQ(d[2].line, 8);
     EXPECT_TRUE(contains(d[2].message, "\"sched.bogus_counter\""));
     EXPECT_TRUE(contains(d[2].message, "not documented in "
