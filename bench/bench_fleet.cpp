@@ -110,7 +110,7 @@ main(int argc, char **argv)
         std::vector<fleet::SessionPool::Lease> herd;
         for (unsigned i = 0; i < 64; ++i)
             herd.push_back(pool.acquire());
-        max_live = pool.stats().live;
+        max_live = pool.stats().sessionsLive;
     }
 
     // ---- 3. Job latency under concurrent tenants ----
@@ -156,7 +156,7 @@ main(int argc, char **argv)
     double p99 = lat_ms[std::min(lat_ms.size() - 1,
                                  lat_ms.size() * 99 / 100)];
     fleet::FleetStats fs = server.stats();
-    fleet::PoolStats ps = pool.stats();
+    fleet::FleetStats ps = pool.stats();
 
     std::printf("%-34s %10.2f ms (%zu-byte image)\n",
                 "image build+seal (once):",

@@ -4,8 +4,8 @@
  * publish hook costs relative to a job, measured two ways.
  *
  * The GATED number is modeled: the real hook body (build the delta
- * vector, four instrument::appendCounters calls, the sys delta
- * baseline, one locked publish) is timed directly over tens of
+ * vector, five instrument::appendCounters calls, the sys and
+ * shader-cache delta baseline, one locked publish) is timed directly over tens of
  * thousands of iterations — a multi-millisecond region with no
  * differencing in it — and divided by the per-job time from the
  * disabled side of the A/B.  Both inputs are solid measurements, so
@@ -175,6 +175,7 @@ hookCostSecs(const gpu::JobResult &job)
     sched.steals = 1;
     sched.stealAttempts = 2;
     gpu::SystemStats sys;
+    gpu::ShaderCacheStats cache;
     metrics::CounterBaseline sysBase;
     auto hook = [&] {
         sys.pagesAccessed += 4;
@@ -182,17 +183,19 @@ hookCostSecs(const gpu::JobResult &job)
         sys.ctrlRegWrites += 6;
         sys.irqsAsserted += 1;
         sys.computeJobs += 1;
+        cache.hits += 1;
         std::vector<gpu::NamedCounter> deltas;
         gpu::appendCounters(deltas, job.kernel);
         gpu::appendCounters(deltas, job.tlb);
         gpu::appendCounters(deltas, sched);
         std::vector<gpu::NamedCounter> sysNow;
         gpu::appendCounters(sysNow, sys);
+        gpu::appendCounters(sysNow, cache);
         sysBase.appendDeltas(deltas, sysNow);
         metrics::registry().publish(deltas);
     };
 
-    // Intern the names once, as any real device's first job would.
+    // One untimed call, so the timed blocks start with warm caches.
     hook();
 
     constexpr int kIters = 20000;

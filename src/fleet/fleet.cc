@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -54,6 +55,7 @@ FleetServer::requestShutdown()
     sim::LockGuard g(connLock_);
     if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    connCv_.notify_all();
 #endif
 }
 
@@ -81,13 +83,7 @@ FleetServer::stats() const
         sim::LockGuard g(statsLock_);
         s = stats_;
     }
-    PoolStats p = pool_->stats();
-    s.spawns = p.spawns;
-    s.recycles = p.recycles;
-    s.recycleFailures = p.recycleFailures;
-    s.acquireWaits = p.acquireWaits;
-    s.sessionsLive = p.live;
-    s.sessionsIdle = p.idle;
+    gpu::addCounters(s, pool_->stats());
     {
         sim::LockGuard g(queueLock_);
         s.queueDepth = totalQueued_;
@@ -104,7 +100,7 @@ FleetServer::statsReply() const
     StatsReply r;
     r.counters.reserve(counters.size());
     for (const gpu::NamedCounter &c : counters)
-        r.counters.emplace_back(c.name, c.value);
+        r.counters.emplace_back(c.name(), c.value);
     r.uptimeNs = trace::nowNs() - startNs_;
     {
         sim::LockGuard g(statsLock_);
@@ -397,9 +393,9 @@ FleetServer::publishFleetMetrics()
     metrics::Registry &reg = metrics::registry();
     // Level-valued series go in as gauges (store-latest), set before
     // the batch so the registry ignores the batch's deltas for them.
-    for (const gpu::CounterField<FleetStats> &c : gpu::kFleetCounters)
-        if (c.gauge)
-            reg.setGauge(c.name, now.*c.field);
+    for (const gpu::NamedCounter &c : totals)
+        if (gpu::counterIsGauge(c.slot))
+            reg.setGauge(c.slot, c.value);
     reg.publish(deltas);
 }
 
@@ -502,6 +498,7 @@ FleetServer::serveConnection(int fd)
         connFds_.erase(
             std::remove(connFds_.begin(), connFds_.end(), fd),
             connFds_.end());
+        doneReaders_.push_back(std::this_thread::get_id());
     }
     ::close(fd);
 }
@@ -540,9 +537,33 @@ FleetServer::serve(const std::string &socket_path)
     }
     std::vector<std::thread> readers;
     while (!shuttingDown()) {
+        // Join the readers whose connection ended, so the server holds
+        // a thread per open connection, not per connection ever made.
+        std::vector<std::thread::id> done;
+        {
+            sim::LockGuard g(connLock_);
+            done.swap(doneReaders_);
+        }
+        for (std::thread::id id : done) {
+            auto it = std::find_if(
+                readers.begin(), readers.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            it->join();
+            readers.erase(it);
+        }
+
         int cfd = ::accept4(lfd, nullptr, nullptr, SOCK_CLOEXEC);
-        if (cfd < 0)
+        if (cfd < 0) {
+            // Running out of fds or memory (EMFILE, ENFILE, ENOBUFS)
+            // lasts until something is freed: pause rather than spin a
+            // core retrying.  requestShutdown() ends the pause.
+            if (errno != EINTR && errno != ECONNABORTED) {
+                sim::UniqueLock l(connLock_);
+                if (!shuttingDown())
+                    connCv_.wait_for(l, std::chrono::milliseconds(20));
+            }
             continue;
+        }
         {
             sim::LockGuard g(connLock_);
             connFds_.push_back(cfd);

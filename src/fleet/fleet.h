@@ -177,12 +177,16 @@ class FleetServer
 
     std::atomic<bool> shutdown_{false};
 
-    /** Open connection fds, so shutdown can unblock their readers,
-     *  and serve()'s listening fd (-1 outside serve()), so shutdown
-     *  can wake its accept(). */
+    /** serve()'s bookkeeping: the open connection fds (shutdown
+     *  unblocks their readers), the listening fd (-1 outside serve();
+     *  shutdown wakes its accept()), the reader threads that have
+     *  finished (serve() joins them), and connCv_ (shutdown cuts short
+     *  serve()'s pause after a failed accept()). */
     mutable sim::Mutex connLock_;
+    sim::CondVar connCv_;
     std::vector<int> connFds_ GUARDED_BY(connLock_);
     int listenFd_ GUARDED_BY(connLock_) = -1;
+    std::vector<std::thread::id> doneReaders_ GUARDED_BY(connLock_);
 
     std::vector<std::thread> workers_;
 

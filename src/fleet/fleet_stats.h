@@ -5,8 +5,10 @@
  * @file
  * Fleet server counters (DESIGN.md §5j).
  *
- * A dependency-free leaf header: the fleet server fills this struct
- * and its counter table (instrument::kFleetCounters) names each field
+ * A dependency-free leaf header: the fleet server and its session pool
+ * fill this struct (the pool only its six pool fields, which
+ * FleetServer::stats() adds in), and its counter table
+ * (instrument::kFleetCounters) names each field
  * "fleet."-prefixed, keeping the counter registry (and simlint's
  * counters check, docs/METRICS.md) in one place without
  * instrument/ depending on the fleet subsystem proper.

@@ -104,13 +104,13 @@ SessionPool::release(std::unique_ptr<Entry> e)
     // Session destructor joins its GPU worker threads.
 }
 
-PoolStats
+FleetStats
 SessionPool::stats() const
 {
     sim::LockGuard g(lock_);
-    PoolStats s = stats_;
-    s.live = live_;
-    s.idle = idle_.size();
+    FleetStats s = stats_;
+    s.sessionsLive = live_;
+    s.sessionsIdle = idle_.size();
     return s;
 }
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "fleet/fleet_stats.h"
 #include "runtime/session.h"
 #include "snapshot/snapshot.h"
 
@@ -52,17 +53,6 @@ struct PoolConfig
      * load (PR 8's determinism contract).
      */
     rt::SystemConfig base;
-};
-
-/** Pool observability counters (all monotone except the gauges). */
-struct PoolStats
-{
-    uint64_t spawns = 0;           ///< Cold constructions from the image.
-    uint64_t recycles = 0;         ///< In-place resets on release.
-    uint64_t recycleFailures = 0;  ///< Resets that threw; session dropped.
-    uint64_t acquireWaits = 0;     ///< acquire() calls that had to block.
-    size_t live = 0;               ///< Gauge: sessions in existence.
-    size_t idle = 0;               ///< Gauge: sessions parked, ready.
 };
 
 /**
@@ -101,8 +91,10 @@ class SessionPool
     /** True when guest RAM is CoW-shared (Linux with memfd). */
     bool cowShared() const { return ramImage_ != nullptr; }
 
-    /** Counter snapshot.  Threading: any thread. */
-    PoolStats stats() const EXCLUDES(lock_);
+    /** Counter snapshot: the pool's fields of FleetStats (spawns,
+     *  recycles, recycleFailures, acquireWaits, sessionsLive,
+     *  sessionsIdle); the rest stay 0.  Threading: any thread. */
+    FleetStats stats() const EXCLUDES(lock_);
 
   private:
     struct Entry
@@ -121,7 +113,7 @@ class SessionPool
     size_t live_ GUARDED_BY(lock_) = 0;       ///< Spawned and not dropped.
     size_t spawning_ GUARDED_BY(lock_) = 0;   ///< Spawns in flight.
     uint32_t nextId_ GUARDED_BY(lock_) = 0;
-    PoolStats stats_ GUARDED_BY(lock_);
+    FleetStats stats_ GUARDED_BY(lock_);   ///< Monotone pool counters.
 
     std::unique_ptr<Entry> spawn(uint32_t id);
     void release(std::unique_ptr<Entry> e) EXCLUDES(lock_);

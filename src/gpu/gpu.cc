@@ -293,11 +293,10 @@ GpuDevice::reset()
     jobCount_ = 0;
     faultStatus_ = 0;
     faultAddress_ = 0;
-    setSysStatsLocked(SystemStats{});
+    setSysStatsLocked(SystemStats{}, ShaderCacheStats{});
     total_ = KernelStats{};
     lastJob_ = JobResult{};
     sched_ = SchedStats{};
-    cacheStats_ = ShaderCacheStats{};
     flushShadersLocked();
     jmTlb_.flush();
     mmu_.setRoot(0);
@@ -370,8 +369,7 @@ GpuDevice::saveState(snapshot::ChunkWriter &w) const
     saveStats(w, sys_);
     saveStats(w, total_);
     saveJobResult(w, lastJob_);
-    w.u64(cacheStats_.decodes);
-    w.u64(cacheStats_.hits);
+    saveStats(w, cacheStats_);
 }
 
 void
@@ -396,8 +394,7 @@ GpuDevice::restoreState(snapshot::ChunkReader &r)
     JobResult last;
     restoreJobResult(r, last);
     ShaderCacheStats cache_stats;
-    cache_stats.decodes = r.u64();
-    cache_stats.hits = r.u64();
+    restoreStats(r, cache_stats);
     r.expectEnd();
 
     sim::LockGuard g(lock_);
@@ -409,10 +406,9 @@ GpuDevice::restoreState(snapshot::ChunkReader &r)
     jobCount_ = job_count;
     faultStatus_ = fault_status;
     faultAddress_ = fault_address;
-    setSysStatsLocked(sys);
+    setSysStatsLocked(sys, cache_stats);
     total_ = std::move(total);
     lastJob_ = std::move(last);
-    cacheStats_ = cache_stats;
     // Decoded shaders were compiled against the old address space;
     // setRoot()'s epoch bump makes every worker drop its host-pointer
     // TLB at the next clause boundary.
@@ -488,11 +484,10 @@ void
 GpuDevice::resetStats()
 {
     sim::LockGuard g(lock_);
-    setSysStatsLocked(SystemStats{});
+    setSysStatsLocked(SystemStats{}, ShaderCacheStats{});
     total_ = KernelStats{};
     lastJob_ = JobResult{};
     sched_ = SchedStats{};
-    cacheStats_ = ShaderCacheStats{};
 }
 
 bool
@@ -745,14 +740,14 @@ GpuDevice::runJob(const JobDescriptor &desc)
         appendCounters(counters, sys_);
         appendCounters(counters, jobSched);
         for (const NamedCounter &c : counters)
-            jmBuf_->counter(c.name, c.value);
+            jmBuf_->counter(c.name(), c.value);
     }
     // Always-on metrics (§5k): job completion is the natural merge
     // point, so the per-job kernel/TLB/sched deltas publish as one
-    // batch.  sys_ counters accumulate outside runJob too (MMIO,
-    // IRQs), so the batch carries their growth since the last publish;
-    // a faulted job's sys increments fold into the next successful
-    // publish.
+    // batch.  sys_ and cacheStats_ counters accumulate outside runJob
+    // too (MMIO, IRQs, decodes), so the batch carries their growth
+    // since the last publish; a faulted job's increments fold into the
+    // next successful publish.
     if (metrics::registry().enabled()) {
         std::vector<NamedCounter> deltas;
         appendCounters(deltas, result.kernel);
@@ -770,19 +765,23 @@ GpuDevice::appendSysDeltasLocked(std::vector<NamedCounter> &batch)
 {
     std::vector<NamedCounter> now;
     appendCounters(now, sys_);
+    appendCounters(now, cacheStats_);
     sysBase_.appendDeltas(batch, now);
 }
 
 void
-GpuDevice::setSysStatsLocked(const SystemStats &s)
+GpuDevice::setSysStatsLocked(const SystemStats &s,
+                             const ShaderCacheStats &cache)
 {
     std::vector<NamedCounter> pending;
     appendSysDeltasLocked(pending);
     if (!pending.empty())
         metrics::registry().publish(pending);
     sys_ = s;
+    cacheStats_ = cache;
     std::vector<NamedCounter> now;
     appendCounters(now, sys_);
+    appendCounters(now, cacheStats_);
     sysBase_.rebase(now);
 }
 

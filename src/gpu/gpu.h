@@ -140,13 +140,6 @@ struct JobResult
     JobFault fault;
 };
 
-/** Shader decode-cache statistics. */
-struct ShaderCacheStats
-{
-    uint64_t decodes = 0;
-    uint64_t hits = 0;
-};
-
 /** Serialises a JobResult (stats + fault details) into @p w. */
 void saveJobResult(snapshot::ChunkWriter &w, const JobResult &r);
 
@@ -352,9 +345,10 @@ class GpuDevice : public Device
     bool irqLevel_ GUARDED_BY(lock_) = false;
 
     SystemStats sys_ GUARDED_BY(lock_);
-    /** Metrics baseline for sys_ (§5k): sys_ counters also grow
-     *  outside runJob (MMIO, IRQs), so each job-completion batch
-     *  carries their growth since the last publish. */
+    /** Metrics baseline for sys_ and cacheStats_ (§5k): both also grow
+     *  outside runJob (MMIO, IRQs, chain decodes), so each
+     *  job-completion batch carries their growth since the last
+     *  publish. */
     metrics::CounterBaseline sysBase_ GUARDED_BY(lock_);
     KernelStats total_ GUARDED_BY(lock_);
     JobResult lastJob_ GUARDED_BY(lock_);
@@ -421,15 +415,17 @@ class GpuDevice : public Device
     void flushShadersLocked() REQUIRES(lock_);
     void updateIrqOutput() REQUIRES(lock_);
 
-    /** Appends sys_'s growth since the last metrics publish to
-     *  @p batch (§5k). */
+    /** Appends sys_'s and cacheStats_'s growth since the last metrics
+     *  publish to @p batch (§5k). */
     void appendSysDeltasLocked(std::vector<NamedCounter> &batch)
         REQUIRES(lock_);
 
-    /** Replaces sys_ on a reset or restore.  Growth not yet published
-     *  is published first (work done before a reset still counts);
-     *  @p s becomes the baseline (restored counts are not work done). */
-    void setSysStatsLocked(const SystemStats &s) REQUIRES(lock_);
+    /** Replaces sys_ and cacheStats_ on a reset or restore.  Growth
+     *  not yet published is published first (work done before a reset
+     *  still counts); the new values become the baseline (restored
+     *  counts are not work done). */
+    void setSysStatsLocked(const SystemStats &s,
+                           const ShaderCacheStats &cache) REQUIRES(lock_);
 };
 
 } // namespace bifsim::gpu

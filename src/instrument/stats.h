@@ -15,16 +15,21 @@
  * <5%) and execution needs no synchronisation and builds no map.
  *
  * Every exported counter is registered once, by its entry in its
- * struct's counter table (kKernelCounters ... kFleetCounters below).
+ * struct's counter table (kKernelCounters ... kShaderCounters below).
  * Merging, snapshot bytes and the "prefix.name" export all loop over
  * those tables, so a counter is added by adding a field and its entry,
- * and nothing else names it.
+ * and nothing else names it.  The tables concatenated, kCounters, are
+ * the metrics registry's slots: a counter's slot is its position there,
+ * and counterSlot("prefix.name") resolves a name at compile time.
  */
 
+#include <array>
 #include <cstdint>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -171,17 +176,11 @@ struct SchedStats
     inline void merge(const SchedStats &o);
 };
 
-/**
- * A named counter value: the unified view over the stats structs used
- * by the trace subsystem's counter events, the metrics registry and the
- * human-readable job summaries.  Names point into the counter tables
- * below ("kernel.arith_instrs", "tlb.walks", "sys.irqs_asserted"...),
- * so consumers can store the pointers without copying.
- */
-struct NamedCounter
+/** Shader decode-cache statistics (guest-visible: snapshotted). */
+struct ShaderCacheStats
 {
-    const char *name;
-    uint64_t value;
+    uint64_t decodes = 0;   ///< Shaders decoded and verified.
+    uint64_t hits = 0;      ///< Lookups served by the decode cache.
 };
 
 /** One registered counter of statistics struct S. */
@@ -200,10 +199,11 @@ inline constexpr bool kGauge = true;
 /**
  * @name Counter tables
  * Each statistics struct's one list of its counters.  A table's order
- * is both the appendCounters() order (metrics::CounterBaseline matches
- * counters by position) and the snapshot byte order, so reordering a
- * table changes both.  Merge, snapshot and export code loop over these
- * tables; a counter exists once it has an entry here.
+ * is the appendCounters() order (metrics::CounterBaseline matches
+ * counters by position), the registry slot order and the snapshot byte
+ * order, so reordering a table changes all three.  Merge, snapshot and
+ * export code loop over these tables; a counter exists once it has an
+ * entry here.
  * @{
  */
 inline constexpr CounterField<KernelStats> kKernelCounters[] = {
@@ -280,44 +280,120 @@ inline constexpr CounterField<fleet::FleetStats> kFleetCounters[] = {
     {"fleet.sessions_idle", &fleet::FleetStats::sessionsIdle, kGauge},
     {"fleet.queue_depth", &fleet::FleetStats::queueDepth, kGauge},
 };
+
+inline constexpr CounterField<ShaderCacheStats> kShaderCounters[] = {
+    {"shader.decodes", &ShaderCacheStats::decodes},
+    {"shader.cache_hits", &ShaderCacheStats::hits},
+};
 /** @} */
 
-/** Looks up a struct's counter table by type, for the loops below. */
-constexpr auto &
-counterTable(const KernelStats &)
+/** Each struct's counter table by type, for the loops below; a struct
+ *  with no table has no definition here and fails to build or link. */
+template <typename S>
+extern const std::span<const CounterField<S>> kCounterTable;
+
+template <>
+inline constexpr std::span<const CounterField<KernelStats>>
+    kCounterTable<KernelStats> = kKernelCounters;
+
+template <>
+inline constexpr std::span<const CounterField<TlbStats>>
+    kCounterTable<TlbStats> = kTlbCounters;
+
+template <>
+inline constexpr std::span<const CounterField<SystemStats>>
+    kCounterTable<SystemStats> = kSysCounters;
+
+template <>
+inline constexpr std::span<const CounterField<SchedStats>>
+    kCounterTable<SchedStats> = kSchedCounters;
+
+template <>
+inline constexpr std::span<const CounterField<sa32::CoreStats>>
+    kCounterTable<sa32::CoreStats> = kCpuCounters;
+
+template <>
+inline constexpr std::span<const CounterField<fleet::FleetStats>>
+    kCounterTable<fleet::FleetStats> = kFleetCounters;
+
+template <>
+inline constexpr std::span<const CounterField<ShaderCacheStats>>
+    kCounterTable<ShaderCacheStats> = kShaderCounters;
+
+/** What the metrics registry keeps of one counter. */
+struct CounterInfo
 {
-    return kKernelCounters;
+    const char *name;
+    bool gauge;
+};
+
+/** Concatenates the counter tables of @p S... into one slot table. */
+template <typename... S>
+consteval auto
+concatCounters()
+{
+    std::array<CounterInfo, (kCounterTable<S>.size() + ...)> all{};
+    size_t i = 0;
+    auto add = [&](const auto &table) {
+        for (const auto &c : table)
+            all[i++] = {c.name, c.gauge};
+    };
+    (add(kCounterTable<S>), ...);
+    return all;
 }
 
-constexpr auto &
-counterTable(const TlbStats &)
+/** Every registered counter, one per registry slot: a counter's slot
+ *  is its position here. */
+inline constexpr auto kCounters =
+    concatCounters<KernelStats, TlbStats, SystemStats, SchedStats,
+                   sa32::CoreStats, fleet::FleetStats, ShaderCacheStats>();
+
+/**
+ * The registry slot of counter @p name.  Evaluated at compile time
+ * only, so a name no counter table has is a compile error, never a
+ * silent read of 0.
+ */
+consteval uint16_t
+counterSlot(std::string_view name)
 {
-    return kTlbCounters;
+    for (size_t i = 0; i < kCounters.size(); ++i)
+        if (name == kCounters[i].name)
+            return static_cast<uint16_t>(i);
+    throw "counterSlot: no counter table has this name";
 }
 
-constexpr auto &
-counterTable(const SystemStats &)
+/** Name of the counter in @p slot (< kCounters.size()). */
+constexpr const char *
+counterName(uint16_t slot)
 {
-    return kSysCounters;
+    return kCounters[slot].name;
 }
 
-constexpr auto &
-counterTable(const SchedStats &)
+/** True when @p slot holds a level (kGauge), not an accumulator. */
+constexpr bool
+counterIsGauge(uint16_t slot)
 {
-    return kSchedCounters;
+    return kCounters[slot].gauge;
 }
 
-constexpr auto &
-counterTable(const sa32::CoreStats &)
-{
-    return kCpuCounters;
-}
+/** Slot of the first counter of @p S; the rest of its table follows. */
+template <typename S>
+inline constexpr uint16_t kFirstSlot =
+    counterSlot(kCounterTable<S>[0].name);
 
-constexpr auto &
-counterTable(const fleet::FleetStats &)
+/**
+ * A counter value tagged with its registry slot: the unified view over
+ * the stats structs used by the trace subsystem's counter events, the
+ * metrics registry and the human-readable job summaries.
+ */
+struct NamedCounter
 {
-    return kFleetCounters;
-}
+    uint16_t slot;
+    uint64_t value;
+
+    /** "kernel.arith_instrs", "tlb.walks"...: a static string. */
+    const char *name() const { return counterName(slot); }
+};
 
 // A plain stats struct is its counters and nothing else: a field added
 // without a table entry fails here.
@@ -326,23 +402,25 @@ static_assert(sizeof(SystemStats) == std::size(kSysCounters) * 8);
 static_assert(sizeof(SchedStats) == std::size(kSchedCounters) * 8);
 static_assert(sizeof(sa32::CoreStats) == std::size(kCpuCounters) * 8);
 static_assert(sizeof(fleet::FleetStats) == std::size(kFleetCounters) * 8);
+static_assert(sizeof(ShaderCacheStats) == std::size(kShaderCounters) * 8);
 
 /** Adds every table counter of @p src into @p dst. */
 template <typename S>
 void
 addCounters(S &dst, const S &src)
 {
-    for (const CounterField<S> &c : counterTable(dst))
+    for (const CounterField<S> &c : kCounterTable<S>)
         dst.*c.field += src.*c.field;
 }
 
-/** Appends every table counter of @p s, in table order. */
+/** Appends every table counter of @p s, in table (= slot) order. */
 template <typename S>
 void
 appendCounters(std::vector<NamedCounter> &out, const S &s)
 {
-    for (const CounterField<S> &c : counterTable(s))
-        out.push_back({c.name, s.*c.field});
+    uint16_t slot = kFirstSlot<S>;
+    for (const CounterField<S> &c : kCounterTable<S>)
+        out.push_back({slot++, s.*c.field});
 }
 
 /** @name Snapshot serialisation of the stats structs: one u64 per table
@@ -353,7 +431,7 @@ template <typename S>
 void
 saveStats(snapshot::ChunkWriter &w, const S &s)
 {
-    for (const CounterField<S> &c : counterTable(s))
+    for (const CounterField<S> &c : kCounterTable<S>)
         w.u64(s.*c.field);
 }
 
@@ -364,7 +442,7 @@ void
 restoreStats(snapshot::ChunkReader &r, S &s)
 {
     S v;
-    for (const CounterField<S> &c : counterTable(v))
+    for (const CounterField<S> &c : kCounterTable<S>)
         v.*c.field = r.u64();
     s = v;
 }

@@ -287,7 +287,7 @@ checkCounterRegistry(const Options &opts)
         if (dot == std::string::npos || dot == 0 || dot + 1 >= n.size())
             return false;
         static const std::set<std::string> prefixes = {
-            "kernel", "tlb", "sys", "sched", "cpu", "fleet"};
+            "kernel", "tlb", "sys", "sched", "cpu", "fleet", "shader"};
         if (!prefixes.count(n.substr(0, dot)))
             return false;
         for (size_t i = dot + 1; i < n.size(); ++i) {
@@ -320,7 +320,7 @@ checkCounterRegistry(const Options &opts)
                 Diag{opts.statsFile, lineNo, "counters",
                      "counter \"" + name + "\" does not match the "
                      "prefix.lower_snake grammar (prefixes: kernel, "
-                     "tlb, sys, sched, cpu, fleet)"});
+                     "tlb, sys, sched, cpu, fleet, shader)"});
             continue;
         }
         auto [it, fresh] = emitted.emplace(name, lineNo);

@@ -2,43 +2,14 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <string_view>
 
 #include "metrics/metrics.h"
 
 namespace bifsim::metrics {
 
+using gpu::counterSlot;
+
 namespace {
-
-/** Looks up a slot without interning: a counter that has never been
- *  published should render as absent/zero, not occupy a slot. */
-uint16_t
-findSlot(const Registry &reg, const char *name)
-{
-    // Registry::slot interns; scan the existing names instead.
-    for (uint16_t i = 0; i < reg.slotCount() && i < kMaxSlots; ++i) {
-        const char *n = reg.slotName(i);
-        if (n && std::string_view(n) == name)
-            return i;
-    }
-    return kInvalidSlot;
-}
-
-double
-rateOf(const Registry &reg, const char *name, uint64_t window_ns)
-{
-    uint16_t s = findSlot(reg, name);
-    return s == kInvalidSlot ? 0.0 : reg.rate(s, window_ns);
-}
-
-uint64_t
-totalOf(const Registry &reg,
-        const std::array<uint64_t, kMaxSlots> &totals,
-        const char *name)
-{
-    uint16_t s = findSlot(reg, name);
-    return s == kInvalidSlot ? 0 : totals[s];
-}
 
 std::string
 fmtRate(double v)
@@ -89,27 +60,29 @@ renderHud(const Registry &reg, const HudOptions &opt)
     std::array<uint64_t, kMaxSlots> totals =
         have ? newest.v : reg.totals();
 
+    auto rate = [&](uint16_t slot) { return reg.rate(slot, w); };
+
     // CPU.
-    double mips = rateOf(reg, "cpu.instret", w) * 1e-6;
-    uint64_t instret = totalOf(reg, totals, "cpu.instret");
+    double mips = rate(counterSlot("cpu.instret")) * 1e-6;
+    uint64_t instret = totals[counterSlot("cpu.instret")];
 
     // GPU: thread-weighted kernel instructions per second + jobs/s.
-    double kinstr = rateOf(reg, "kernel.arith_instrs", w) +
-                    rateOf(reg, "kernel.ls_instrs", w) +
-                    rateOf(reg, "kernel.cf_instrs", w);
-    double jobs = rateOf(reg, "sys.compute_jobs", w);
-    uint64_t jobsTotal = totalOf(reg, totals, "sys.compute_jobs");
+    double kinstr = rate(counterSlot("kernel.arith_instrs")) +
+                    rate(counterSlot("kernel.ls_instrs")) +
+                    rate(counterSlot("kernel.cf_instrs"));
+    double jobs = rate(counterSlot("sys.compute_jobs"));
+    uint64_t jobsTotal = totals[counterSlot("sys.compute_jobs")];
 
     // TLB: windowed hit ratio.  Rates share the window, so the ratio
     // of rates equals the ratio of deltas.
-    double hits = rateOf(reg, "tlb.last_page_hits", w) +
-                  rateOf(reg, "tlb.array_hits", w);
-    double walks = rateOf(reg, "tlb.walks", w);
+    double hits = rate(counterSlot("tlb.last_page_hits")) +
+                  rate(counterSlot("tlb.array_hits"));
+    double walks = rate(counterSlot("tlb.walks"));
     double tlbPct = hits + walks > 0 ? 100.0 * hits / (hits + walks) : 0;
 
     // Scheduler: successful steals per attempt, windowed.
-    double steals = rateOf(reg, "sched.steals", w);
-    double attempts = rateOf(reg, "sched.steal_attempts", w);
+    double steals = rate(counterSlot("sched.steals"));
+    double attempts = rate(counterSlot("sched.steal_attempts"));
     double stealPct = attempts > 0 ? 100.0 * steals / attempts : 0;
 
     std::string out;
@@ -127,18 +100,18 @@ renderHud(const Registry &reg, const HudOptions &opt)
 
     // Fleet block only when a server has ever published (gauges are
     // set on the first completed job).
-    uint64_t live = totalOf(reg, totals, "fleet.sessions_live");
-    uint64_t submitted = totalOf(reg, totals, "fleet.jobs_submitted");
+    uint64_t live = totals[counterSlot("fleet.sessions_live")];
+    uint64_t submitted = totals[counterSlot("fleet.jobs_submitted")];
     if (live || submitted) {
-        double fjobs = rateOf(reg, "fleet.jobs_completed", w);
+        double fjobs = rate(counterSlot("fleet.jobs_completed"));
         addLine(out, pad,
                 "fleet %6.1f jobs/s  depth %-4llu live %-3llu idle %-3llu",
                 fjobs,
                 static_cast<unsigned long long>(
-                    totalOf(reg, totals, "fleet.queue_depth")),
+                    totals[counterSlot("fleet.queue_depth")]),
                 static_cast<unsigned long long>(live),
                 static_cast<unsigned long long>(
-                    totalOf(reg, totals, "fleet.sessions_idle")));
+                    totals[counterSlot("fleet.sessions_idle")]));
     }
     return out;
 }

@@ -1,9 +1,7 @@
 #include "metrics/metrics.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "instrument/stats.h"
 #include "trace/trace.h"
 
 namespace bifsim::metrics {
@@ -13,82 +11,25 @@ Registry::Registry(size_t ring_capacity)
 {
 }
 
-uint16_t
-Registry::slot(const char *name)
-{
-    sim::LockGuard g(lock_);
-    return slotLocked(name);
-}
-
-uint16_t
-Registry::slotLocked(const char *name)
-{
-    auto it = lookup_.find(name);
-    if (it != lookup_.end())
-        return it->second;
-    // First sight of this pointer.  Distinct literals with equal text
-    // (the same counter name from two translation units) must share a
-    // slot, so scan by text before taking a new one.
-    uint16_t idx = kInvalidSlot;
-    for (size_t i = 0; i < names_.size(); ++i) {
-        if (std::strcmp(names_[i], name) == 0) {
-            idx = static_cast<uint16_t>(i);
-            break;
-        }
-    }
-    if (idx == kInvalidSlot) {
-        if (names_.size() < kMaxSlots) {
-            idx = static_cast<uint16_t>(names_.size());
-            names_.push_back(name);
-        } else {
-            ++stats_.slotsDropped;
-        }
-    }
-    lookup_.emplace(name, idx);
-    return idx;
-}
-
-const char *
-Registry::slotName(uint16_t slot) const
-{
-    sim::LockGuard g(lock_);
-    return slot < names_.size() ? names_[slot] : nullptr;
-}
-
-size_t
-Registry::slotCount() const
-{
-    sim::LockGuard g(lock_);
-    return names_.size();
-}
-
 void
 Registry::publish(const std::vector<gpu::NamedCounter> &deltas)
 {
     if (!enabled())
         return;
     sim::LockGuard g(lock_);
-    for (const gpu::NamedCounter &d : deltas) {
-        if (d.value == 0)
-            continue;
-        uint16_t idx = slotLocked(d.name);
-        if (idx != kInvalidSlot && !gauge_[idx])
-            cells_[idx] += d.value;
-    }
+    for (const gpu::NamedCounter &d : deltas)
+        if (!gpu::counterIsGauge(d.slot))
+            cells_[d.slot] += d.value;
     ++stats_.publishes;
 }
 
 void
-Registry::setGauge(const char *name, uint64_t value)
+Registry::setGauge(uint16_t slot, uint64_t value)
 {
     if (!enabled())
         return;
     sim::LockGuard g(lock_);
-    uint16_t idx = slotLocked(name);
-    if (idx == kInvalidSlot)
-        return;
-    cells_[idx] = value;
-    gauge_[idx] = true;
+    cells_[slot] = value;
 }
 
 std::array<uint64_t, kMaxSlots>
@@ -217,7 +158,7 @@ CounterBaseline::appendDeltas(std::vector<gpu::NamedCounter> &out,
     base_.resize(now.size());
     for (size_t i = 0; i < now.size(); ++i) {
         if (now[i].value > base_[i])
-            out.push_back({now[i].name, now[i].value - base_[i]});
+            out.push_back({now[i].slot, now[i].value - base_[i]});
         base_[i] = std::max(base_[i], now[i].value);
     }
 }

@@ -10,20 +10,22 @@
  * simulator already aggregates at its natural merge points — GPU job
  * completion, System::runCpu return, fleet job completion — are
  * published here as batched deltas, so the registry sees exactly the
- * names `instrument::appendCounters` emits (each registered once, by
+ * counters `instrument::appendCounters` emits (each registered once, by
  * its entry in a counter table of instrument/stats.h, which simlint
  * and docs/METRICS.md enforce) without adding any
  * per-instruction or per-translation work to a hot path.
  *
- * Shape: one table behind one mutex.  Counter names (static strings)
- * intern to small slot indices, fixed at kMaxSlots, through a
- * pointer-keyed lookup the registry owns; each slot has one cell.  A
- * publish is lock, add the batch, unlock, so a reader always sees a
- * batch whole — `tlb.walks` never outruns the `tlb.*_hits` published
- * with it.  Gauges (queue depth, live sessions) store the latest level
- * into their cell instead of adding.  sample() appends a timestamped
- * copy of the cells to a fixed ring, from which consumers compute
- * windowed rates (the HUD) or dump series (simsweep).
+ * Shape: one cell per counter behind one mutex.  A counter's slot is
+ * its position in gpu::kCounters, fixed at compile time: publishers
+ * hand in slots (NamedCounter), readers name a counter through
+ * gpu::counterSlot("prefix.name"), and nothing is looked up by name
+ * at run time.  A publish is lock, add the batch, unlock, so a reader
+ * always sees a batch whole — `tlb.walks` never outruns the
+ * `tlb.*_hits` published with it.  Gauges (the table entries marked
+ * kGauge: queue depth, live sessions) store the latest level into
+ * their cell instead of adding.  sample() appends a timestamped copy
+ * of the cells to a fixed ring, from which consumers compute windowed
+ * rates (the HUD) or dump series (simsweep).
  *
  * The lock is uncontended in practice: publishers batch at merge
  * points (one batch per GPU job, per fleet job or per 64K guest
@@ -42,32 +44,21 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
-
-namespace bifsim::gpu {
-struct NamedCounter;
-}
+#include "instrument/stats.h"
 
 namespace bifsim::metrics {
 
-/** Slot-table capacity.  The repo registers ~60 counters today
- *  (docs/METRICS.md); the headroom is for future prefixes.  A full
- *  table drops further names (counted in RegistryStats::slotsDropped)
- *  rather than reallocating: samples are fixed arrays on purpose. */
-constexpr size_t kMaxSlots = 128;
-
-/** Returned by Registry::slot() when the table is full. */
-constexpr uint16_t kInvalidSlot = 0xffff;
+/** Number of slots: one per registered counter. */
+constexpr size_t kMaxSlots = gpu::kCounters.size();
 
 /** Registry self-observation counters. */
 struct RegistryStats
 {
-    uint64_t publishes = 0;      ///< Delta batches published.
-    uint64_t samples = 0;        ///< Ring samples taken.
-    uint64_t slotsDropped = 0;   ///< Names rejected by a full table.
+    uint64_t publishes = 0;   ///< Delta batches published.
+    uint64_t samples = 0;     ///< Ring samples taken.
 };
 
 /** One timestamped copy of every counter's total. */
@@ -90,28 +81,28 @@ class Registry
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /** Interns @p name (must have static storage duration) and
-     *  returns its slot, or kInvalidSlot when the table is full. */
-    uint16_t slot(const char *name) EXCLUDES(lock_);
+    /** Name for @p slot (static string), or nullptr past the last. */
+    static const char *
+    slotName(uint16_t slot)
+    {
+        return slot < kMaxSlots ? gpu::counterName(slot) : nullptr;
+    }
 
-    /** Name for @p slot (static string), or nullptr when unassigned. */
-    const char *slotName(uint16_t slot) const EXCLUDES(lock_);
-
-    /** Number of interned slots. */
-    size_t slotCount() const EXCLUDES(lock_);
+    /** Number of slots (kMaxSlots). */
+    static size_t slotCount() { return kMaxSlots; }
 
     /**
      * Adds a batch of counter *deltas* under the lock, so a concurrent
-     * totals() sees all of it or none.  Zero deltas are skipped before
-     * interning; a delta naming a gauge is ignored (a level is not a
-     * sum).  A disabled registry drops the batch at one branch.
+     * totals() sees all of it or none.  A delta for a gauge slot is
+     * ignored (a level is not a sum).  A disabled registry drops the
+     * batch at one branch.
      */
     void publish(const std::vector<gpu::NamedCounter> &deltas)
         EXCLUDES(lock_);
 
-    /** Stores the *level* @p value into @p name's cell and marks the
-     *  slot a gauge.  Last writer wins. */
-    void setGauge(const char *name, uint64_t value) EXCLUDES(lock_);
+    /** Stores the *level* @p value into gauge @p slot's cell.  Last
+     *  writer wins. */
+    void setGauge(uint16_t slot, uint64_t value) EXCLUDES(lock_);
 
     /** Every cell, indexed by slot. */
     std::array<uint64_t, kMaxSlots> totals() const EXCLUDES(lock_);
@@ -163,7 +154,6 @@ class Registry
     RegistryStats stats() const EXCLUDES(lock_);
 
   private:
-    uint16_t slotLocked(const char *name) REQUIRES(lock_);
     size_t ringSizeLocked() const REQUIRES(lock_);
 
     /** The retained sample @p age steps back, or nullptr. */
@@ -173,12 +163,7 @@ class Registry
     std::atomic<bool> enabled_{true};
 
     mutable sim::Mutex lock_;
-    std::vector<const char *> names_ GUARDED_BY(lock_);
-    /** Name pointer -> slot, including kInvalidSlot for dropped names
-     *  and every distinct pointer to text already interned. */
-    std::unordered_map<const char *, uint16_t> lookup_ GUARDED_BY(lock_);
     std::array<uint64_t, kMaxSlots> cells_ GUARDED_BY(lock_){};
-    std::array<bool, kMaxSlots> gauge_ GUARDED_BY(lock_){};
     std::vector<Sample> ring_ GUARDED_BY(lock_);
     uint64_t ringPushed_ GUARDED_BY(lock_) = 0;
     RegistryStats stats_ GUARDED_BY(lock_);

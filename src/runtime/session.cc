@@ -272,7 +272,7 @@ Session::mailboxCommand(uint32_t cmd, uint32_t desc_va)
         std::vector<gpu::NamedCounter> counters;
         gpu::appendCounters(counters, sys_.cpu().stats());
         for (const gpu::NamedCounter &c : counters)
-            trcBuf_->counter(c.name, c.value);
+            trcBuf_->counter(c.name(), c.value);
     }
     driverInstrs_ += sys_.cpu().stats().instret - before;
 

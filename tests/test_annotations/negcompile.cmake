@@ -6,8 +6,8 @@
 #                  annotation macros expand to nothing).
 #   EXPECT=FAIL  — the fixture must NOT compile, and the diagnostic
 #                  output must contain MATCH, proving the failure is
-#                  the thread-safety contract and not an unrelated
-#                  syntax error.
+#                  the contract under test (thread safety, a counter
+#                  name) and not an unrelated syntax error.
 execute_process(
     COMMAND ${COMPILER} ${FLAGS} -I${INCLUDE_DIR} ${SRC}
     RESULT_VARIABLE rc
@@ -22,8 +22,8 @@ if(EXPECT STREQUAL "PASS")
 elseif(EXPECT STREQUAL "FAIL")
     if(rc EQUAL 0)
         message(FATAL_ERROR
-            "expected ${SRC} to FAIL to compile — the thread-safety "
-            "annotations are not load-bearing under this compiler")
+            "expected ${SRC} to FAIL to compile — the contract it "
+            "seeds is not enforced under this compiler")
     endif()
     string(FIND "${out}${err}" "${MATCH}" match_at)
     if(match_at EQUAL -1)

@@ -20,8 +20,15 @@
 #include <thread>
 #include <vector>
 
+#include <fstream>
+#include <string>
+
+#include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "mem/phys_mem.h"
@@ -301,11 +308,11 @@ TEST(SessionPool, RecycleReusesSessionWithIdenticalResults)
         EXPECT_EQ(again.kernelInstrs, soloReference().kernelInstrs);
         EXPECT_EQ(again.c, soloReference().c);
     }
-    fleet::PoolStats st = pool.stats();
+    fleet::FleetStats st = pool.stats();
     EXPECT_EQ(st.spawns, 1u);
     EXPECT_EQ(st.recycles, 2u);
     EXPECT_EQ(st.recycleFailures, 0u);
-    EXPECT_EQ(st.idle, 1u);
+    EXPECT_EQ(st.sessionsIdle, 1u);
 }
 
 TEST(SessionPool, ConcurrentSpawnRecycleStaysDeterministic)
@@ -339,14 +346,14 @@ TEST(SessionPool, ConcurrentSpawnRecycleStaysDeterministic)
         t.join();
     EXPECT_EQ(mismatches.load(), 0u);
 
-    fleet::PoolStats st = pool.stats();
+    fleet::FleetStats st = pool.stats();
     EXPECT_LE(st.spawns, static_cast<uint64_t>(kThreads));
     EXPECT_GE(st.spawns, 1u);
     // Every lease release recycles its session back to image state.
     EXPECT_EQ(st.recycles,
               static_cast<uint64_t>(kThreads) * kJobsPerThread);
     EXPECT_EQ(st.recycleFailures, 0u);
-    EXPECT_EQ(st.idle, st.live);   // all leases returned
+    EXPECT_EQ(st.sessionsIdle, st.sessionsLive);   // all leases returned
 }
 
 TEST(SessionPool, RecycleRefusedWhileRecording)
@@ -787,6 +794,121 @@ TEST(FleetServer, ShutdownWakesServeAtOnce)
     }
     EXPECT_LT(stopping, std::chrono::seconds(1));
     ::unlink(path.c_str());
+}
+
+/** CPU time @p t has used so far. */
+std::chrono::nanoseconds
+threadCpuTime(std::thread &t)
+{
+    clockid_t clk;
+    timespec ts{};
+    if (pthread_getcpuclockid(t.native_handle(), &clk) != 0 ||
+        clock_gettime(clk, &ts) != 0)
+        return {};
+    return std::chrono::seconds(ts.tv_sec) +
+           std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+TEST(FleetServer, AcceptErrorsDoNotSpin)
+{
+    // With no fd free, accept() fails (EMFILE) for as long as the
+    // client stays queued.  serve() must pause between attempts, not
+    // retry flat out, and still greet the client once fds free up.
+    std::string path = "/tmp/bifsim_test_fleet_emfile_" +
+                       std::to_string(::getpid()) + ".sock";
+    fleet::FleetServer server(warmImage(), smallServer(1, 1));
+    std::thread daemon([&] { EXPECT_EQ(server.serve(path), 0); });
+    int probe = connectTo(path);   // serve() is listening.
+    ASSERT_GE(probe, 0);
+    ::close(probe);
+
+    // The client socket exists before the fds run out; connecting
+    // needs no new fd on either side until the server accepts.
+    int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(client, 0);
+    timeval tv{5, 0};
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+
+    rlimit old{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
+    rlimit low = old;
+    low.rlim_cur = std::min<rlim_t>(old.rlim_cur, 256);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    std::vector<int> filler;
+    for (int fd; (fd = ::dup(client)) >= 0;)
+        filler.push_back(fd);
+    int fill_errno = errno;
+
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    int rc = ::connect(client, reinterpret_cast<sockaddr *>(&addr),
+                       sizeof(addr));
+    auto cpu0 = threadCpuTime(daemon);
+    auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    auto cpu = threadCpuTime(daemon) - cpu0;
+    auto wall = std::chrono::steady_clock::now() - t0;
+
+    for (int fd : filler)
+        ::close(fd);
+    ::setrlimit(RLIMIT_NOFILE, &old);
+
+    EXPECT_EQ(fill_errno, EMFILE);
+    ASSERT_EQ(rc, 0) << std::strerror(errno);
+    EXPECT_LT(cpu * 10, wall) << "serve() used "
+                              << cpu.count() / 1000000 << " ms of CPU in "
+                              << wall.count() / 1000000 << " ms";
+    fleet::Frame f;
+    EXPECT_TRUE(fleet::readFrame(client, f) &&
+                f.kind == fleet::kMsgWelcome);
+    ::close(client);
+    server.requestShutdown();
+    daemon.join();
+    ::unlink(path.c_str());
+}
+
+/** This process's virtual size in kB (VmSize in /proc/self/status). */
+uint64_t
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    return 0;
+}
+
+TEST(FleetServer, FinishedReadersAreReaped)
+{
+    // Each connection gets a reader thread; a thread nobody joins
+    // keeps its stack mapped.  Over 1000 short connections the
+    // server's address space must stay flat, not grow a stack each.
+    std::string path = "/tmp/bifsim_test_fleet_reap_" +
+                       std::to_string(::getpid()) + ".sock";
+    fleet::FleetServer server(warmImage(), smallServer(1, 1));
+    std::thread daemon([&] { EXPECT_EQ(server.serve(path), 0); });
+    auto cycle = [&] {
+        int fd = connectTo(path);
+        fleet::Frame f;
+        bool welcomed = fd >= 0 && fleet::readFrame(fd, f) &&
+                        f.kind == fleet::kMsgWelcome;
+        if (fd >= 0)
+            ::close(fd);
+        return welcomed;
+    };
+    for (int i = 0; i < 50; ++i)   // Warm the allocator's thread caches.
+        ASSERT_TRUE(cycle());
+    uint64_t before = vmSizeKb();
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(cycle()) << "cycle " << i;
+    uint64_t after = vmSizeKb();
+    server.requestShutdown();
+    daemon.join();
+    ::unlink(path.c_str());
+    ASSERT_GT(before, 0u);
+    EXPECT_LT(after, before + 256 * 1024)
+        << "VmSize grew from " << before << " kB to " << after << " kB";
 }
 
 } // namespace

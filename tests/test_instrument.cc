@@ -236,7 +236,7 @@ countersOf(const S &s)
     appendCounters(out, s);
     Counters c;
     for (const NamedCounter &n : out)
-        c.emplace_back(n.name, n.value);
+        c.emplace_back(n.name(), n.value);
     return c;
 }
 
@@ -367,6 +367,20 @@ TEST(CounterRegistry, TlbAndSystemStatsBytesAndNames)
                {"sys.ctrl_reg_writes", 303},
                {"sys.irqs_asserted", 304},
                {"sys.compute_jobs", 305},
+              }));
+}
+
+TEST(CounterRegistry, ShaderCacheStatsBytesAndNames)
+{
+    ShaderCacheStats c;
+    c.decodes = 701;
+    c.hits = 702;
+    // The GPU chunk's last two u64s: decodes, then hits.
+    EXPECT_EQ(savedHex(c), "bd02000000000000be02000000000000");
+    EXPECT_EQ(countersOf(c),
+              (Counters{
+               {"shader.decodes", 701},
+               {"shader.cache_hits", 702},
               }));
 }
 

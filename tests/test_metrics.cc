@@ -1,11 +1,11 @@
-/** @file Always-on metrics registry (DESIGN.md §5k): slot interning
- *  and table exhaustion, batch atomicity under a concurrent publisher
- *  (the TSan job runs this), sampled-vs-exact totals across threads,
- *  gauge store-latest semantics, no state inherited by a registry
- *  built in a dead one's storage, the publishers' delta baseline,
- *  ring wraparound and windowed rates, HUD rendering, and the sweep
- *  differ's flatten / classify / tolerance fixtures that simsweep's
- *  CI gate rides on. */
+/** @file Always-on metrics registry (DESIGN.md §5k): slots are the
+ *  counter tables' positions, batch atomicity under a concurrent
+ *  publisher (the TSan job runs this), sampled-vs-exact totals across
+ *  threads, gauge store-latest semantics, no state inherited by a
+ *  registry built in a dead one's storage, the publishers' delta
+ *  baseline, ring wraparound and windowed rates, HUD rendering, and
+ *  the sweep differ's flatten / classify / tolerance fixtures that
+ *  simsweep's CI gate rides on. */
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,56 +29,93 @@
 namespace bifsim {
 namespace {
 
+using gpu::counterSlot;
 using gpu::NamedCounter;
-using metrics::kInvalidSlot;
 using metrics::kMaxSlots;
 using metrics::Registry;
 
-/** Interned names must have static storage duration; tests that need
- *  many distinct names draw them from this leaked pool.  A deque, not
- *  a vector: growth must never move the strings, or SSO'd name bytes
- *  would dangle behind the pointers already handed out. */
-const char *
-pooledName(const std::string &s)
-{
-    static std::deque<std::string> *pool = new std::deque<std::string>();
-    pool->push_back(s);
-    return pool->back().c_str();
-}
+// Counters the tests below publish; any registered name would do.
+constexpr uint16_t kArith = counterSlot("kernel.arith_instrs");
+constexpr uint16_t kWalks = counterSlot("tlb.walks");
+constexpr uint16_t kSteals = counterSlot("sched.steals");
+constexpr uint16_t kInstret = counterSlot("cpu.instret");
+constexpr uint16_t kDepth = counterSlot("fleet.queue_depth");   // Gauge.
 
 // ------------------------------------------------------ Slot table
 
-TEST(MetricsRegistry, SlotInterningIsStable)
+// counterSlot resolves every registered name to its own position.
+static_assert([]() consteval {
+    for (size_t i = 0; i < gpu::kCounters.size(); ++i)
+        if (counterSlot(gpu::kCounters[i].name) != i)
+            return false;
+    return true;
+}());
+
+/** Slot whose name is @p name, found by scanning the slot names. */
+size_t
+slotByName(const char *name)
 {
-    Registry reg;
-    uint16_t a = reg.slot("t1.alpha");
-    uint16_t b = reg.slot("t1.beta");
-    EXPECT_NE(a, b);
-    EXPECT_EQ(a, reg.slot("t1.alpha"));   // Same name, same slot.
-    EXPECT_STREQ("t1.alpha", reg.slotName(a));
-    EXPECT_STREQ("t1.beta", reg.slotName(b));
-    EXPECT_EQ(2u, reg.slotCount());
-    EXPECT_EQ(nullptr, reg.slotName(kMaxSlots - 1));
+    for (size_t i = 0; i < Registry::slotCount(); ++i)
+        if (std::string(Registry::slotName(static_cast<uint16_t>(i))) ==
+            name)
+            return i;
+    ADD_FAILURE() << name << " has no slot";
+    return 0;
 }
 
-TEST(MetricsRegistry, FullTableDropsNotGrows)
+/** Sets every counter of an @p S to a distinct value, publishes it
+ *  through appendCounters, and checks each value landed in the slot
+ *  named like its table entry (gauges: ignored by publish).  Returns
+ *  the table length. */
+template <typename S>
+size_t
+checkPublishedAtNamedSlots()
 {
+    S s;
+    uint64_t v = 1;
+    for (const gpu::CounterField<S> &c : gpu::kCounterTable<S>)
+        s.*c.field = v++;
+    std::vector<NamedCounter> batch;
+    gpu::appendCounters(batch, s);
     Registry reg;
-    std::vector<const char *> names;
-    for (size_t i = 0; i < kMaxSlots; ++i)
-        names.push_back(pooledName("t2.c" + std::to_string(i)));
-    for (const char *n : names)
-        EXPECT_NE(kInvalidSlot, reg.slot(n));
-    EXPECT_EQ(kMaxSlots, reg.slotCount());
+    reg.publish(batch);
+    std::array<uint64_t, kMaxSlots> t = reg.totals();
+    v = 1;
+    for (const gpu::CounterField<S> &c : gpu::kCounterTable<S>) {
+        size_t slot = slotByName(c.name);
+        EXPECT_EQ(c.gauge, gpu::counterIsGauge(slot)) << c.name;
+        EXPECT_EQ(c.gauge ? 0 : v, t[slot]) << c.name;
+        ++v;
+    }
+    return batch.size();
+}
 
-    const char *extra = pooledName("t2.one_too_many");
-    EXPECT_EQ(kInvalidSlot, reg.slot(extra));
-    EXPECT_GE(reg.stats().slotsDropped, 1u);
+TEST(MetricsRegistry, SlotsAreTablePositions)
+{
+    // Dense and unique: every slot has a name, no two share one.
+    std::set<std::string> names;
+    for (size_t i = 0; i < kMaxSlots; ++i) {
+        const char *n = Registry::slotName(static_cast<uint16_t>(i));
+        ASSERT_NE(nullptr, n);
+        EXPECT_STREQ(gpu::counterName(static_cast<uint16_t>(i)), n);
+        names.insert(n);
+    }
+    EXPECT_EQ(kMaxSlots, names.size());
+    EXPECT_EQ(kMaxSlots, Registry::slotCount());
+    EXPECT_EQ(nullptr, Registry::slotName(kMaxSlots));
+    EXPECT_STREQ("tlb.walks", Registry::slotName(kWalks));
+    EXPECT_STREQ("fleet.queue_depth", Registry::slotName(kDepth));
 
-    // A publish naming the dropped counter must not crash or corrupt
-    // a live slot.
-    reg.publish({{extra, 7}, {names[0], 3}});
-    EXPECT_EQ(3u, reg.totals()[reg.slot(names[0])]);
+    // Every table lands at its named slots, and together the tables
+    // fill the slot table exactly.
+    size_t entries = checkPublishedAtNamedSlots<gpu::KernelStats>() +
+                     checkPublishedAtNamedSlots<gpu::TlbStats>() +
+                     checkPublishedAtNamedSlots<gpu::SystemStats>() +
+                     checkPublishedAtNamedSlots<gpu::SchedStats>() +
+                     checkPublishedAtNamedSlots<sa32::CoreStats>() +
+                     checkPublishedAtNamedSlots<fleet::FleetStats>() +
+                     checkPublishedAtNamedSlots<gpu::ShaderCacheStats>();
+    EXPECT_EQ(kMaxSlots, entries);
 }
 
 // ---------------------------------------------------- Publish paths
@@ -86,69 +123,61 @@ TEST(MetricsRegistry, FullTableDropsNotGrows)
 TEST(MetricsRegistry, PublishAccumulatesDeltas)
 {
     Registry reg;
-    reg.publish({{"t3.x", 5}, {"t3.y", 2}});
-    reg.publish({{"t3.x", 1}, {"t3.y", 0}});
+    reg.publish({{kArith, 5}, {kWalks, 2}});
+    reg.publish({{kArith, 1}, {kWalks, 0}});
     auto totals = reg.totals();
-    EXPECT_EQ(6u, totals[reg.slot("t3.x")]);
-    EXPECT_EQ(2u, totals[reg.slot("t3.y")]);
+    EXPECT_EQ(6u, totals[kArith]);
+    EXPECT_EQ(2u, totals[kWalks]);
     EXPECT_EQ(2u, reg.stats().publishes);
-}
-
-TEST(MetricsRegistry, ZeroDeltasDoNotIntern)
-{
-    Registry reg;
-    reg.publish({{"t4.used", 1}, {"t4.never_nonzero", 0}});
-    // Only the nonzero counter occupies a slot: publish skips zero
-    // deltas before interning, so an all-zero stats struct costs no
-    // table space.
-    EXPECT_EQ(1u, reg.slotCount());
-    EXPECT_STREQ("t4.used", reg.slotName(0));
 }
 
 TEST(MetricsRegistry, DisabledRegistryDropsBatches)
 {
     Registry reg;
-    reg.publish({{"t5.k", 1}});
+    reg.publish({{kSteals, 1}});
     reg.setEnabled(false);
     EXPECT_FALSE(reg.enabled());
-    reg.publish({{"t5.k", 100}});
+    reg.publish({{kSteals, 100}});
     reg.setEnabled(true);
-    reg.publish({{"t5.k", 2}});
-    EXPECT_EQ(3u, reg.totals()[reg.slot("t5.k")]);
+    reg.publish({{kSteals, 2}});
+    EXPECT_EQ(3u, reg.totals()[kSteals]);
     EXPECT_EQ(2u, reg.stats().publishes);
 }
 
 TEST(MetricsRegistry, GaugeStoresLatestNotSum)
 {
     Registry reg;
-    reg.setGauge("t6.depth", 5);
-    reg.setGauge("t6.depth", 3);
-    EXPECT_EQ(3u, reg.totals()[reg.slot("t6.depth")]);
-    reg.setGauge("t6.depth", 0);   // Gauges can legally return to 0.
-    EXPECT_EQ(0u, reg.totals()[reg.slot("t6.depth")]);
+    reg.setGauge(kDepth, 5);
+    reg.setGauge(kDepth, 3);
+    EXPECT_EQ(3u, reg.totals()[kDepth]);
+    reg.setGauge(kDepth, 0);   // Gauges can legally return to 0.
+    EXPECT_EQ(0u, reg.totals()[kDepth]);
     // A delta naming a gauge is ignored: a level is not a sum.
-    reg.publish({{"t6.depth", 9}});
-    EXPECT_EQ(0u, reg.totals()[reg.slot("t6.depth")]);
+    reg.publish({{kDepth, 9}});
+    EXPECT_EQ(0u, reg.totals()[kDepth]);
 }
 
 TEST(MetricsRegistry, RegistryInReusedStorageInheritsNoSlots)
 {
     // A registry built where a destroyed one lived (common for
-    // stack-allocated test registries) must start empty: no slot of
+    // stack-allocated test registries) must start empty: no cell of
     // the dead registry may leak in through publish() or setGauge().
     alignas(Registry) unsigned char storage[sizeof(Registry)];
     Registry *dead = new (storage) Registry(4);
-    dead->setGauge("t12.level", 3);
-    dead->publish({{"t12.old", 1}});
+    dead->setGauge(kDepth, 3);
+    dead->publish({{kWalks, 1}});
     dead->~Registry();
 
     Registry *reg = new (storage) Registry(4);
-    reg->publish({{"t12.one", 7}});
-    reg->setGauge("t12.level", 5);
+    reg->publish({{kInstret, 7}});
+    reg->setGauge(kDepth, 5);
     std::array<uint64_t, kMaxSlots> t = reg->totals();
-    EXPECT_EQ(2u, reg->slotCount());
-    EXPECT_EQ(7u, t[reg->slot("t12.one")]);
-    EXPECT_EQ(5u, t[reg->slot("t12.level")]);
+    uint64_t sum = 0;
+    for (uint64_t v : t)
+        sum += v;
+    EXPECT_EQ(12u, sum);   // Nothing but this registry's two cells.
+    EXPECT_EQ(7u, t[kInstret]);
+    EXPECT_EQ(5u, t[kDepth]);
     reg->~Registry();
 }
 
@@ -156,13 +185,14 @@ TEST(MetricsBaseline, PublishesGrowthOnceAndRebases)
 {
     metrics::CounterBaseline base;
     std::vector<NamedCounter> out;
-    base.appendDeltas(out, {{"t13.a", 5}, {"t13.b", 0}});
+    base.appendDeltas(out, {{kArith, 5}, {kWalks, 0}});
     ASSERT_EQ(1u, out.size());   // Only counters that grew.
-    EXPECT_STREQ("t13.a", out[0].name);
+    EXPECT_EQ(kArith, out[0].slot);
+    EXPECT_STREQ("kernel.arith_instrs", out[0].name());
     EXPECT_EQ(5u, out[0].value);
 
     out.clear();
-    base.appendDeltas(out, {{"t13.a", 8}, {"t13.b", 2}});
+    base.appendDeltas(out, {{kArith, 8}, {kWalks, 2}});
     ASSERT_EQ(2u, out.size());
     EXPECT_EQ(3u, out[0].value);
     EXPECT_EQ(2u, out[1].value);
@@ -170,16 +200,16 @@ TEST(MetricsBaseline, PublishesGrowthOnceAndRebases)
     // Totals read before the previous call (a racing reader) publish
     // nothing twice, and the baseline never moves backwards.
     out.clear();
-    base.appendDeltas(out, {{"t13.a", 6}, {"t13.b", 2}});
+    base.appendDeltas(out, {{kArith, 6}, {kWalks, 2}});
     EXPECT_TRUE(out.empty());
-    base.appendDeltas(out, {{"t13.a", 9}, {"t13.b", 2}});
+    base.appendDeltas(out, {{kArith, 9}, {kWalks, 2}});
     ASSERT_EQ(1u, out.size());
     EXPECT_EQ(1u, out[0].value);
 
     // After a reset the owner rebases; only later growth is published.
     out.clear();
-    base.rebase({{"t13.a", 0}, {"t13.b", 0}});
-    base.appendDeltas(out, {{"t13.a", 4}, {"t13.b", 0}});
+    base.rebase({{kArith, 0}, {kWalks, 0}});
+    base.appendDeltas(out, {{kArith, 4}, {kWalks, 0}});
     ASSERT_EQ(1u, out.size());
     EXPECT_EQ(4u, out[0].value);
 }
@@ -195,15 +225,14 @@ TEST(MetricsRegistry, SampledTotalsMatchExactAfterJoin)
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&reg] {
             for (int i = 0; i < kBatches; ++i)
-                reg.publish({{"t7.a", 3}, {"t7.b", 1}});
+                reg.publish({{kArith, 3}, {kWalks, 1}});
         });
     }
     for (std::thread &w : workers)
         w.join();
     auto totals = reg.totals();
-    EXPECT_EQ(uint64_t{kThreads} * kBatches * 3,
-              totals[reg.slot("t7.a")]);
-    EXPECT_EQ(uint64_t{kThreads} * kBatches, totals[reg.slot("t7.b")]);
+    EXPECT_EQ(uint64_t{kThreads} * kBatches * 3, totals[kArith]);
+    EXPECT_EQ(uint64_t{kThreads} * kBatches, totals[kWalks]);
 }
 
 TEST(MetricsRegistry, SnapshotSeesBatchesAtomically)
@@ -219,7 +248,7 @@ TEST(MetricsRegistry, SnapshotSeesBatchesAtomically)
     std::atomic<bool> seen{false};
     std::thread writer([&] {
         for (uint64_t i = 0; i < kBatches; ++i) {
-            reg.publish({{"t8.a", 1}, {"t8.b", 1}});
+            reg.publish({{kArith, 1}, {kWalks, 1}});
             // Hold after the first batch until the reader has read it,
             // so reads overlap writes even when the host deschedules
             // the reader for the whole run.
@@ -233,11 +262,8 @@ TEST(MetricsRegistry, SnapshotSeesBatchesAtomically)
     uint64_t reads = 0;
     while (!done.load(std::memory_order_acquire)) {
         auto totals = reg.totals();
-        // Slots intern on the writer's first publish; skip until then.
-        if (reg.slotCount() < 2)
-            continue;
-        uint64_t a = totals[reg.slot("t8.a")];
-        uint64_t b = totals[reg.slot("t8.b")];
+        uint64_t a = totals[kArith];
+        uint64_t b = totals[kWalks];
         EXPECT_GE(a, prev_a) << "totals went backwards";
         EXPECT_LE(a, kBatches);
         EXPECT_LE(b, kBatches);
@@ -248,8 +274,8 @@ TEST(MetricsRegistry, SnapshotSeesBatchesAtomically)
     }
     writer.join();
     auto totals = reg.totals();
-    EXPECT_EQ(kBatches, totals[reg.slot("t8.a")]);
-    EXPECT_EQ(kBatches, totals[reg.slot("t8.b")]);
+    EXPECT_EQ(kBatches, totals[kArith]);
+    EXPECT_EQ(kBatches, totals[kWalks]);
     EXPECT_GT(reads, 0u);
 }
 
@@ -260,20 +286,19 @@ TEST(MetricsRegistry, RingWrapsKeepingNewest)
     Registry reg(4);
     EXPECT_EQ(4u, reg.ringCapacity());
     for (uint64_t i = 1; i <= 7; ++i) {
-        reg.publish({{"t9.ticks", 1}});
+        reg.publish({{kSteals, 1}});
         reg.sample();
     }
     EXPECT_EQ(4u, reg.ringSize());
     EXPECT_EQ(7u, reg.ringPushed());
     EXPECT_EQ(7u, reg.stats().samples);
 
-    uint16_t s = reg.slot("t9.ticks");
     metrics::Sample smp;
     ASSERT_TRUE(reg.ringAt(0, smp));
-    EXPECT_EQ(7u, smp.v[s]);          // Newest sample.
+    EXPECT_EQ(7u, smp.v[kSteals]);    // Newest sample.
     uint64_t newest_ns = smp.ns;
     ASSERT_TRUE(reg.ringAt(3, smp));
-    EXPECT_EQ(4u, smp.v[s]);          // Oldest retained (5,6,7 evicted
+    EXPECT_EQ(4u, smp.v[kSteals]);    // Oldest retained (5,6,7 evicted
                                       // samples 1..3).
     EXPECT_LE(smp.ns, newest_ns);     // Timeline is monotone.
     EXPECT_FALSE(reg.ringAt(4, smp)); // Wrapped away.
@@ -282,29 +307,30 @@ TEST(MetricsRegistry, RingWrapsKeepingNewest)
 TEST(MetricsRegistry, RateMatchesHandComputedRingDelta)
 {
     Registry reg;
-    reg.publish({{"t10.n", 100}});
+    reg.publish({{kInstret, 100}});
     reg.sample();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    reg.publish({{"t10.n", 900}});
+    reg.publish({{kInstret, 900}});
     reg.sample();
 
-    uint16_t s = reg.slot("t10.n");
     metrics::Sample newest, oldest;
     ASSERT_TRUE(reg.ringAt(0, newest));
     ASSERT_TRUE(reg.ringAt(1, oldest));
     ASSERT_GT(newest.ns, oldest.ns);
-    double expect = static_cast<double>(newest.v[s] - oldest.v[s]) /
-                    (static_cast<double>(newest.ns - oldest.ns) * 1e-9);
-    EXPECT_NEAR(expect, reg.rate(s, UINT64_MAX / 2), expect * 1e-9);
+    double expect =
+        static_cast<double>(newest.v[kInstret] - oldest.v[kInstret]) /
+        (static_cast<double>(newest.ns - oldest.ns) * 1e-9);
+    EXPECT_NEAR(expect, reg.rate(kInstret, UINT64_MAX / 2),
+                expect * 1e-9);
 }
 
 TEST(MetricsRegistry, RateNeedsTwoSamples)
 {
     Registry reg;
-    reg.publish({{"t11.n", 5}});
-    EXPECT_EQ(0.0, reg.rate(reg.slot("t11.n"), 1'000'000'000));
+    reg.publish({{kInstret, 5}});
+    EXPECT_EQ(0.0, reg.rate(kInstret, 1'000'000'000));
     reg.sample();
-    EXPECT_EQ(0.0, reg.rate(reg.slot("t11.n"), 1'000'000'000));
+    EXPECT_EQ(0.0, reg.rate(kInstret, 1'000'000'000));
 }
 
 // ------------------------------------------------------------- HUD
@@ -312,19 +338,19 @@ TEST(MetricsRegistry, RateNeedsTwoSamples)
 TEST(MetricsHud, RendersStableFrameShape)
 {
     Registry reg;
-    reg.publish({{"cpu.instret", 1000000},
-                 {"kernel.arith_instrs", 5000},
-                 {"kernel.ls_instrs", 2000},
-                 {"kernel.cf_instrs", 500},
-                 {"sys.compute_jobs", 3},
-                 {"tlb.last_page_hits", 90},
-                 {"tlb.array_hits", 8},
-                 {"tlb.walks", 2},
-                 {"sched.steals", 4},
-                 {"sched.steal_attempts", 10}});
+    reg.publish({{kInstret, 1000000},
+                 {kArith, 5000},
+                 {counterSlot("kernel.ls_instrs"), 2000},
+                 {counterSlot("kernel.cf_instrs"), 500},
+                 {counterSlot("sys.compute_jobs"), 3},
+                 {counterSlot("tlb.last_page_hits"), 90},
+                 {counterSlot("tlb.array_hits"), 8},
+                 {kWalks, 2},
+                 {kSteals, 4},
+                 {counterSlot("sched.steal_attempts"), 10}});
     reg.sample();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    reg.publish({{"cpu.instret", 1000000}});
+    reg.publish({{kInstret, 1000000}});
     reg.sample();
 
     std::string frame = metrics::renderHud(reg);
@@ -349,8 +375,8 @@ TEST(MetricsHud, RendersStableFrameShape)
     EXPECT_EQ(4u, lines(metrics::renderHud(reg)));
 
     // Fleet gauges unhide the fleet line.
-    reg.setGauge("fleet.sessions_live", 2);
-    reg.setGauge("fleet.queue_depth", 1);
+    reg.setGauge(counterSlot("fleet.sessions_live"), 2);
+    reg.setGauge(kDepth, 1);
     reg.sample();
     std::string fleet_frame = metrics::renderHud(reg);
     EXPECT_EQ(5u, lines(fleet_frame));

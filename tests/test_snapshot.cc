@@ -1186,13 +1186,14 @@ TEST(SessionSnapshot, FileRoundTripAtomicWrite)
 // in this process, never counts a restored image carries
 // ---------------------------------------------------------------------
 
-/** The process-wide registry's total for @p name. */
+/** The process-wide registry's total for the counter in @p slot. */
 uint64_t
-registryTotal(const char *name)
+registryTotal(uint16_t slot)
 {
-    metrics::Registry &reg = metrics::registry();
-    return reg.totals()[reg.slot(name)];
+    return metrics::registry().totals()[slot];
 }
+
+constexpr uint16_t kInstret = gpu::counterSlot("cpu.instret");
 
 /** Image of a booted FullSystem session: its CPU chunk carries the
  *  instructions the guest OS boot retired. */
@@ -1208,11 +1209,11 @@ bootedImage()
 TEST(SnapshotMetrics, WarmBootPublishesNoRestoredInstret)
 {
     Image img = bootedImage();
-    uint64_t before = registryTotal("cpu.instret");
+    uint64_t before = registryTotal(kInstret);
     auto s = rt::Session::fromSnapshot(img, smallCfg(true));
     ASSERT_GT(s->system().cpu().stats().instret, 0u);
     s->system().publishMetrics();
-    EXPECT_EQ(0u, registryTotal("cpu.instret") - before);
+    EXPECT_EQ(0u, registryTotal(kInstret) - before);
 }
 
 TEST(SnapshotMetrics, RecyclesPublishExactlyTheInstructionsRun)
@@ -1220,7 +1221,7 @@ TEST(SnapshotMetrics, RecyclesPublishExactlyTheInstructionsRun)
     Image img = bootedImage();
     auto s = rt::Session::fromSnapshot(img, smallCfg(true));
     rt::System &sys = s->system();
-    uint64_t before = registryTotal("cpu.instret");
+    uint64_t before = registryTotal(kInstret);
     uint64_t executed = 0;
     for (int round = 0; round < 5; ++round) {
         uint64_t i0 = sys.cpu().stats().instret;
@@ -1231,21 +1232,51 @@ TEST(SnapshotMetrics, RecyclesPublishExactlyTheInstructionsRun)
     }
     sys.publishMetrics();
     EXPECT_EQ(100000u, executed);   // The driver busy-polls: no WFI.
-    EXPECT_EQ(executed, registryTotal("cpu.instret") - before);
+    EXPECT_EQ(executed, registryTotal(kInstret) - before);
 }
 
 TEST(SnapshotMetrics, WorkBeforeResetIsCounted)
 {
     auto s = rt::Session::fromSnapshot(bootedImage(), smallCfg(true));
     rt::System &sys = s->system();
-    uint64_t before = registryTotal("cpu.instret");
+    uint64_t before = registryTotal(kInstret);
     uint64_t i0 = sys.cpu().stats().instret;
     sys.runCpu(20000);   // Below the sampled-publish threshold.
     uint64_t executed = sys.cpu().stats().instret - i0;
     sys.reset();
     sys.publishMetrics();
     EXPECT_GT(executed, 0u);
-    EXPECT_EQ(executed, registryTotal("cpu.instret") - before);
+    EXPECT_EQ(executed, registryTotal(kInstret) - before);
+}
+
+TEST(SnapshotMetrics, ShaderCacheCountsAreTheJobsRunHere)
+{
+    // The decode cache's counters ride the GPU's sys baseline: a warm
+    // boot publishes none of the image's, and each job publishes its
+    // own decode or hit.
+    constexpr uint16_t kDecodes = gpu::counterSlot("shader.decodes");
+    constexpr uint16_t kHits = gpu::counterSlot("shader.cache_hits");
+    Image img = bootedImage();
+    uint64_t d0 = registryTotal(kDecodes);
+    uint64_t h0 = registryTotal(kHits);
+    auto s = rt::Session::fromSnapshot(img, smallCfg(true));
+    gpu::ShaderCacheStats c0 = s->system().gpu().shaderCacheStats();
+
+    rt::Buffer out = s->alloc(64 * 4);
+    rt::KernelHandle k = s->compile(R"(
+kernel void ones(global int* out) {
+    out[get_global_id(0)] = 1;
+}
+)",
+                                    "ones");
+    for (int i = 0; i < 3; ++i)
+        ASSERT_FALSE(s->enqueue(k, rt::NDRange{64, 1, 1},
+                                rt::NDRange{64, 1, 1}, {rt::Arg::buf(out)})
+                         .faulted);
+    gpu::ShaderCacheStats c1 = s->system().gpu().shaderCacheStats();
+    EXPECT_EQ(3u, (c1.decodes - c0.decodes) + (c1.hits - c0.hits));
+    EXPECT_EQ(c1.decodes - c0.decodes, registryTotal(kDecodes) - d0);
+    EXPECT_EQ(c1.hits - c0.hits, registryTotal(kHits) - h0);
 }
 
 } // namespace
