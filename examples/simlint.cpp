@@ -3,19 +3,17 @@
  * Standalone repo-invariant checker ("simlint", DESIGN.md §5i).
  *
  * Runs the src/lint/ checks over the repository tree: TLV chunk-tag
- * uniqueness, DBT X-macro handler/dispatch parity, counter-name
- * registry consistency against docs/METRICS.md, sim::Mutex
- * annotation coverage, and no raw writable pointers into guest RAM
- * outside the written-page choke points.  CI runs it on every push;
- * the seeded-violation fixtures under tests/simlint_fixtures/ prove
- * each check actually fires (tests/test_simlint.cc).
+ * uniqueness, the registered counters (gpu::kCounters) against
+ * docs/METRICS.md in both directions, and sim::Mutex annotation
+ * coverage.  CI runs it on every push; tests/test_simlint.cc proves
+ * each check actually fires on seeded violations.
  *
  * Usage:
  *   simlint [--root <repo-root>] [--check <name>]
  *
  * --root defaults to the current directory and must contain src/.
- * --check limits the run to one of: tlv-tag, dbt-parity, counters,
- * mutex-coverage, raw-ram-write.  Diagnostics print as
+ * --check limits the run to one of: tlv-tag, counters,
+ * mutex-coverage.  Diagnostics print as
  * "file:line: [check] message".
  *
  * Exit status: 0 clean, 1 findings, 2 usage error.
@@ -35,8 +33,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: simlint [--root <repo-root>] [--check "
-                 "tlv-tag|dbt-parity|counters|mutex-coverage|"
-                 "raw-ram-write]\n");
+                 "tlv-tag|counters|mutex-coverage]\n");
     return 2;
 }
 
@@ -64,14 +61,10 @@ main(int argc, char **argv)
         diags = lint::runAllChecks(opts);
     } else if (only == "tlv-tag") {
         diags = lint::checkTagUniqueness(opts);
-    } else if (only == "dbt-parity") {
-        diags = lint::checkDbtParity(opts);
     } else if (only == "counters") {
-        diags = lint::checkCounterRegistry(opts);
+        diags = lint::checkCounterDoc(opts);
     } else if (only == "mutex-coverage") {
         diags = lint::checkMutexCoverage(opts);
-    } else if (only == "raw-ram-write") {
-        diags = lint::checkRawRamWrites(opts);
     } else {
         return usage();
     }

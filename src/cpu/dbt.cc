@@ -2,13 +2,15 @@
  * @file
  * Threaded-code execution engine for the SA32 DBT tier.
  *
- * The handler bodies below are the single source of truth for both
- * dispatch strategies: under GNU-compatible compilers each HANDLER()
- * is a computed-goto label and NEXT() jumps straight to the next op's
- * pre-resolved label (direct threading); elsewhere HANDLER() is a case
- * label inside a dispatch switch keyed on the portable handler index.
- * Either way a handler's semantics must match Core::execute() exactly
- * — the interpreter is the lockstep differential oracle (see dbt.h).
+ * Each HANDLER() body is a computed-goto label and NEXT() jumps
+ * straight to the next op's pre-resolved label (direct threading).  A
+ * handler's semantics must match Core::execute() exactly — the
+ * interpreter is the lockstep differential oracle (see dbt.h).
+ *
+ * The label table is built from the DBT_OPS list, so the compiler
+ * enforces handler parity: an op with no HANDLER() body is "label used
+ * but not defined", a second body is "duplicate label", and an orphan
+ * body is an unused label, promoted to an error for this file below.
  *
  * Lockstep bookkeeping: the interpreter bumps instret *before*
  * executing each instruction, so a trapping instruction counts as
@@ -28,11 +30,9 @@
 #include "cpu/core.h"
 #include "mem/bus.h"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define BIFSIM_DBT_GOTO 1
-#else
-#define BIFSIM_DBT_GOTO 0
-#endif
+// A HANDLER() body with no DBT_OPS entry is dead code no label table
+// can reach: fail the build rather than warn.
+#pragma GCC diagnostic error "-Wunused-label"
 
 namespace bifsim::sa32 {
 
@@ -61,7 +61,6 @@ enum HIdx : uint8_t
 #define X(n) kH##n,
     DBT_OPS(X)
 #undef X
-    kHCount,
 };
 
 static_assert(kHAdd == static_cast<uint8_t>(Op::Add) &&
@@ -131,26 +130,25 @@ Dbt::translate(Addr pa)
         tb->ops.reserve(n + 1);
         for (size_t i = 0; i < n; ++i) {
             const DecodedInst &d = insts[i];
-            ThreadedOp t;
-            t.idx = static_cast<uint8_t>(d.op);
+            uint8_t idx = static_cast<uint8_t>(d.op);
             if (d.rd == 0 && isPureAlu(d.op))
-                t.idx = kHNop;
+                idx = kHNop;
+            ThreadedOp t;
+            t.fn = labels_[idx];
             t.rd = d.rd;
             t.rs1 = d.rs1;
             t.rs2 = d.rs2;
             t.imm = d.imm;
             t.pcOff = static_cast<uint32_t>(i * 4);
             t.raw = d.raw;
-            t.fn = labels_ ? labels_[t.idx] : nullptr;
             tb->ops.push_back(t);
         }
         if (!endsBlock(insts[n - 1].op)) {
             // Block cut by the page boundary or length cap: append a
             // terminator that redirects to the next sequential VA.
             ThreadedOp t;
-            t.idx = kHTerm;
+            t.fn = labels_[kHTerm];
             t.pcOff = static_cast<uint32_t>(n * 4);
-            t.fn = labels_ ? labels_[t.idx] : nullptr;
             tb->ops.push_back(t);
         }
 
@@ -269,7 +267,6 @@ Dbt::Exit
 Dbt::execBlock(TranslatedBlock *&tb, uint64_t &budget,
                const void *const **out_labels)
 {
-#if BIFSIM_DBT_GOTO
     static const void *const labels[] = {
 #define X(n) &&L_##n,
         DBT_OPS(X)
@@ -279,12 +276,6 @@ Dbt::execBlock(TranslatedBlock *&tb, uint64_t &budget,
         *out_labels = labels;
         return Exit::Fall;
     }
-#else
-    if (out_labels) {
-        *out_labels = nullptr;
-        return Exit::Fall;
-    }
-#endif
 
     Core &c = c_;
     uint32_t *const regs = c.regs_;
@@ -375,7 +366,6 @@ Dbt::execBlock(TranslatedBlock *&tb, uint64_t &budget,
         CHAIN_OR_RETURN(slot_, kind_, npc_); \
     } while (0)
 
-#if BIFSIM_DBT_GOTO
 #define HANDLER(name) L_##name:
 #define NEXT() \
     do { \
@@ -384,17 +374,6 @@ Dbt::execBlock(TranslatedBlock *&tb, uint64_t &budget,
     } while (0)
 #define CHAIN_NEXT() goto *op->fn
     goto *op->fn;
-#else
-#define HANDLER(name) case kH##name:
-#define NEXT() \
-    do { \
-        ++op; \
-        goto dispatch; \
-    } while (0)
-#define CHAIN_NEXT() goto dispatch
-  dispatch:
-    switch (static_cast<HIdx>(op->idx)) {
-#endif
 
     HANDLER(Nop) { NEXT(); }
 
@@ -708,10 +687,6 @@ Dbt::execBlock(TranslatedBlock *&tb, uint64_t &budget,
         c.pc_ = npc;
         CHAIN_OR_RETURN(kChainFall, Exit::Fall, npc);
     }
-
-#if !BIFSIM_DBT_GOTO
-    }
-#endif
 
     // Unreachable: every handler exits or jumps to the next op, and
     // every block ends in an exiting handler.

@@ -65,14 +65,11 @@ enum class StopReason;
 
 /**
  * One threaded-code operation: a pre-resolved handler plus immediates.
- * `fn` is the dispatch target (a computed-goto label address under
- * GNU-compatible compilers); `idx` is the portable handler index that
- * `fn` was resolved from (and the fallback dispatch key).
+ * `fn` is the dispatch target, a computed-goto label address.
  */
 struct ThreadedOp
 {
     const void *fn = nullptr;
-    uint8_t idx = 0;
     uint8_t rd = 0;
     uint8_t rs1 = 0;
     uint8_t rs2 = 0;

@@ -9,6 +9,7 @@
 
 #ifdef __linux__
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 #endif
@@ -405,6 +406,12 @@ FleetServer::publishFleetMetrics()
 
 namespace {
 
+/** The longest one send to a client may block (SO_SNDTIMEO on every
+ *  accepted socket).  A client that stops reading fills the socket
+ *  buffers; past this, its connection is dropped rather than holding
+ *  a fleet worker and the connection lock forever. */
+constexpr timeval kSendTimeout{2, 0};
+
 /** Per-connection write side, shared with in-flight result callbacks.
  *  The reader thread waits for pending results before closing the fd,
  *  so a late callback can never write into a recycled descriptor. */
@@ -430,7 +437,11 @@ struct ConnState
         try {
             writeFrame(fd, kind, w.data());
         } catch (const SimError &) {
-            // Peer went away; the reader will observe EOF and clean up.
+            // Peer went away or stopped reading (send timed out): skip
+            // every later frame, and end the reader's read so it
+            // retires the connection.
+            closed = true;
+            ::shutdown(fd, SHUT_RDWR);
         }
     }
 };
@@ -564,6 +575,8 @@ FleetServer::serve(const std::string &socket_path)
             }
             continue;
         }
+        ::setsockopt(cfd, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout,
+                     sizeof kSendTimeout);
         {
             sim::LockGuard g(connLock_);
             connFds_.push_back(cfd);

@@ -1,6 +1,5 @@
 #include "gpu/gpu.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 
@@ -19,8 +18,7 @@ constexpr uint32_t kMaxGroupThreads = 1024;
  *  JM thread forever). */
 constexpr size_t kMaxChainDescriptors = 65536;
 
-/** Worker-pool size ceiling (sanity bound for auto-detection and the
- *  BIFSIM_HOST_THREADS override). */
+/** Worker-pool size ceiling (sanity bound for auto-detection). */
 constexpr unsigned kMaxHostThreads = 256;
 
 /** Slices dealt per worker at job start.  >1 so late-finishing workers
@@ -33,10 +31,6 @@ unsigned
 resolveHostThreads(unsigned configured)
 {
     unsigned t = configured;
-    if (t == 0) {
-        if (const char *env = std::getenv("BIFSIM_HOST_THREADS"))
-            t = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    }
     if (t == 0)
         t = std::thread::hardware_concurrency();
     if (t == 0)
@@ -118,7 +112,10 @@ GpuDevice::GpuDevice(PhysMem &mem, GpuConfig cfg, IrqFn irq)
     workers_.reserve(cfg_.hostThreads);
     for (unsigned i = 0; i < cfg_.hostThreads; ++i)
         workers_.emplace_back([this, i] { workerMain(i); });
-    jmThread_ = std::thread([this] { jmMain(); });
+    // Under syncSubmit every chain runs inline on the submitting thread,
+    // so a Job Manager thread would never pop one.
+    if (!cfg_.syncSubmit)
+        jmThread_ = std::thread([this] { jmMain(); });
 }
 
 GpuDevice::~GpuDevice()
@@ -132,7 +129,8 @@ GpuDevice::~GpuDevice()
         sim::LockGuard g(poolLock_);
         poolCv_.notify_all();
     }
-    jmThread_.join();
+    if (jmThread_.joinable())
+        jmThread_.join();
     for (std::thread &w : workers_)
         w.join();
 }

@@ -80,9 +80,8 @@ struct GpuConfig
 
     /**
      * Host worker threads ("virtual cores").  0 = auto-detect: the
-     * BIFSIM_HOST_THREADS environment variable if set, else the host's
-     * hardware concurrency (min 1).  The resolved value is visible in
-     * GpuDevice::config() and the SC_THREADS register.
+     * host's hardware concurrency (min 1).  The resolved value is
+     * visible in GpuDevice::config() and the SC_THREADS register.
      */
     unsigned hostThreads = 8;
 
@@ -100,12 +99,13 @@ struct GpuConfig
 
     /**
      * Deterministic co-simulation: a JS_SUBMIT write runs the whole
-     * chain inline on the submitting (CPU) thread instead of waking the
-     * Job Manager thread.  The completion IRQ is then pending before
-     * the guest driver reaches its wait loop, so the interleaving of
-     * CPU instructions and GPU completions — and with it every
-     * guest-visible artefact (mailbox IRQ counters, trap save areas,
-     * idle timer ticks) — is a pure function of the guest state.
+     * chain inline on the submitting (CPU) thread, and the device
+     * starts no Job Manager thread.  The completion IRQ is then
+     * pending before the guest driver reaches its wait loop, so the
+     * interleaving of CPU instructions and GPU completions — and with
+     * it every guest-visible artefact (mailbox IRQ counters, trap save
+     * areas, idle timer ticks) — is a pure function of the guest
+     * state.
      * Required for bit-identical snapshot/resume in FullSystem mode.
      */
     bool syncSubmit = false;
@@ -381,7 +381,7 @@ class GpuDevice : public Device
     PageSet jobPages_;             ///< Union of the workers' page sets.
                                    ///< JM thread only (runJob).
     std::vector<std::thread> workers_;
-    std::thread jmThread_;
+    std::thread jmThread_;   ///< Async submit only (not syncSubmit).
 
     void jmMain() EXCLUDES(lock_, poolLock_);
     void workerMain(unsigned idx) EXCLUDES(lock_, poolLock_);

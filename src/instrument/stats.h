@@ -23,6 +23,7 @@
  * and counterSlot("prefix.name") resolves a name at compile time.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iterator>
@@ -347,6 +348,54 @@ concatCounters()
 inline constexpr auto kCounters =
     concatCounters<KernelStats, TlbStats, SystemStats, SchedStats,
                    sa32::CoreStats, fleet::FleetStats, ShaderCacheStats>();
+
+/** The counter-name prefixes, one per counter table. */
+inline constexpr std::string_view kCounterPrefixes[] = {
+    "kernel", "tlb", "sys", "sched", "cpu", "fleet", "shader"};
+
+/** True when @p name is "prefix.lower_snake" with a kCounterPrefixes
+ *  prefix.  Also run by simlint to find the names a document lists. */
+constexpr bool
+isCounterName(std::string_view name)
+{
+    size_t dot = name.find('.');
+    if (dot == std::string_view::npos || dot + 1 == name.size() ||
+        std::ranges::find(kCounterPrefixes, name.substr(0, dot)) ==
+            std::end(kCounterPrefixes))
+        return false;
+    return std::ranges::all_of(name.substr(dot + 1), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+               c == '_';
+    });
+}
+
+/** True when every name in @p table is a well-formed counter name. */
+consteval bool
+counterNamesWellFormed(std::span<const CounterInfo> table)
+{
+    for (const CounterInfo &c : table)
+        if (!isCounterName(c.name))
+            return false;
+    return true;
+}
+
+/** True when no two entries of @p table share a name: duplicate names
+ *  collide in every export keyed by name. */
+consteval bool
+counterNamesUnique(std::span<const CounterInfo> table)
+{
+    for (size_t i = 0; i < table.size(); ++i)
+        for (size_t j = i + 1; j < table.size(); ++j)
+            if (std::string_view(table[i].name) == table[j].name)
+                return false;
+    return true;
+}
+
+static_assert(counterNamesWellFormed(kCounters),
+              "a counter name is not prefix.lower_snake with a "
+              "kCounterPrefixes prefix");
+static_assert(counterNamesUnique(kCounters),
+              "two counter table entries share a name");
 
 /**
  * The registry slot of counter @p name.  Evaluated at compile time

@@ -19,26 +19,14 @@ namespace {
 // pattern from ever appearing verbatim in this file, so simlint does
 // not report itself.
 const std::string kTagNeedle = std::string("make") + "Tag(\"";
-const std::string kHandlerNeedle = std::string("HAND") + "LER(";
-const std::string kDbtOpsNeedle = std::string("#define DBT") + "_OPS(X)";
-// A counter table entry: {"prefix.name", &Struct::field[, kGauge]},
-const std::string kCounterNeedle = std::string("{") + "\"";
-const std::string kCounterFieldNeedle = std::string("\", ") + "&";
 const std::string kStdMutex = std::string("std::") + "mutex";
 const std::string kStdCondVar = std::string("std::") + "condition_variable";
 const std::string kStdSharedMutex = std::string("std::") + "shared_mutex";
 const std::string kSimMutex = std::string("sim::") + "Mutex";
 const std::string kConstexprU32 = "constexpr uint32_t";
-const std::string kHostPtrNeedle = std::string("host") + "Ptr(";
-
-/** The only files allowed to take a writable host pointer into guest
- *  RAM (check 5): PhysMem itself and the GPU paths that mark what
- *  they hand out. */
-const char *const kHostPtrOwners[] = {"phys_mem.h", "phys_mem.cc",
-                                      "gmmu.cc", "shader_core.cc"};
 
 /** Annotation macros that count as "references" a sim::Mutex member
- *  must have (check 4). */
+ *  must have (check 3). */
 const char *const kAnnotationMacros[] = {
     "GUARDED_BY(",    "PT_GUARDED_BY(", "REQUIRES(", "REQUIRES_SHARED(",
     "ACQUIRE(",       "ACQUIRE_SHARED(", "RELEASE(",  "RELEASE_SHARED(",
@@ -161,193 +149,23 @@ checkTagUniqueness(const Options &opts)
     return diags;
 }
 
-// ------------------------------------------------- check 2: dbt parity
+// --------------------------------------------------- check 2: counters
 
 std::vector<Diag>
-checkDbtParity(const Options &opts)
+checkCounterDoc(const Options &opts,
+                std::span<const gpu::CounterInfo> counters)
 {
-    std::vector<Diag> diags;
-    fs::path p = fs::path(opts.root) / opts.dbtFile;
-    std::vector<std::string> lines;
-    if (!readLines(p, lines)) {
-        diags.push_back(missingFile(opts.dbtFile, "dbt-parity"));
-        return diags;
-    }
-
-    // The op list: X(Name) entries on the DBT_OPS macro definition
-    // and its backslash-continuation lines.
-    std::map<std::string, int> ops;        // name -> line
-    std::map<std::string, int> handlers;   // name -> first line
-    std::map<std::string, int> handlerCount;
-    bool inOpsMacro = false;
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &l = lines[i];
-        if (!inOpsMacro && l.find(kDbtOpsNeedle) != std::string::npos)
-            inOpsMacro = true;
-        if (inOpsMacro) {
-            for (size_t pos = 0; (pos = l.find("X(", pos)) !=
-                                 std::string::npos;) {
-                // Require X to be a standalone macro name, not the
-                // tail of an identifier (e.g. "IDX(").
-                if (pos > 0 && isIdentChar(l[pos - 1])) {
-                    pos += 2;
-                    continue;
-                }
-                size_t start = pos + 2;
-                size_t close = l.find(')', start);
-                if (close == std::string::npos)
-                    break;
-                std::string name = l.substr(start, close - start);
-                if (!name.empty() &&
-                    std::all_of(name.begin(), name.end(), isIdentChar) &&
-                    !ops.count(name))
-                    ops[name] = static_cast<int>(i + 1);
-                pos = close;
-            }
-            if (l.empty() || l.back() != '\\')
-                inOpsMacro = false;
-            continue;
-        }
-        // Handler bodies: HANDLER(Name) outside any #define (the two
-        // dispatch-strategy definitions of HANDLER itself use a
-        // lowercase metavariable, but exclude directives outright).
-        std::string trimmed = l;
-        size_t first = trimmed.find_first_not_of(" \t");
-        if (first != std::string::npos && trimmed[first] == '#')
-            continue;
-        for (size_t pos = 0; (pos = l.find(kHandlerNeedle, pos)) !=
-                             std::string::npos;) {
-            if (pos > 0 && isIdentChar(l[pos - 1])) {
-                pos += kHandlerNeedle.size();
-                continue;
-            }
-            size_t start = pos + kHandlerNeedle.size();
-            size_t close = l.find(')', start);
-            if (close == std::string::npos)
-                break;
-            std::string name = l.substr(start, close - start);
-            if (!name.empty() &&
-                std::all_of(name.begin(), name.end(), isIdentChar)) {
-                if (!handlers.count(name))
-                    handlers[name] = static_cast<int>(i + 1);
-                handlerCount[name]++;
-            }
-            pos = close;
-        }
-    }
-
-    if (ops.empty()) {
-        diags.push_back(Diag{opts.dbtFile, 0, "dbt-parity",
-                             "no DBT_OPS(X) op list found — the scan "
-                             "pattern no longer matches the code"});
-        return diags;
-    }
-    for (const auto &[name, line] : ops) {
-        if (!handlers.count(name)) {
-            diags.push_back(
-                Diag{opts.dbtFile, line, "dbt-parity",
-                     "op " + name + " is in the DBT_OPS list but has "
-                     "no HANDLER(" + name + ") body — a hole in the "
-                     "computed-goto dispatch table"});
-        } else if (handlerCount[name] > 1) {
-            diags.push_back(
-                Diag{opts.dbtFile, handlers[name], "dbt-parity",
-                     "op " + name + " has " +
-                     std::to_string(handlerCount[name]) +
-                     " HANDLER bodies; exactly one is required"});
-        }
-    }
-    for (const auto &[name, line] : handlers) {
-        if (!ops.count(name)) {
-            diags.push_back(
-                Diag{opts.dbtFile, line, "dbt-parity",
-                     "HANDLER(" + name + ") has no matching entry in "
-                     "the DBT_OPS list — dead code the dispatch table "
-                     "can never reach"});
-        }
-    }
-    return diags;
-}
-
-// --------------------------------------------------- check 3: counters
-
-std::vector<Diag>
-checkCounterRegistry(const Options &opts)
-{
-    std::vector<Diag> diags;
-    fs::path statsPath = fs::path(opts.root) / opts.statsFile;
-    std::vector<std::string> lines;
-    if (!readLines(statsPath, lines)) {
-        diags.push_back(missingFile(opts.statsFile, "counters"));
-        return diags;
-    }
-
-    auto validName = [](const std::string &n) {
-        size_t dot = n.find('.');
-        if (dot == std::string::npos || dot == 0 || dot + 1 >= n.size())
-            return false;
-        static const std::set<std::string> prefixes = {
-            "kernel", "tlb", "sys", "sched", "cpu", "fleet", "shader"};
-        if (!prefixes.count(n.substr(0, dot)))
-            return false;
-        for (size_t i = dot + 1; i < n.size(); ++i) {
-            char c = n[i];
-            if (!(std::islower(static_cast<unsigned char>(c)) ||
-                  std::isdigit(static_cast<unsigned char>(c)) ||
-                  c == '_'))
-                return false;
-        }
-        return true;
-    };
-
-    std::map<std::string, int> emitted;   // name -> first line
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &l = lines[i];
-        size_t pos = l.find_first_not_of(' ');
-        if (pos == std::string::npos ||
-            l.compare(pos, kCounterNeedle.size(), kCounterNeedle) != 0)
-            continue;
-        size_t start = pos + kCounterNeedle.size();
-        size_t endq = l.find('"', start);
-        if (endq == std::string::npos ||
-            l.compare(endq, kCounterFieldNeedle.size(),
-                      kCounterFieldNeedle) != 0)
-            continue;
-        std::string name = l.substr(start, endq - start);
-        int lineNo = static_cast<int>(i + 1);
-        if (!validName(name)) {
-            diags.push_back(
-                Diag{opts.statsFile, lineNo, "counters",
-                     "counter \"" + name + "\" does not match the "
-                     "prefix.lower_snake grammar (prefixes: kernel, "
-                     "tlb, sys, sched, cpu, fleet, shader)"});
-            continue;
-        }
-        auto [it, fresh] = emitted.emplace(name, lineNo);
-        if (!fresh) {
-            diags.push_back(
-                Diag{opts.statsFile, lineNo, "counters",
-                     "counter \"" + name + "\" is already emitted at "
-                     "line " + std::to_string(it->second) +
-                     "; duplicate names collide in trace exports"});
-        }
-    }
-    if (emitted.empty()) {
-        diags.push_back(Diag{opts.statsFile, 0, "counters",
-                             "no emitted counters found — the scan "
-                             "pattern no longer matches the code"});
-        return diags;
-    }
-
-    // Every emitted counter must be documented, or it is invisible to
-    // anyone reading the HUD or a sweep diff.  Documented names are
+    // Every registered counter must be documented, or it is invisible
+    // to anyone reading the HUD or a sweep diff; and the doc must name
+    // no counter that is not registered.  Documented names are
     // backticked tokens shaped like counter names.
+    std::vector<Diag> diags;
     std::vector<std::string> docLines;
     if (!readLines(fs::path(opts.root) / opts.metricsDoc, docLines)) {
         diags.push_back(missingFile(opts.metricsDoc, "counters"));
         return diags;
     }
-    std::map<std::string, int> documented;
+    std::map<std::string, int> documented;   // name -> first line
     for (size_t i = 0; i < docLines.size(); ++i) {
         const std::string &l = docLines[i];
         for (size_t pos = 0;
@@ -356,30 +174,30 @@ checkCounterRegistry(const Options &opts)
             if (endq == std::string::npos)
                 break;
             std::string name = l.substr(pos + 1, endq - pos - 1);
-            if (validName(name))
+            if (gpu::isCounterName(name))
                 documented.emplace(name, static_cast<int>(i + 1));
             pos = endq + 1;
         }
     }
-    for (const auto &[name, line] : emitted) {
-        if (!documented.count(name))
-            diags.push_back(Diag{opts.statsFile, line, "counters",
-                                 "counter \"" + name +
-                                 "\" is not documented in " +
-                                 opts.metricsDoc});
+    std::set<std::string> registered;
+    for (const gpu::CounterInfo &c : counters) {
+        registered.insert(c.name);
+        if (!documented.count(c.name))
+            diags.push_back(Diag{opts.metricsDoc, 0, "counters",
+                                 std::string("registered counter \"") +
+                                     c.name + "\" is not documented"});
     }
     for (const auto &[name, line] : documented) {
-        if (!emitted.count(name))
+        if (!registered.count(name))
             diags.push_back(
                 Diag{opts.metricsDoc, line, "counters",
-                     "documented counter \"" + name + "\" is not "
-                     "emitted by any counter table in " +
-                     opts.statsFile});
+                     "documented counter \"" + name + "\" is not in "
+                     "any counter table (gpu::kCounters)"});
     }
     return diags;
 }
 
-// --------------------------------------------- check 4: mutex coverage
+// --------------------------------------------- check 3: mutex coverage
 
 std::vector<Diag>
 checkMutexCoverage(const Options &opts)
@@ -501,59 +319,16 @@ checkMutexCoverage(const Options &opts)
     return diags;
 }
 
-// -------------------------------------------- check 5: raw RAM writes
-
-std::vector<Diag>
-checkRawRamWrites(const Options &opts)
-{
-    std::vector<Diag> diags;
-    std::vector<std::string> lines;
-    for (const fs::path &p : sourceFiles(opts)) {
-        std::string name = p.filename().string();
-        if (std::find(std::begin(kHostPtrOwners), std::end(kHostPtrOwners),
-                      name) != std::end(kHostPtrOwners))
-            continue;
-        if (!readLines(p, lines))
-            continue;
-        for (size_t i = 0; i < lines.size(); ++i) {
-            // Code only: a comment may name the accessor.
-            std::string l = lines[i].substr(0, lines[i].find("//"));
-            size_t first = l.find_first_not_of(" \t");
-            if (first == std::string::npos || l[first] == '*' ||
-                l.compare(first, 2, "/*") == 0)
-                continue;
-            for (size_t pos = 0; (pos = l.find(kHostPtrNeedle, pos)) !=
-                                 std::string::npos;
-                 pos += kHostPtrNeedle.size()) {
-                if (pos > 0 && isIdentChar(l[pos - 1]))
-                    continue;
-                diags.push_back(
-                    Diag{rel(opts, p), static_cast<int>(i + 1),
-                         "raw-ram-write",
-                         "writable host pointer into guest RAM: stores "
-                         "through it bypass PhysMem's written-page "
-                         "tracking, so recordings and snapshots miss "
-                         "them — read through readPtr(), write through "
-                         "write/writeBlock/fill"});
-                break;
-            }
-        }
-    }
-    return diags;
-}
-
 // ----------------------------------------------------------- top level
 
 std::vector<Diag>
 runAllChecks(const Options &opts)
 {
     std::vector<Diag> all;
-    for (auto check : {checkTagUniqueness, checkDbtParity,
-                       checkCounterRegistry, checkMutexCoverage,
-                       checkRawRamWrites}) {
-        std::vector<Diag> d = check(opts);
+    for (std::vector<Diag> d :
+         {checkTagUniqueness(opts), checkCounterDoc(opts),
+          checkMutexCoverage(opts)})
         all.insert(all.end(), d.begin(), d.end());
-    }
     return all;
 }
 

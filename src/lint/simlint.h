@@ -5,42 +5,37 @@
  * @file
  * simlint: repo-shape invariant checks (DESIGN.md §5i).
  *
- * The clang thread-safety job proves lock discipline; this library
- * checks the *textual* invariants the type system can't reach — the
- * kind that corrupt silently when violated:
+ * The compiler enforces what a single translation unit can see: DBT
+ * handler parity (the computed-goto label table), counter-name
+ * uniqueness and grammar (static_asserts on gpu::kCounters) and who
+ * may write guest RAM (PhysMem::hostPtr is private).  The clang
+ * thread-safety job proves lock discipline.  This library checks the
+ * invariants left over — the kind that corrupt silently when violated:
  *
  *  1. TLV tag uniqueness: every `constexpr uint32_t k... = makeTag`
- *     4CC across the BSNP/BRPL serializers is claimed exactly once.
- *  2. DBT X-macro parity: the `DBT_OPS(X)` op list and the
- *     `HANDLER(Op)` bodies in src/cpu/dbt.cc are the same set.
- *  3. Counter registry: every counter name registered in a counter
- *     table (`{"name", &Struct::field}` entries in
- *     src/instrument/stats.h) is unique, matches
- *     `prefix.lower_snake`, and is documented in
- *     docs/METRICS.md — and the doc names no counter that doesn't
- *     exist.
- *  4. Mutex coverage: no raw std mutex/condition-variable member in
+ *     4CC across the BSNP/BRPL/FLT* serializers is claimed exactly
+ *     once.  The tags span headers no one translation unit includes.
+ *  2. Counter doc: every counter in gpu::kCounters is documented in
+ *     docs/METRICS.md, and the doc names no counter that isn't
+ *     registered.
+ *  3. Mutex coverage: no raw std mutex/condition-variable member in
  *     src/ outside thread_annotations.h, and every `sim::Mutex`
  *     member is referenced by at least one thread-safety annotation
- *     in its file.
- *  5. Raw RAM writes: no code in src/ takes PhysMem's writable
- *     `hostPtr(` outside phys_mem.*, gpu/gmmu.cc and
- *     gpu/shader_core.cc — the places that mark the pages they hand
- *     out — so every store to guest RAM reaches the written-page
- *     tracking (DESIGN.md §5h).  Comments are not code.
+ *     in its file.  An unannotated member is not a type error.
  *
- * The checks are deliberately lexical (line-oriented scans, no real
- * C++ parse): the guarded patterns are themselves lexical idioms the
- * repo enforces by convention, and a checker that needs a compiler to
- * run can't be the thing CI runs before the compiler.  Fixture-driven
- * tests (tests/test_simlint.cc) pin the exact file:line each seeded
- * violation is reported at.
+ * Checks 1 and 3 are lexical (line-oriented scans, no real C++
+ * parse): the guarded patterns are lexical idioms the repo enforces
+ * by convention.  Fixture-driven tests (tests/test_simlint.cc) pin
+ * the exact file:line each seeded violation is reported at.
  *
  * Used by the `simlint` CLI (examples/simlint.cpp) and CI.
  */
 
+#include <span>
 #include <string>
 #include <vector>
+
+#include "instrument/stats.h"
 
 namespace bifsim::lint {
 
@@ -49,8 +44,8 @@ struct Diag
 {
     std::string file;
     int line = 0;           ///< 1-based; 0 = whole-file/cross-file.
-    std::string check;      ///< "tlv-tag", "dbt-parity", "counters",
-                            ///< "mutex-coverage", "raw-ram-write".
+    std::string check;      ///< "tlv-tag", "counters",
+                            ///< "mutex-coverage".
     std::string message;
 };
 
@@ -60,20 +55,19 @@ struct Options
 {
     std::string root = ".";
     std::string srcDir = "src";
-    std::string dbtFile = "src/cpu/dbt.cc";
-    std::string statsFile = "src/instrument/stats.h";
     std::string metricsDoc = "docs/METRICS.md";
 };
 
 /** @name Individual checks (each returns its findings, empty = clean).
- *  A missing input file is itself a finding — a renamed dbt.cc must
- *  fail the check, not silently skip it. */
+ *  A missing input file is itself a finding — a renamed METRICS.md
+ *  must fail the check, not silently skip it. */
 ///@{
 std::vector<Diag> checkTagUniqueness(const Options &opts);
-std::vector<Diag> checkDbtParity(const Options &opts);
-std::vector<Diag> checkCounterRegistry(const Options &opts);
+/** Checks Options::metricsDoc against @p counters, both ways. */
+std::vector<Diag> checkCounterDoc(
+    const Options &opts,
+    std::span<const gpu::CounterInfo> counters = gpu::kCounters);
 std::vector<Diag> checkMutexCoverage(const Options &opts);
-std::vector<Diag> checkRawRamWrites(const Options &opts);
 ///@}
 
 /** Runs every check; findings in check order, file/line order within

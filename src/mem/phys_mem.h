@@ -18,6 +18,11 @@
 
 namespace bifsim {
 
+namespace gpu {
+class GpuMmu;
+class WorkgroupExecutor;
+} // namespace gpu
+
 /**
  * A sealed, read-only RAM image backing many PhysMem instances at once
  * (DESIGN.md §5j).
@@ -118,7 +123,8 @@ class RamImage
  *  - GpuMmu::walkFill for every writable entry it caches a host
  *    pointer for (shader stores and atomics through the GPU TLB);
  *  - the shader core's physical-address atomic slow path.
- * Nothing else may write through hostPtr() (simlint `raw-ram-write`).
+ * hostPtr() is private, so nothing else can take a writable pointer:
+ * the compiler enforces it (friends: GpuMmu and WorkgroupExecutor).
  * The GPU device's per-job MMU epoch bump makes every job re-walk, and
  * so re-mark, the writable pages it stores to.  The tracking bytes
  * live in the same lazily materialised mapping as RAM, right after it,
@@ -152,12 +158,6 @@ class PhysMem
         return addr >= base_ && len <= size_ &&
                addr - base_ <= size_ - len;
     }
-
-    /** Raw writable host pointer to guest physical address @p addr
-     *  (must be in range).  Stores through it are invisible to the
-     *  written-page tracking: the caller must markWritten() what it
-     *  may write.  Only the GPU MMU and shader core may call it. */
-    uint8_t *hostPtr(Addr addr) { return data_ + (addr - base_); }
 
     /** Read-only host pointer to guest physical address @p addr. */
     const uint8_t *
@@ -299,6 +299,16 @@ class PhysMem
     void restoreState(snapshot::ChunkReader &r);
 
   private:
+    // The two GPU paths that mark the pages they hand out.
+    friend class gpu::GpuMmu;
+    friend class gpu::WorkgroupExecutor;
+
+    /** Raw writable host pointer to guest physical address @p addr
+     *  (must be in range).  Stores through it are invisible to the
+     *  written-page tracking: the caller must markWritten() what it
+     *  may write. */
+    uint8_t *hostPtr(Addr addr) { return data_ + (addr - base_); }
+
     /** Tracking byte states. */
     enum : uint8_t
     {

@@ -28,10 +28,7 @@ fmtRate(double v)
 
 void
 addLine(std::string &out, bool pad, const char *fmt, ...)
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((format(printf, 3, 4)))
-#endif
-    ;
+    __attribute__((format(printf, 3, 4)));
 
 void
 addLine(std::string &out, bool pad, const char *fmt, ...)

@@ -74,11 +74,12 @@ Session::Session(SystemConfig cfg, Mode mode)
 Addr
 Session::allocPhys(size_t bytes, size_t align)
 {
-    heap_ = roundUp(heap_, align);
-    Addr pa = heap_;
-    heap_ += roundUp(bytes, 4);
+    // The heap moves only on success, so a caught failure leaves the
+    // session's later allocations where they would have been.
+    Addr pa = roundUp(heap_, align);
     if (!sys_.mem().contains(pa, std::max<size_t>(bytes, 1)))
         simError("guest RAM exhausted (%zu bytes requested)", bytes);
+    heap_ = pa + roundUp(bytes, 4);
     return pa;
 }
 
@@ -145,6 +146,9 @@ Session::alloc(size_t bytes)
 {
     if (bytes == 0)
         bytes = 4;
+    // Bounded before rounding: roundUp wraps a size near SIZE_MAX to 0.
+    if (bytes > sys_.mem().size())
+        simError("guest RAM exhausted (%zu bytes requested)", bytes);
     Buffer b;
     b.bytes = bytes;
     b.pa = allocPhys(roundUp(bytes, 4096));
@@ -157,7 +161,7 @@ void
 Session::write(const Buffer &b, const void *src, size_t len,
                size_t offset)
 {
-    if (offset + len > b.bytes)
+    if (offset > b.bytes || len > b.bytes - offset)
         simError("buffer write out of range");
     sys_.mem().writeBlock(b.pa + offset, src, len);
 }
@@ -165,7 +169,7 @@ Session::write(const Buffer &b, const void *src, size_t len,
 void
 Session::read(const Buffer &b, void *dst, size_t len, size_t offset)
 {
-    if (offset + len > b.bytes)
+    if (offset > b.bytes || len > b.bytes - offset)
         simError("buffer read out of range");
     sys_.mem().readBlock(b.pa + offset, dst, len);
 }

@@ -617,7 +617,7 @@ class LockstepTest : public ::testing::Test
     void
     expectRamEqual(const char *where)
     {
-        ASSERT_EQ(std::memcmp(memA.hostPtr(kBase), memB.hostPtr(kBase),
+        ASSERT_EQ(std::memcmp(memA.readPtr(kBase), memB.readPtr(kBase),
                               memA.size()),
                   0)
             << where;

@@ -114,7 +114,7 @@ runJobOn(rt::Session &s, uint32_t seed)
     s.read(bufs[2], res.c.data(), res.c.size());
     PhysMem &mem = s.system().mem();
     res.ramCrc =
-        snapshot::crc32(mem.hostPtr(rt::System::kRamBase), mem.size());
+        snapshot::crc32(mem.readPtr(rt::System::kRamBase), mem.size());
     return res;
 }
 
@@ -204,9 +204,9 @@ TEST(RamImage, CowViewsShareContentButNotWrites)
     EXPECT_TRUE(m1.hasImage());
 
     uint32_t crc1 =
-        snapshot::crc32(m1.hostPtr(ram->base()), m1.size());
+        snapshot::crc32(m1.readPtr(ram->base()), m1.size());
     uint32_t crc2 =
-        snapshot::crc32(m2.hostPtr(ram->base()), m2.size());
+        snapshot::crc32(m2.readPtr(ram->base()), m2.size());
     EXPECT_EQ(crc1, crc2);
     EXPECT_NE(crc1, snapshot::crc32("", 0));   // image is not empty
 
@@ -221,7 +221,7 @@ TEST(RamImage, CowViewsShareContentButNotWrites)
     EXPECT_EQ(m1.read<uint8_t>(probe), 0);
     EXPECT_TRUE(m1.resetToImage());
     EXPECT_EQ(m1.read<uint8_t>(probe), before);
-    EXPECT_EQ(snapshot::crc32(m1.hostPtr(ram->base()), m1.size()), crc1);
+    EXPECT_EQ(snapshot::crc32(m1.readPtr(ram->base()), m1.size()), crc1);
 }
 
 /** PhysMem::crc() (the fleet's wantRamCrc) reads only the pages that
@@ -234,7 +234,7 @@ TEST(RamImage, WrittenPageCrcMatchesFullRamCrc)
     auto s = rt::Session::fromSnapshot(*warmImage(), testBase());
     PhysMem &mem = s->system().mem();
     auto full = [&] {
-        return snapshot::crc32(mem.hostPtr(rt::System::kRamBase),
+        return snapshot::crc32(mem.readPtr(rt::System::kRamBase),
                                mem.size());
     };
     EXPECT_EQ(mem.crc(), full());
@@ -766,6 +766,82 @@ TEST(FleetServer, SocketEndToEnd)
     ::close(fd);
     daemon.join();
     EXPECT_TRUE(server.shuttingDown());
+    ::unlink(path.c_str());
+}
+
+/** Sends @p req as one job frame on @p fd. */
+void
+sendJob(int fd, const fleet::JobRequest &req)
+{
+    snapshot::ChunkWriter w;
+    req.serialize(w);
+    fleet::writeFrame(fd, fleet::kMsgJob, w.data());
+}
+
+/** Bounds every read on @p fd to @p seconds, so a test that would
+ *  otherwise wait forever fails instead. */
+void
+setReadTimeout(int fd, long seconds)
+{
+    timeval tv{seconds, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+}
+
+TEST(FleetServer, ClientThatStopsReadingIsDropped)
+{
+    // One worker.  A client submits jobs whose results overfill the
+    // socket buffers and never reads them: the worker's send must time
+    // out and drop that connection, not block forever, so a second
+    // client's job still completes.
+    std::string path = "/tmp/bifsim_test_fleet_stall_" +
+                       std::to_string(::getpid()) + ".sock";
+    fleet::FleetServer server(warmImage(), smallServer(1, 1));
+    std::thread daemon([&] { EXPECT_EQ(server.serve(path), 0); });
+
+    fleet::Frame f;
+    int stalled = connectTo(path);
+    ASSERT_GE(stalled, 0);
+    ASSERT_TRUE(fleet::readFrame(stalled, f));
+    fleet::JobRequest big = canonicalRequest("stall", 7);
+    big.reads.assign(fleet::kMaxReads, big.reads.front());   // 256 KiB.
+    for (int i = 0; i < 4; ++i)
+        sendJob(stalled, big);
+
+    int live = connectTo(path);
+    ASSERT_GE(live, 0);
+    setReadTimeout(live, 30);
+    bool ok = false;
+    try {
+        if (fleet::readFrame(live, f)) {   // Welcome.
+            sendJob(live, canonicalRequest("live", 7));
+            if (fleet::readFrame(live, f)) {
+                snapshot::ChunkReader r = f.reader();
+                fleet::JobResultMsg m = fleet::JobResultMsg::parse(r);
+                ok = m.status == fleet::JobStatus::Ok &&
+                     m.readback == soloReference().c;
+            }
+        }
+    } catch (const SimError &e) {
+        ADD_FAILURE() << "live client: " << e.what();
+    }
+    EXPECT_TRUE(ok);
+
+    // The stalled connection was shut down by the server: what was
+    // buffered drains (its last frame may be cut short), then EOF.
+    setReadTimeout(stalled, 30);
+    try {
+        while (fleet::readFrame(stalled, f)) {
+        }
+    } catch (const SimError &) {
+    }
+    char byte;
+    EXPECT_EQ(::recv(stalled, &byte, 1, MSG_DONTWAIT), 0)
+        << "stalled connection still open";
+
+    ::close(stalled);
+    ::close(live);
+    server.requestShutdown();
+    daemon.join();
     ::unlink(path.c_str());
 }
 

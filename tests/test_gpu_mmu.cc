@@ -140,7 +140,7 @@ TEST_F(GpuMmuTest, LookupCachesHostPointer)
     const GpuTlb::Entry *e = mmu.lookup(0x00100040, false, tlb);
     ASSERT_NE(e, nullptr);
     ASSERT_NE(e->host, nullptr);
-    EXPECT_EQ(e->host, mem.hostPtr(kBase + 0x8000));
+    EXPECT_EQ(e->host, mem.readPtr(kBase + 0x8000));
     EXPECT_TRUE(e->writable);
     // Repeat lookups are served from the TLB array without walking
     // (the one-entry last-page cache sits in the executor, above this

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
@@ -472,7 +474,6 @@ TEST(GpuSched, ScThreadsReportsRuntimeEffectiveCountAfterAutoDetect)
 {
     // Regression: SC_THREADS used to echo the *configured* value, so a
     // guest reading it under hostThreads=0 (auto) saw 0 workers.
-    unsetenv("BIFSIM_HOST_THREADS");
     PhysMem mem(0x80000000, 1 << 20);
     gpu::GpuConfig cfg;
     cfg.hostThreads = 0;
@@ -482,24 +483,44 @@ TEST(GpuSched, ScThreadsReportsRuntimeEffectiveCountAfterAutoDetect)
     EXPECT_EQ(sc, dev.config().hostThreads);
 }
 
-TEST(GpuSched, ScThreadsHonoursEnvironmentOverride)
+/** Threads in this process, from /proc/self/task. */
+size_t
+processThreads()
 {
-    setenv("BIFSIM_HOST_THREADS", "3", 1);
-    PhysMem mem(0x80000000, 1 << 20);
-    gpu::GpuConfig cfg;
-    cfg.hostThreads = 0;
-    gpu::GpuDevice dev(mem, cfg, [](bool) {});
-    EXPECT_EQ(dev.mmioRead(gpu::kRegScThreads), 3u);
-    EXPECT_EQ(dev.config().hostThreads, 3u);
-    unsetenv("BIFSIM_HOST_THREADS");
+    std::filesystem::directory_iterator it("/proc/self/task");
+    return static_cast<size_t>(std::distance(begin(it), end(it)));
+}
 
-    // An explicit configuration value beats the environment.
-    setenv("BIFSIM_HOST_THREADS", "5", 1);
-    gpu::GpuConfig fixed;
-    fixed.hostThreads = 2;
-    gpu::GpuDevice dev2(mem, fixed, [](bool) {});
-    EXPECT_EQ(dev2.mmioRead(gpu::kRegScThreads), 2u);
-    unsetenv("BIFSIM_HOST_THREADS");
+/** Waits up to 1 s for the thread count to fall to @p n: a joined
+ *  thread can leave /proc/self/task just after its join returns. */
+bool
+threadsSettleAt(size_t n)
+{
+    for (int i = 0; i < 1000 && processThreads() != n; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return processThreads() == n;
+}
+
+TEST(GpuSched, JobManagerThreadOnlyForAsyncSubmit)
+{
+    // Under syncSubmit every chain runs on the submitting thread: the
+    // device starts its workers and no Job Manager thread.
+    PhysMem mem(0x80000000, 1 << 20);
+    size_t before = processThreads();
+    gpu::GpuConfig cfg;
+    cfg.hostThreads = 2;
+    cfg.syncSubmit = true;
+    {
+        gpu::GpuDevice dev(mem, cfg, [](bool) {});
+        EXPECT_EQ(processThreads(), before + 2);
+    }
+    ASSERT_TRUE(threadsSettleAt(before));
+    cfg.syncSubmit = false;
+    {
+        gpu::GpuDevice dev(mem, cfg, [](bool) {});
+        EXPECT_EQ(processThreads(), before + 3);
+    }
+    EXPECT_TRUE(threadsSettleAt(before));
 }
 
 TEST(GpuSched, ScThreadsReadableThroughFullSystemBus)

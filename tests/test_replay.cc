@@ -610,7 +610,9 @@ TEST(WrittenPages, OracleCatchesAnUnmarkedWrite)
     // The same shape as above, but one write goes through a raw host
     // pointer and is never marked: the recorder cannot see it, and the
     // oracle must name exactly that page.  Proves the oracle is
-    // load-bearing.
+    // load-bearing.  PhysMem hands out no writable pointer outside the
+    // GPU paths, so the deliberate unmarked store casts away readPtr's
+    // const.
     rt::Session s(recordableConfig(8u << 20, 1), rt::Mode::Direct);
     rt::KernelHandle k = s.compile(kScaleSrc, "scale");
     rt::Buffer in = s.alloc(64 * 4);
@@ -623,7 +625,8 @@ TEST(WrittenPages, OracleCatchesAnUnmarkedWrite)
     for (int c = 0; c < 2; ++c) {
         if (c == 1) {
             const uint32_t v = 0xdeadbeefu;
-            std::memcpy(mem.hostPtr(side.pa + 8), &v, sizeof v);
+            std::memcpy(const_cast<uint8_t *>(mem.readPtr(side.pa + 8)),
+                        &v, sizeof v);
         }
         gpu::JobResult r = s.enqueue(
             k, rt::NDRange{64, 1, 1}, rt::NDRange{16, 1, 1},

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 
 #include "common/logging.h"
@@ -48,6 +49,30 @@ TEST(Session, BufferBoundsChecked)
     uint32_t v = 0;
     EXPECT_THROW(s.write(b, &v, 4, 64), SimError);
     EXPECT_THROW(s.read(b, &v, 4, 4096), SimError);
+}
+
+TEST(Session, BufferBoundsDoNotWrap)
+{
+    // offset + len wraps past SIZE_MAX to a small sum that fits: the
+    // bound must not be computed by adding them.
+    Session s;
+    Buffer b = s.alloc(64);
+    uint32_t v = 0;
+    EXPECT_THROW(s.write(b, &v, 4, SIZE_MAX - 1), SimError);
+    EXPECT_THROW(s.read(b, &v, SIZE_MAX, 8), SimError);
+}
+
+TEST(Session, OversizedAllocRejectedAndHeapKept)
+{
+    Session s;
+    Buffer a = s.alloc(64);
+    // Rounding this size up to a page wraps it to 0, which would fit.
+    EXPECT_THROW(s.alloc(SIZE_MAX - 100), SimError);
+    // Larger than what is left of RAM: rejected, and the failure does
+    // not use up the heap.
+    EXPECT_THROW(s.alloc(s.system().mem().size()), SimError);
+    Buffer b = s.alloc(64);
+    EXPECT_EQ(b.pa, a.pa + 4096);
 }
 
 TEST(Session, DistinctBuffersDistinctVas)

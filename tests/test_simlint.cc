@@ -64,52 +64,40 @@ TEST(Simlint, DuplicateFleetFrameTagReported)
     EXPECT_TRUE(contains(d[0].message, "src/fleet_a.h:11"));
 }
 
-TEST(Simlint, DbtParityFindsMissingAndOrphanHandlers)
-{
-    std::vector<Diag> d =
-        bifsim::lint::checkDbtParity(fixture("missing_handler"));
-    ASSERT_EQ(d.size(), 2u);
-    // Op in the list without a handler body, at the X(Foo) line.
-    EXPECT_EQ(d[0].file, "src/cpu/dbt.cc");
-    EXPECT_EQ(d[0].line, 8);
-    EXPECT_EQ(d[0].check, "dbt-parity");
-    EXPECT_TRUE(contains(d[0].message, "op Foo"));
-    EXPECT_TRUE(contains(d[0].message, "no HANDLER(Foo) body"));
-    // Handler body with no list entry, at its definition line.
-    EXPECT_EQ(d[1].file, "src/cpu/dbt.cc");
-    EXPECT_EQ(d[1].line, 12);
-    EXPECT_EQ(d[1].check, "dbt-parity");
-    EXPECT_TRUE(contains(d[1].message, "HANDLER(Ghost)"));
-    EXPECT_TRUE(contains(d[1].message, "no matching entry"));
-}
-
 TEST(Simlint, CounterRegistryFindsAllViolationKinds)
 {
+    // The doc check takes the registered names as a parameter; a
+    // two-entry table stands in for gpu::kCounters.
+    constexpr bifsim::gpu::CounterInfo kFake[] = {
+        {"sched.slices_run", false},
+        {"sched.bogus_counter", false},
+    };
     std::vector<Diag> d =
-        bifsim::lint::checkCounterRegistry(fixture("orphan_counter"));
-    ASSERT_EQ(d.size(), 4u);
-    // Scan-order first: duplicate emit at line 9 (first emit line 7).
-    EXPECT_EQ(d[0].file, "src/instrument/stats.h");
-    EXPECT_EQ(d[0].line, 9);
+        bifsim::lint::checkCounterDoc(fixture("orphan_counter"), kFake);
+    ASSERT_EQ(d.size(), 2u);
+    // Registered but undocumented: no doc line to point at.
+    EXPECT_EQ(d[0].file, "docs/METRICS.md");
+    EXPECT_EQ(d[0].line, 0);
     EXPECT_EQ(d[0].check, "counters");
-    EXPECT_TRUE(contains(d[0].message, "\"sched.slices_run\""));
-    EXPECT_TRUE(contains(d[0].message, "already emitted at line 7"));
-    // Grammar violation at line 10.
-    EXPECT_EQ(d[1].file, "src/instrument/stats.h");
-    EXPECT_EQ(d[1].line, 10);
-    EXPECT_TRUE(contains(d[1].message, "\"sched.CamelCase\""));
-    EXPECT_TRUE(contains(d[1].message, "grammar"));
-    // Emitted but undocumented, at the emit line.
-    EXPECT_EQ(d[2].file, "src/instrument/stats.h");
-    EXPECT_EQ(d[2].line, 8);
-    EXPECT_TRUE(contains(d[2].message, "\"sched.bogus_counter\""));
-    EXPECT_TRUE(contains(d[2].message, "not documented in "
-                                       "docs/METRICS.md"));
-    // Documented but never emitted, at its line in the doc.
-    EXPECT_EQ(d[3].file, "docs/METRICS.md");
-    EXPECT_EQ(d[3].line, 7);
-    EXPECT_TRUE(contains(d[3].message, "\"tlb.phantom_series\""));
-    EXPECT_TRUE(contains(d[3].message, "not emitted"));
+    EXPECT_TRUE(contains(d[0].message, "\"sched.bogus_counter\""));
+    EXPECT_TRUE(contains(d[0].message, "not documented"));
+    // Documented but never registered, at its line in the doc.  The
+    // backticked `Sched.NotAName` is not a counter name and is skipped.
+    EXPECT_EQ(d[1].file, "docs/METRICS.md");
+    EXPECT_EQ(d[1].line, 7);
+    EXPECT_EQ(d[1].check, "counters");
+    EXPECT_TRUE(contains(d[1].message, "\"tlb.phantom_series\""));
+    EXPECT_TRUE(contains(d[1].message, "not in any counter table"));
+}
+
+TEST(Simlint, RepoCounterTableIsTheDefault)
+{
+    // With no table given the check reads gpu::kCounters.  The
+    // fixture doc lists one real name (sched.slices_run) and one
+    // phantom, so every other real name plus the phantom is reported.
+    std::vector<Diag> d =
+        bifsim::lint::checkCounterDoc(fixture("orphan_counter"));
+    EXPECT_EQ(d.size(), bifsim::gpu::kCounters.size());
 }
 
 TEST(Simlint, MutexCoverageFlagsRawAndUnreferencedMutexes)
@@ -133,30 +121,27 @@ TEST(Simlint, MutexCoverageFlagsRawAndUnreferencedMutexes)
         EXPECT_FALSE(contains(diag.message, "guarded_"));
 }
 
-TEST(Simlint, RawRamWriteFlaggedOutsideOwners)
-{
-    std::vector<Diag> d =
-        bifsim::lint::checkRawRamWrites(fixture("raw_ram_write"));
-    // phys_mem.h and gmmu.cc own the accessor; comments, readPtr and a
-    // longer identifier ending in the name are not uses.
-    ASSERT_EQ(d.size(), 1u);
-    EXPECT_EQ(d[0].file, "src/replay/apply.cc");
-    EXPECT_EQ(d[0].line, 14);
-    EXPECT_EQ(d[0].check, "raw-ram-write");
-    EXPECT_TRUE(contains(d[0].message, "written-page tracking"));
-}
-
 TEST(Simlint, MissingInputFilesAreFindingsNotSkips)
 {
-    // Point the dbt check at a fixture that has no src/cpu/dbt.cc:
-    // a silently-skipped check is worse than a failing one.
+    // Point the counter check at a fixture that has no
+    // docs/METRICS.md: a silently-skipped check is worse than a
+    // failing one.
     std::vector<Diag> d =
-        bifsim::lint::checkDbtParity(fixture("dup_tag"));
+        bifsim::lint::checkCounterDoc(fixture("dup_tag"));
     ASSERT_EQ(d.size(), 1u);
-    EXPECT_EQ(d[0].file, "src/cpu/dbt.cc");
+    EXPECT_EQ(d[0].file, "docs/METRICS.md");
     EXPECT_EQ(d[0].line, 0);
-    EXPECT_EQ(d[0].check, "dbt-parity");
+    EXPECT_EQ(d[0].check, "counters");
     EXPECT_TRUE(contains(d[0].message, "missing"));
+
+    // The tag scan over a tree with no src/ at all finds no tag
+    // definitions, which is a finding too.
+    Options none = fixture("orphan_counter");
+    d = bifsim::lint::checkTagUniqueness(none);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].file, "src");
+    EXPECT_EQ(d[0].check, "tlv-tag");
+    EXPECT_TRUE(contains(d[0].message, "no TLV tag definitions"));
 }
 
 TEST(Simlint, RenderDiagFormatsFileLineCheckMessage)

@@ -468,7 +468,7 @@ TEST(PhysMemSnapshot, SparseRoundTripElidesZeroPages)
     b.fill(0x80080000u, 0xff, 8192);   // Dirty state to be overwritten.
     ChunkReader r(snapshot::kTagMem, w.data().data(), w.size());
     b.restoreState(r);
-    EXPECT_EQ(0, std::memcmp(a.hostPtr(a.base()), b.hostPtr(b.base()),
+    EXPECT_EQ(0, std::memcmp(a.readPtr(a.base()), b.readPtr(b.base()),
                              a.size()));
 }
 
@@ -704,7 +704,7 @@ uint32_t
 ramCrc(rt::System &sys)
 {
     PhysMem &m = sys.mem();
-    return snapshot::crc32(m.hostPtr(m.base()), m.size());
+    return snapshot::crc32(m.readPtr(m.base()), m.size());
 }
 
 TEST(SystemSnapshot, RestoreOverDirtySystemLeavesNoResidue)
