@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "metrics/metrics.h"
 #include "replay/replay.h"
 
 namespace bifsim::gpu {
@@ -42,15 +41,17 @@ resolveHostThreads(unsigned configured)
  * Derives a job's KernelStats from its workers' raw counts, once, at
  * job completion (paper §IV-A): each clause's static metrics times the
  * threads that ran it, and its CFG edges from the threads that left it
- * for its one static successor (the rest fell through to c + 1).  Every
- * workgroup always runs, so the launch counts come from the job's
+ * for its one static successor (the rest fell through to c + 1).
+ * @p executors are the job's participants only: an executor that was
+ * not woken still holds an earlier job's counts.  Every workgroup
+ * always runs, so the launch counts come from the job's
  * dimensions and stay counted with instrumentation off.  The inputs
  * are sums, so the result does not depend on which worker ran (or
  * stole) which workgroup.
  */
 KernelStats
 foldKernelStats(const JobContext &job,
-                const std::vector<WorkgroupExecutor> &executors)
+                std::span<const WorkgroupExecutor> executors)
 {
     KernelStats k;
     const JobDescriptor &d = job.desc;
@@ -109,8 +110,12 @@ GpuDevice::GpuDevice(PhysMem &mem, GpuConfig cfg, IrqFn irq)
     jmBuf_ = tracer_.registerThread("gpu-jm");
     executors_.resize(cfg_.hostThreads);
     deques_ = std::make_unique<SliceDeque[]>(cfg_.hostThreads);
-    workers_.reserve(cfg_.hostThreads);
-    for (unsigned i = 0; i < cfg_.hostThreads; ++i)
+    // Executor 0 runs on whichever thread dispatches the job (runJob's
+    // caller), so its spans go to the chain thread's buffer; the pool
+    // holds one thread per other executor.
+    executors_[0].setTrace(jmBuf_);
+    wakeCv_ = std::make_unique<sim::CondVar[]>(cfg_.hostThreads - 1);
+    for (unsigned i = 1; i < cfg_.hostThreads; ++i)
         workers_.emplace_back([this, i] { workerMain(i); });
     // Under syncSubmit every chain runs inline on the submitting thread,
     // so a Job Manager thread would never pop one.
@@ -127,7 +132,8 @@ GpuDevice::~GpuDevice()
     }
     {
         sim::LockGuard g(poolLock_);
-        poolCv_.notify_all();
+        for (size_t i = 0; i < workers_.size(); ++i)
+            wakeCv_[i].notify_one();
     }
     if (jmThread_.joinable())
         jmThread_.join();
@@ -183,10 +189,11 @@ GpuDevice::mmioRead(Addr offset)
       case kRegAsFaultAddress: return faultAddress_;
       case kRegScCount:        return cfg_.numCores;
       case kRegScThreads:
-        // Runtime-effective pool size: the threads that actually exist,
-        // which reflects auto-detection (hostThreads = 0), not the
-        // value the configuration was constructed with.
-        return static_cast<uint32_t>(workers_.size());
+        // Runtime-effective executor count: the resolved hostThreads
+        // (the dispatching thread plus the pool), which reflects
+        // auto-detection (hostThreads = 0), not the value the
+        // configuration was constructed with.
+        return cfg_.hostThreads;
       default:                 return 0;
     }
 }
@@ -284,6 +291,7 @@ void
 GpuDevice::reset()
 {
     waitIdle();
+    resetStats();
     sim::LockGuard g(lock_);
     irqRaw_ = 0;
     irqMask_ = 0;
@@ -291,10 +299,6 @@ GpuDevice::reset()
     jobCount_ = 0;
     faultStatus_ = 0;
     faultAddress_ = 0;
-    setSysStatsLocked(SystemStats{}, ShaderCacheStats{});
-    total_ = KernelStats{};
-    lastJob_ = JobResult{};
-    sched_ = SchedStats{};
     flushShadersLocked();
     jmTlb_.flush();
     mmu_.setRoot(0);
@@ -497,13 +501,12 @@ GpuDevice::readVaRange(uint32_t va, size_t len, std::vector<uint8_t> &out)
     // descriptor/shader/argument fetches keep their translations warm
     // across a chain.  The epoch check drops them when the root moves.
     jmTlb_.syncEpoch(mmu_);
-    GpuTlb &tlb = jmTlb_;
     size_t done = 0;
     while (done < len) {
         uint32_t cur = va + static_cast<uint32_t>(done);
         size_t in_page = 4096 - (cur & 0xfff);
         size_t chunk = std::min(in_page, len - done);
-        const GpuTlb::Entry *e = mmu_.lookup(cur, false, tlb);
+        const GpuTlb::Entry *e = mmu_.lookup(cur, false, jmTlb_);
         if (!e)
             return false;
         Addr pa = (static_cast<Addr>(e->ppn) << kGpuPageShift) |
@@ -545,13 +548,9 @@ GpuDevice::getShader(uint32_t binary_va, std::string &error,
         error = "shader header unreadable";
         return nullptr;
     }
-    uint32_t num_clauses, clause_off, rom_off, rom_words;
-    std::memcpy(&num_clauses, header.data() + 4, 4);
-    std::memcpy(&clause_off, header.data() + 8, 4);
+    uint32_t rom_off, rom_words;
     std::memcpy(&rom_off, header.data() + 12, 4);
     std::memcpy(&rom_words, header.data() + 16, 4);
-    (void)num_clauses;
-    (void)clause_off;
     // Widen before multiplying: rom_words * 4 in uint32_t wraps for
     // rom_words >= 0x4000'0000 and would sail under the size guard.
     uint64_t total64 = static_cast<uint64_t>(rom_off) +
@@ -623,6 +622,7 @@ GpuDevice::runJob(const JobDescriptor &desc)
         return fail(JobFaultKind::BadDescriptor, 0,
                     strfmt("unsupported job type %u", desc.jobType));
     }
+    JobContext ctx;
     // Both products are bounded after every factor, in 64 bits: a
     // 32-bit product of guest dimensions can wrap to a small value and
     // pass the bound.
@@ -639,7 +639,8 @@ GpuDevice::runJob(const JobDescriptor &desc)
             return fail(JobFaultKind::BadDimensions, 0,
                         "workgroup too large");
         }
-        total_groups *= desc.grid[d] / desc.wg[d];
+        ctx.groups[d] = desc.grid[d] / desc.wg[d];
+        total_groups *= ctx.groups[d];
         if (total_groups > UINT32_MAX) {
             return fail(JobFaultKind::BadDimensions, 0,
                         "too many workgroups");
@@ -653,17 +654,14 @@ GpuDevice::runJob(const JobDescriptor &desc)
     if (!shader)
         return fail(binKind, desc.binaryVa, err);
 
-    JobContext ctx;
     ctx.shader = shader.get();
     ctx.shaderRef = shader;
     ctx.desc = desc;
     ctx.mmu = &mmu_;
     ctx.mem = &mem_;
     ctx.deques = deques_.get();
-    ctx.numWorkers = static_cast<unsigned>(workers_.size());
+    ctx.numWorkers = cfg_.hostThreads;
     ctx.collect = cfg_.instrument;
-    for (int d = 0; d < 3; ++d)
-        ctx.groups[d] = desc.grid[d] / desc.wg[d];
     ctx.totalGroups = static_cast<uint32_t>(total_groups);
 
     if (desc.argsVa != 0) {
@@ -681,20 +679,31 @@ GpuDevice::runJob(const JobDescriptor &desc)
 
     // Deal the grid into the per-worker deques while the pool is still
     // parked — after the publication below, the deques belong to the
-    // workers until the completion barrier.
+    // job's executors until the completion barrier.
     distributeSlices(ctx.totalGroups);
 
-    // Dispatch to the worker pool.
-    {
-        sim::UniqueLock l(poolLock_);
+    // This thread runs executor 0.  Only pool workers that can claim a
+    // slice are woken: min(pool, slices dealt - 1), which equals
+    // min(pool, groups - 1) because fewer groups than executors are
+    // dealt as one single-group slice to each of workers 0..groups-1.
+    const unsigned woken = std::min(cfg_.hostThreads, ctx.totalGroups) - 1;
+    if (woken) {
+        sim::LockGuard l(poolLock_);
         activeJob_ = &ctx;
+        woken_ = woken;
         workersDone_ = 0;
         jobSeq_++;
-        poolCv_.notify_all();
-        while (workersDone_ != workers_.size())
-            poolDoneCv_.wait(l);
-        activeJob_ = nullptr;
     }
+    for (unsigned i = 0; i < woken; ++i)
+        wakeCv_[i].notify_one();
+    executors_[0].beginJob(&ctx, 0);
+    executors_[0].runUntilDone();
+    if (woken) {
+        sim::UniqueLock l(poolLock_);
+        while (workersDone_ != woken)
+            poolDoneCv_.wait(l);
+    }
+    const std::span ran(executors_.data(), woken + 1);   // Participants.
 
     // Copy the winning fault out under its own lock, then release it
     // before fail() takes the device lock — faultLock and lock_ are
@@ -714,10 +723,10 @@ GpuDevice::runJob(const JobDescriptor &desc)
     // (or stole) which workgroup — the determinism the multi-worker
     // snapshot tests rely on.
     JobResult result;
-    result.kernel = foldKernelStats(ctx, executors_);
+    result.kernel = foldKernelStats(ctx, ran);
     SchedStats jobSched;
     jobPages_.clear();
-    for (const WorkgroupExecutor &ex : executors_) {
+    for (const WorkgroupExecutor &ex : ran) {
         jobPages_.merge(ex.collector().pages);
         result.tlb.merge(ex.tlb().stats);
         jobSched.merge(ex.sched());
@@ -755,6 +764,15 @@ GpuDevice::runJob(const JobDescriptor &desc)
         metrics::registry().publish(deltas);
     }
     raiseIrqLocked(kIrqJobDone);
+    // A chain's last job also completes the chain, in this critical
+    // section (runChain then skips its own): the IRQ sequence is
+    // unchanged, but no guest MMIO lands between the two raises.  A
+    // wake that preempts this thread right after the first raise would
+    // otherwise make the driver trap once per raise.
+    if (desc.next == 0) {
+        jsStatus_ = kJsDone;
+        raiseIrqLocked(kIrqJobDone);
+    }
     return true;
 }
 
@@ -786,7 +804,7 @@ GpuDevice::setSysStatsLocked(const SystemStats &s,
 void
 GpuDevice::distributeSlices(uint32_t total_groups)
 {
-    const unsigned nw = static_cast<unsigned>(workers_.size());
+    const unsigned nw = cfg_.hostThreads;
     for (unsigned w = 0; w < nw; ++w)
         deques_[w].reset();
 
@@ -816,6 +834,7 @@ GpuDevice::runChain(uint32_t desc_va)
     uint64_t chain_t0 = jmBuf_ ? trace::nowNs() : 0;
     uint32_t va = desc_va;
     bool ok = true;
+    bool ended = false;   // The last job completed the chain (runJob).
     uint64_t jobs_run = 0;
     // A descriptor chain lives in guest-writable memory, so it can be
     // self-linked or cyclic; an unbounded walk would park the JM thread
@@ -823,18 +842,10 @@ GpuDevice::runChain(uint32_t desc_va)
     std::unordered_set<uint32_t> visited;
     size_t walked = 0;
     while (va != 0) {
-        if (!visited.insert(va).second ||
-            ++walked > kMaxChainDescriptors) {
-            sim::LockGuard g(lock_);
-            faultStatus_ =
-                static_cast<uint32_t>(JobFaultKind::BadDescriptor);
-            faultAddress_ = va;
-            raiseIrqLocked(kIrqJobFault);
-            ok = false;
-            break;
-        }
         std::vector<uint8_t> raw;
-        if (!readVaRange(va, JobDescriptor::kSizeBytes, raw)) {
+        if (!visited.insert(va).second ||
+            ++walked > kMaxChainDescriptors ||
+            !readVaRange(va, JobDescriptor::kSizeBytes, raw)) {
             sim::LockGuard g(lock_);
             faultStatus_ =
                 static_cast<uint32_t>(JobFaultKind::BadDescriptor);
@@ -860,11 +871,14 @@ GpuDevice::runChain(uint32_t desc_va)
             ok = false;
             break;
         }
+        ended = desc.next == 0;
         va = desc.next;
     }
     if (jmBuf_)
         jmBuf_->span("chain", "jm", chain_t0, "jobs", jobs_run, "ok",
                      ok ? 1 : 0);
+    if (ended)
+        return;
     sim::LockGuard g(lock_);
     jsStatus_ = ok ? kJsDone : kJsFault;
     // Chain-complete interrupt: raised *after* the status update so a
@@ -908,8 +922,8 @@ GpuDevice::workerMain(unsigned idx)
     uint64_t my_seq = 0;
     sim::UniqueLock l(poolLock_);
     for (;;) {
-        while (!shutdown_ && (activeJob_ == nullptr || jobSeq_ == my_seq))
-            poolCv_.wait(l);
+        while (!shutdown_ && (jobSeq_ == my_seq || idx > woken_))
+            wakeCv_[idx - 1].wait(l);
         if (shutdown_)
             return;
         my_seq = jobSeq_;
@@ -920,9 +934,8 @@ GpuDevice::workerMain(unsigned idx)
         executors_[idx].runUntilDone();
 
         l.lock();
-        workersDone_++;
-        if (workersDone_ == workers_.size())
-            poolDoneCv_.notify_all();
+        if (++workersDone_ == woken_)
+            poolDoneCv_.notify_one();
     }
 }
 

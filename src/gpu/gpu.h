@@ -30,15 +30,16 @@
  *   0x038 AS_FAULTSTATUS  (ro)  JobFaultKind of last fault
  *   0x03C AS_FAULTADDRESS (ro)  faulting GPU VA
  *   0x040 SC_COUNT        (ro)  guest shader cores
- *   0x044 SC_THREADS      (ro)  runtime-effective host worker threads
+ *   0x044 SC_THREADS      (ro)  runtime-effective host worker count
  *                               (simulator detail; reflects auto
  *                               detection, not the configured value)
  *
  * Threading (full model in DESIGN.md §5f, static contract §5i): MMIO
  * handlers run on the CPU/caller thread under lock_; the Job Manager
  * chain loop runs on its own thread (or inline on the submitting
- * thread under GpuConfig::syncSubmit); workgroups execute on the
- * worker pool, which parks on poolLock_ between jobs and claims slices
+ * thread under GpuConfig::syncSubmit); that thread runs executor 0
+ * of every job itself, and the hostThreads - 1 pool workers, parked
+ * on poolLock_ between jobs, run the others.  Executors claim slices
  * of the grid from per-worker queues, each under its own leaf lock
  * (work_queue.h).  lock_ and poolLock_ are never held together (the
  * job dispatch in runJob takes poolLock_ strictly after the chain walk
@@ -80,8 +81,10 @@ struct GpuConfig
 
     /**
      * Host worker threads ("virtual cores").  0 = auto-detect: the
-     * host's hardware concurrency (min 1).  The resolved value is
-     * visible in GpuDevice::config() and the SC_THREADS register.
+     * host's hardware concurrency (min 1).  The thread that dispatches
+     * a job is one of them, so the device starts hostThreads - 1 pool
+     * threads.  The resolved value is visible in GpuDevice::config()
+     * and the SC_THREADS register.
      */
     unsigned hostThreads = 8;
 
@@ -186,9 +189,10 @@ enum JsStatus : uint32_t
 /**
  * The simulated Mali-like GPU.
  *
- * Construction spawns the Job Manager thread and the worker pool; both
- * are joined at destruction.  All MMIO accesses are counted into the
- * system statistics (Table III's control-register traffic).
+ * Construction spawns the Job Manager thread (async submit only) and
+ * the worker pool; both are joined at destruction.  All MMIO accesses
+ * are counted into the system statistics (Table III's control-register
+ * traffic).
  */
 class GpuDevice : public Device
 {
@@ -322,7 +326,8 @@ class GpuDevice : public Device
                                              ///< after construction,
                                              ///< all event writes
                                              ///< happen under lock_.
-    trace::TraceBuffer *jmBuf_ = nullptr;    ///< Job Manager thread.
+    trace::TraceBuffer *jmBuf_ = nullptr;    ///< Chain-execution thread
+                                             ///< (also executor 0).
     replay::Recorder *recorder_ GUARDED_BY(lock_) = nullptr;
                                              ///< Boundary capture hooks
                                              ///< (null = not recording).
@@ -365,25 +370,34 @@ class GpuDevice : public Device
     ShaderCacheStats cacheStats_ GUARDED_BY(lock_);   ///< Guest-visible.
     GpuTlb jmTlb_;                 ///< Chain-walk TLB (readVaRange).
 
-    // Worker pool.  Parked workers wait on poolCv_; a job is published
-    // by setting activeJob_ and bumping jobSeq_ under poolLock_, and
-    // completion is the workersDone_ == workers barrier on poolDoneCv_.
-    // The slice queues are (re)filled only while the pool is parked.
+    // Worker pool.  Executor 0 belongs to the dispatching thread (the
+    // chain-execution thread, runJob's caller) from the deal to the
+    // barrier; workers_[i] runs executor i + 1 and parks on
+    // wakeCv_[i].  A job that needs workers is published by setting
+    // activeJob_ and woken_ and bumping jobSeq_ under poolLock_; the
+    // workers of executors 1..woken_ are then woken, and completion is
+    // the workersDone_ == woken_ barrier on poolDoneCv_.  The slice queues are (re)filled only
+    // while the pool is parked.
     sim::Mutex poolLock_;
-    sim::CondVar poolCv_;
+    std::unique_ptr<sim::CondVar[]> wakeCv_;   ///< One per pool thread.
     sim::CondVar poolDoneCv_;
     JobContext *activeJob_ GUARDED_BY(poolLock_) = nullptr;
     uint64_t jobSeq_ GUARDED_BY(poolLock_) = 0;
+    unsigned woken_ GUARDED_BY(poolLock_) = 0;   ///< Workers in jobSeq_.
     unsigned workersDone_ GUARDED_BY(poolLock_) = 0;
-    std::vector<WorkgroupExecutor> executors_;   ///< Cache-line aligned.
-    std::unique_ptr<SliceDeque[]> deques_;   ///< One per worker; each
+    std::vector<WorkgroupExecutor> executors_;   ///< One per host
+                                                 ///< worker; cache-line
+                                                 ///< aligned.
+    std::unique_ptr<SliceDeque[]> deques_;   ///< One per executor; each
                                              ///< under its own leaf lock.
-    PageSet jobPages_;             ///< Union of the workers' page sets.
-                                   ///< JM thread only (runJob).
-    std::vector<std::thread> workers_;
+    PageSet jobPages_;             ///< Union of the executors' page sets.
+                                   ///< Chain-execution thread only
+                                   ///< (runJob).
+    std::vector<std::thread> workers_;   ///< hostThreads - 1 threads.
     std::thread jmThread_;   ///< Async submit only (not syncSubmit).
 
     void jmMain() EXCLUDES(lock_, poolLock_);
+    /** Pool thread loop for executor @p idx (1 <= idx < hostThreads). */
     void workerMain(unsigned idx) EXCLUDES(lock_, poolLock_);
 
     /** Executes one chain of jobs starting at @p desc_va. */

@@ -187,7 +187,8 @@ struct JobContext
  * paper's §III-B3 mechanism for running more thread-groups in parallel
  * than the guest has shader cores) and the instrumentation collectors.
  *
- * Threading: every method runs on the owning worker thread only.  The
+ * Threading: every method runs on the owning thread only: a pool
+ * worker, or for executor 0 the thread that dispatches the job.  The
  * accessors (collector(), tlb(), sched()) are read by the dispatching
  * thread *after* the job-completion barrier, never concurrently with
  * execution.  Executors are cache-line aligned, so the TLB and its
@@ -217,8 +218,8 @@ class alignas(sim::kCacheLineBytes) WorkgroupExecutor
     /** The worker's scheduler counters for the current job. */
     const SchedStats &sched() const { return sched_; }
 
-    /** Attaches the owning worker thread's trace buffer (null = off).
-     *  Called once from the worker thread before any job runs. */
+    /** Attaches the owning thread's trace buffer (null = off).  Called
+     *  once, before any job runs. */
     void setTrace(trace::TraceBuffer *buf);
 
   private:

@@ -24,6 +24,7 @@
 #include "gpu/isa/bif.h"
 #include "gpu/work_queue.h"
 #include "runtime/session.h"
+#include "snapshot/snapshot.h"
 
 namespace bifsim {
 namespace {
@@ -466,6 +467,76 @@ TEST(GpuSched, PagesAccessedExactAcrossWorkersAndJobs)
     EXPECT_EQ(r.pagesAccessed, 0u);
 }
 
+/** What one job of the small-grid sequence left behind. */
+struct JobRecord
+{
+    std::vector<uint8_t> kernel;   ///< KernelStats snapshot bytes.
+    uint64_t pagesAccessed = 0;
+    uint64_t tlbLookups = 0;
+    std::vector<uint32_t> out;
+};
+
+/** Jobs of 1, 2 and 3 workgroups interleaved with 64-group jobs on one
+ *  session: a tiny job wakes fewer workers than the big one before it,
+ *  so an executor that sat it out still holds the big job's counts. */
+std::vector<JobRecord>
+runSmallGrids(unsigned host_threads, bool skew)
+{
+    constexpr uint32_t kStride = 4100;   // One page per group.
+    constexpr uint32_t kMaxGroups = 64;
+    rt::SystemConfig cfg;
+    cfg.gpu.hostThreads = host_threads;
+    cfg.gpu.skewSlices = skew;
+    rt::Session s(cfg);
+    rt::KernelHandle k = loadModule(s, stridedStoreKernel());
+    rt::Buffer buf = s.alloc(kMaxGroups * kStride);
+    std::vector<JobRecord> jobs;
+    for (uint32_t groups : {64u, 1u, 64u, 2u, 64u, 3u, 1u, 64u}) {
+        std::vector<uint8_t> zero(kMaxGroups * kStride);
+        s.write(buf, zero.data(), zero.size());
+        gpu::JobResult r =
+            s.enqueue(k, rt::NDRange{groups, 1, 1}, rt::NDRange{1, 1, 1},
+                      {rt::Arg::buf(buf), rt::Arg::u32(kStride)});
+        EXPECT_FALSE(r.faulted) << r.fault.detail;
+        EXPECT_EQ(r.pagesAccessed, expectedPages(buf.gpuVa, groups, kStride));
+        JobRecord rec;
+        snapshot::ChunkWriter w;
+        gpu::saveStats(w, r.kernel);
+        rec.kernel = w.data();
+        rec.pagesAccessed = r.pagesAccessed;
+        rec.tlbLookups = r.tlb.lookups();
+        for (uint32_t g = 0; g < kMaxGroups; ++g) {
+            uint32_t word = 0;
+            s.read(buf, &word, 4, g * kStride);
+            rec.out.push_back(word);
+        }
+        jobs.push_back(std::move(rec));
+    }
+    return jobs;
+}
+
+TEST(GpuSched, SmallGridsMatchOneWorkerAfterLargeJobs)
+{
+    // Per-job statistics fold only the executors a job woke; a stale
+    // count from a worker that sat out a tiny job would show here.
+    const std::vector<JobRecord> base = runSmallGrids(1, false);
+    for (unsigned threads : {4u, 8u}) {
+        for (bool skew : {false, true}) {
+            std::vector<JobRecord> run = runSmallGrids(threads, skew);
+            ASSERT_EQ(run.size(), base.size());
+            for (size_t j = 0; j < base.size(); ++j) {
+                SCOPED_TRACE(testing::Message()
+                             << threads << " threads, skew=" << skew
+                             << ", job " << j);
+                EXPECT_EQ(run[j].kernel, base[j].kernel);
+                EXPECT_EQ(run[j].pagesAccessed, base[j].pagesAccessed);
+                EXPECT_EQ(run[j].tlbLookups, base[j].tlbLookups);
+                EXPECT_EQ(run[j].out, base[j].out);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // SC_THREADS / hostThreads resolution
 // ---------------------------------------------------------------------
@@ -504,7 +575,8 @@ threadsSettleAt(size_t n)
 TEST(GpuSched, JobManagerThreadOnlyForAsyncSubmit)
 {
     // Under syncSubmit every chain runs on the submitting thread: the
-    // device starts its workers and no Job Manager thread.
+    // device starts no Job Manager thread.  The chain thread runs
+    // executor 0 itself, so two host workers are one pool thread.
     PhysMem mem(0x80000000, 1 << 20);
     size_t before = processThreads();
     gpu::GpuConfig cfg;
@@ -512,13 +584,30 @@ TEST(GpuSched, JobManagerThreadOnlyForAsyncSubmit)
     cfg.syncSubmit = true;
     {
         gpu::GpuDevice dev(mem, cfg, [](bool) {});
-        EXPECT_EQ(processThreads(), before + 2);
+        EXPECT_EQ(processThreads(), before + 1);
     }
     ASSERT_TRUE(threadsSettleAt(before));
     cfg.syncSubmit = false;
     {
         gpu::GpuDevice dev(mem, cfg, [](bool) {});
-        EXPECT_EQ(processThreads(), before + 3);
+        EXPECT_EQ(processThreads(), before + 2);
+    }
+    EXPECT_TRUE(threadsSettleAt(before));
+}
+
+TEST(GpuSched, SingleWorkerDeviceStartsNoThreads)
+{
+    // One host worker is the submitting thread itself: no pool thread,
+    // and under syncSubmit no Job Manager thread either.
+    PhysMem mem(0x80000000, 1 << 20);
+    size_t before = processThreads();
+    gpu::GpuConfig cfg;
+    cfg.hostThreads = 1;
+    cfg.syncSubmit = true;
+    {
+        gpu::GpuDevice dev(mem, cfg, [](bool) {});
+        EXPECT_EQ(processThreads(), before);
+        EXPECT_EQ(dev.mmioRead(gpu::kRegScThreads), 1u);
     }
     EXPECT_TRUE(threadsSettleAt(before));
 }

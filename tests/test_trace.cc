@@ -43,6 +43,30 @@ countOf(const std::string &json, const std::string &name)
     return n;
 }
 
+/** Events named @p name on the thread registered as @p thread (the
+ *  export writes one event per line, thread names first). */
+int
+countOnThread(const std::string &json, const std::string &name,
+              const std::string &thread)
+{
+    std::istringstream lines(json);
+    std::string line, tid;
+    int n = 0;
+    while (std::getline(lines, line)) {
+        if (line.find("\"args\":{\"name\":\"" + thread + "\"}") !=
+            std::string::npos) {
+            size_t at = line.find("\"tid\":") + 6;
+            tid = "\"tid\":" + line.substr(at, line.find(',', at) - at) + ",";
+        } else if (!tid.empty() &&
+                   line.find("\"name\":\"" + name + "\"") !=
+                       std::string::npos &&
+                   line.find(tid) != std::string::npos) {
+            n++;
+        }
+    }
+    return n;
+}
+
 /** Structural sanity: balanced braces/brackets, no trailing comma. */
 void
 expectBalancedJson(const std::string &json)
@@ -206,10 +230,15 @@ kernel void sgemm(global const float* A, global const float* B,
     EXPECT_NE(json.find("tlb.walks"), std::string::npos);
     EXPECT_NE(json.find("sys.compute_jobs"), std::string::npos);
 
-    // Thread metadata for every producer.
+    // Thread metadata for every producer.  Executor 0 runs on the
+    // chain thread, so its workgroups are traced on gpu-jm; the one
+    // pool thread of a two-worker device is gpu-worker-1.
     EXPECT_NE(json.find("gpu-device"), std::string::npos);
     EXPECT_NE(json.find("gpu-jm"), std::string::npos);
-    EXPECT_NE(json.find("gpu-worker-0"), std::string::npos);
+    EXPECT_GT(countOnThread(json, "workgroup", "gpu-jm"), 0);
+    EXPECT_EQ(countOnThread(json, "worker_exec", "gpu-jm"), 1);
+    EXPECT_NE(json.find("gpu-worker-1"), std::string::npos);
+    EXPECT_EQ(json.find("gpu-worker-0"), std::string::npos);
     EXPECT_NE(json.find("cpu-driver"), std::string::npos);
 
     // Human-readable summary mentions the job.
