@@ -1,7 +1,7 @@
 /**
  * @file
  * Throughput of the static shader analyzer (src/analysis/).  The
- * analyzer sits on the GPU's shader decode path (GpuConfig::verify)
+ * analyzer sits on the GPU's shader decode path (GpuDevice::getShader)
  * and in kclc's output gate, so its cost per module bounds how much
  * decode-time verification adds to a job's cold-start latency —
  * compare against the decode span in bench ablation_caches.

@@ -153,7 +153,6 @@ runHudLoop(bifsim::rt::Session &session, double seconds)
     tty = isatty(fileno(stdout)) != 0;
 #endif
     metrics::Registry &reg = metrics::registry();
-    metrics::HudOptions hopt;
 
     auto t0 = chrono::steady_clock::now();
     auto next_render = t0;
@@ -177,7 +176,7 @@ runHudLoop(bifsim::rt::Session &session, double seconds)
         auto now = chrono::steady_clock::now();
         if (now >= next_render) {
             next_render = now + chrono::milliseconds(tty ? 100 : 1000);
-            std::string frame = renderHud(reg, hopt);
+            std::string frame = renderHud(reg);
             if (tty && rendered_lines > 0)
                 std::printf("\x1b[%dA", rendered_lines);
             fputs(frame.c_str(), stdout);

@@ -262,8 +262,7 @@ main(int argc, char **argv)
                 for (const auto &[name, value] : reply.counters)
                     std::printf("%-28s %llu\n", name.c_str(),
                                 static_cast<unsigned long long>(value));
-                // v2 extension: uptime and per-tenant rates.  A v1
-                // daemon's reply simply has no rows.
+                // Uptime and per-tenant rates.
                 double up = static_cast<double>(reply.uptimeNs) * 1e-9;
                 if (reply.uptimeNs)
                     std::printf("%-28s %.1f\n", "uptime_secs", up);

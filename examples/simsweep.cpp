@@ -11,8 +11,7 @@
  *     bench::Report emitter.
  *  2. Configuration sweep: in-process matrix of two GPU workloads
  *     (compute-bound mad_loop, memory-bound triad) across
- *     {trace off/on} x {verifier off/unsafe/strict} x
- *     {1/2 host threads}, plus a CPU interpreter-vs-DBT A/B on a
+ *     {base, trace on, 2 host threads}, plus a CPU interpreter-vs-DBT A/B on a
  *     bare-metal guest.  Wall time is recorded per cell; the gated
  *     output is *instruction-count invariance* — every configuration
  *     of a workload must execute exactly the same simulated
@@ -112,18 +111,15 @@ struct CellSpec
 {
     const char *cfg;
     bool trace;
-    analysis::Strictness verify;
     unsigned hostThreads;
 };
 
 /** The fixed configuration matrix — the same labels in quick and full
  *  runs, so baseline keys never shift. */
 const CellSpec kCells[] = {
-    {"base", false, analysis::Strictness::kUnsafe, 1},
-    {"traced", true, analysis::Strictness::kUnsafe, 1},
-    {"verify_off", false, analysis::Strictness::kOff, 1},
-    {"verify_strict", false, analysis::Strictness::kStrict, 1},
-    {"threads2", false, analysis::Strictness::kUnsafe, 2},
+    {"base", false, 1},
+    {"traced", true, 1},
+    {"threads2", false, 2},
 };
 
 SweepCell
@@ -132,7 +128,6 @@ runGpuCell(const CellSpec &spec, const char *kernel_name,
 {
     rt::SystemConfig cfg;
     cfg.gpu.trace = spec.trace;
-    cfg.gpu.verify = spec.verify;
     cfg.gpu.hostThreads = spec.hostThreads;
     rt::Session s(cfg);
 

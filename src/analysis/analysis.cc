@@ -420,12 +420,12 @@ struct Analyzer
                 }
                 if (in.op == Op::LdArg &&
                     (in.imm < 0 ||
-                     static_cast<uint32_t>(in.imm) >= opts.maxArgWords)) {
+                     static_cast<uint32_t>(in.imm) >= bif::kMaxArgWords)) {
                     emit(Check::ArgBounds, Severity::Error,
                          static_cast<uint32_t>(c), t, s, in, 0xff,
                          strfmt("argument index %d out of range "
                                 "(table has %u words)", in.imm,
-                                opts.maxArgWords));
+                                bif::kMaxArgWords));
                 }
                 if (isBranch(in.op) &&
                     (in.imm < 0 || static_cast<size_t>(in.imm) >= nc)) {
@@ -475,11 +475,7 @@ Result::hasErrors() const
 bool
 Result::hasUnsafe() const
 {
-    for (const Diag &d : diags) {
-        if (isUnsafe(d.check))
-            return true;
-    }
-    return false;
+    return firstRejected(*this) != nullptr;
 }
 
 std::string
@@ -492,14 +488,10 @@ Result::render() const
 }
 
 const Diag *
-firstRejected(const Result &r, Strictness level)
+firstRejected(const Result &r)
 {
-    if (level == Strictness::kOff)
-        return nullptr;
     for (const Diag &d : r.diags) {
         if (isUnsafe(d.check))
-            return &d;
-        if (level == Strictness::kStrict && d.sev == Severity::Error)
             return &d;
     }
     return nullptr;

@@ -12,7 +12,7 @@
  * twice over:
  *
  *  - as a **verifier** the Job Manager runs at shader decode time
- *    (GpuDevice::getShader, strictness per GpuConfig::verify), failing
+ *    (GpuDevice::getShader), rejecting unsafe-class findings by failing
  *    the job with a ShaderVerify fault + kIrqJobFault instead of
  *    executing a bad image; and
  *  - as a **lint** gate on kclc's own output (post schedule/regalloc,
@@ -35,8 +35,8 @@
  *  - Dead-write detection: GRF liveness (backward); a write whose
  *    value no path ever reads is a warning.
  *  - Static bounds: LdRom indices against rom.size(), LdArg indices
- *    against the runtime argument-table size, branch targets against
- *    the clause count.
+ *    against the runtime argument table (bif::kMaxArgWords), branch
+ *    targets against the clause count.
  *
  * Every finding carries a severity, a clause/tuple/slot location and a
  * disassembled excerpt, renders as text, and is emitted into the trace
@@ -78,9 +78,8 @@ const char *severityName(Severity s);
 /**
  * True for checks whose violation makes *executing* the image
  * architecturally undefined (the classes the decode-time verifier
- * rejects at default strictness).  Pure lint classes — uninitialised
- * reads (architecturally read as zero), dead writes, unreachable
- * clauses — are excluded.
+ * rejects).  Pure lint classes — uninitialised reads (architecturally
+ * read as zero), dead writes, unreachable clauses — are excluded.
  */
 bool isUnsafe(Check c);
 
@@ -131,8 +130,6 @@ struct ClauseCfg
 /** Analysis knobs. */
 struct Options
 {
-    /** Runtime argument-table size in words (gpu::kMaxArgWords). */
-    uint32_t maxArgWords = 64;
     /** Run the backward liveness / dead-write pass. */
     bool deadWrites = true;
 };
@@ -157,21 +154,12 @@ struct Result
 };
 
 /**
- * Decode-time verifier strictness (GpuConfig::verify).
- *
- *  - kOff:    execute anything that structurally decodes.
- *  - kUnsafe: reject images with unsafe-class findings (OOB ROM/arg
- *             indices, GRF bounds, temp scope, bad branches) — the
- *             default: lint-class findings still execute, as real
- *             hardware would.
- *  - kStrict: additionally reject any error-severity finding
- *             (e.g. definitely-uninitialised GRF reads).
+ * The decode-time verifier's one policy: the first unsafe-class
+ * finding (OOB ROM/arg indices, GRF bounds, temp scope, bad branches),
+ * or nullptr when the image may execute.  Lint-class findings still
+ * execute, as real hardware would.
  */
-enum class Strictness : uint8_t { kOff = 0, kUnsafe, kStrict };
-
-/** First diagnostic @p level rejects, or nullptr when the image may
- *  execute. */
-const Diag *firstRejected(const Result &r, Strictness level);
+const Diag *firstRejected(const Result &r);
 
 /** Runs every pass over @p mod. */
 Result analyze(const bif::Module &mod, const Options &opts = Options());

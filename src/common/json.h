@@ -63,8 +63,6 @@ class Value
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
-    bool isNum() const { return kind_ == Kind::Num; }
     bool isStr() const { return kind_ == Kind::Str; }
     bool isArr() const { return kind_ == Kind::Arr; }
     bool isObj() const { return kind_ == Kind::Obj; }

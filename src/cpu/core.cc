@@ -23,7 +23,7 @@ Core::reset()
 {
     for (uint32_t &r : regs_)
         r = 0;
-    pc_ = cfg_.resetPc;
+    pc_ = kResetPc;
     priv_ = Priv::Machine;
     waiting_ = false;
     mstatus_ = mie_ = mtvec_ = mscratch_ = 0;

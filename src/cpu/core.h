@@ -66,6 +66,9 @@ struct CoreStats
     /** @} */
 };
 
+/** PC after reset: the base of guest RAM. */
+constexpr Addr kResetPc = 0x80000000;
+
 /**
  * A single SA32 hardware thread with machine/user privilege, paging,
  * interrupts and a block decode cache.
@@ -73,7 +76,6 @@ struct CoreStats
 /** Static core configuration. */
 struct CoreConfig
 {
-    Addr resetPc = 0x80000000;  ///< PC after reset.
     bool blockCache = true;     ///< Enable the decode cache.
     bool dbt = true;            ///< Threaded-code DBT tier (needs
                                 ///< blockCache; false = interpreter
@@ -99,11 +101,9 @@ class Core
     /** @name Architectural state access (used by the loader and tests).
      *  @{ */
     uint32_t reg(unsigned idx) const { return regs_[idx]; }
-    void setReg(unsigned idx, uint32_t v) { if (idx) regs_[idx] = v; }
     Addr pc() const { return pc_; }
     void setPc(Addr pc) { pc_ = pc; waiting_ = false; }
     Priv priv() const { return priv_; }
-    void setPriv(Priv p) { priv_ = p; }
     uint32_t readCsr(uint32_t num) const;
     void writeCsr(uint32_t num, uint32_t value);
     /** @} */

@@ -126,8 +126,8 @@ class FleetServer
     /** Merged fleet.* counters (server + pool + queue gauges). */
     FleetStats stats() const EXCLUDES(statsLock_, queueLock_);
 
-    /** stats() rendered as the FLTS wire payload: counters plus the
-     *  v2 uptime + per-tenant rows. */
+    /** stats() rendered as the FLTS wire payload: counters plus
+     *  uptime + per-tenant rows. */
     StatsReply statsReply() const EXCLUDES(statsLock_, queueLock_);
 
     /** The warm image's inventory (matrix size, registries). */
@@ -166,7 +166,7 @@ class FleetServer
 
     mutable sim::Mutex statsLock_;
     FleetStats stats_ GUARDED_BY(statsLock_);
-    /** Per-tenant lifetime totals, served in the v2 FLTS reply. */
+    /** Per-tenant lifetime totals, served in the FLTS reply. */
     std::map<std::string, StatsReply::TenantRow> tenantStats_
         GUARDED_BY(statsLock_);
     /** Metrics baseline (§5k) for the merged stats() counters. */

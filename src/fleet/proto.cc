@@ -206,7 +206,6 @@ StatsReply::serialize(snap::ChunkWriter &w) const
         w.str(name);
         w.u64(value);
     }
-    // v2 extension: uptime + per-tenant rows.
     w.u64(uptimeNs);
     w.u32(static_cast<uint32_t>(tenants.size()));
     for (const TenantRow &t : tenants) {
@@ -232,8 +231,6 @@ StatsReply::parse(snap::ChunkReader &r)
         uint64_t value = r.u64();
         s.counters.emplace_back(std::move(name), value);
     }
-    if (r.remaining() == 0)
-        return s;   // v1 payload: counters only.
     s.uptimeNs = r.u64();
     uint32_t nt = r.u32();
     // Each row is at least a length-prefixed name + five u64s.

@@ -42,9 +42,9 @@
 
 namespace bifsim::fleet {
 
-/** Protocol revision carried in the welcome frame.  v2 extends the
+/** Protocol revision carried in the welcome frame.  v2 extended the
  *  FLTS stats reply with server uptime and per-tenant accounting
- *  rows; v1 replies (bare counter list) still parse. */
+ *  rows; a v1 reply (bare counter list) is rejected as truncated. */
 constexpr uint32_t kProtoVersion = 2;
 
 /** Hard ceiling on one frame's payload; larger lengths are rejected
@@ -156,8 +156,8 @@ struct Welcome
 };
 
 /** Server counters (FLTS payload): name -> value in registry order,
- *  plus (proto v2) server uptime and per-tenant accounting rows so
- *  clients can derive per-tenant rates without scraping logs. */
+ *  plus server uptime and per-tenant accounting rows so clients can
+ *  derive per-tenant rates without scraping logs. */
 struct StatsReply
 {
     /** One tenant's lifetime totals on this server. */
@@ -172,13 +172,12 @@ struct StatsReply
     };
 
     std::vector<std::pair<std::string, uint64_t>> counters;
-    uint64_t uptimeNs = 0;        ///< Server age (v2; 0 from v1 peers).
-    std::vector<TenantRow> tenants;   ///< Sorted by name (v2).
+    uint64_t uptimeNs = 0;        ///< Server age.
+    std::vector<TenantRow> tenants;   ///< Sorted by name.
 
     void serialize(snapshot::ChunkWriter &w) const;
 
-    /** Decodes both layouts: a v1 payload ends after the counter
-     *  list; a v2 payload carries uptime + tenant rows after it. */
+    /** Parse-then-commit: any strict prefix throws. */
     static StatsReply parse(snapshot::ChunkReader &r);
 };
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "analysis/analysis.h"
 #include "common/logging.h"
 #include "replay/replay.h"
 
@@ -569,27 +570,24 @@ GpuDevice::getShader(uint32_t binary_va, std::string &error,
     if (!bif::decode(bytes.data(), bytes.size(), mod, error))
         return nullptr;
 
-    // Static verification (decode-time gate; see GpuConfig::verify).
-    if (cfg_.verify != analysis::Strictness::kOff) {
-        uint64_t v0 = jmBuf_ ? trace::nowNs() : 0;
-        analysis::Options opts;
-        opts.maxArgWords = kMaxArgWords;
-        opts.deadWrites = false;   // Lint-only class; skip the pass.
-        analysis::Result res = analysis::analyze(mod, opts);
-        if (jmBuf_) {
-            for (const analysis::Diag &d : res.diags) {
-                jmBuf_->instant(analysis::checkName(d.check), "verify",
-                                "clause", d.clause, "tuple", d.tuple);
-            }
-            jmBuf_->span("verify", "shader", v0, "diags",
-                         res.diags.size(), "va", binary_va);
+    // Static verification: the decode-time gate rejects unsafe-class
+    // findings (analysis::firstRejected).
+    uint64_t v0 = jmBuf_ ? trace::nowNs() : 0;
+    analysis::Options opts;
+    opts.deadWrites = false;   // Lint-only class; skip the pass.
+    analysis::Result res = analysis::analyze(mod, opts);
+    if (jmBuf_) {
+        for (const analysis::Diag &d : res.diags) {
+            jmBuf_->instant(analysis::checkName(d.check), "verify",
+                            "clause", d.clause, "tuple", d.tuple);
         }
-        if (const analysis::Diag *d =
-                analysis::firstRejected(res, cfg_.verify)) {
-            error = "shader verify: " + analysis::renderDiag(*d);
-            kind = JobFaultKind::ShaderVerify;
-            return nullptr;
-        }
+        jmBuf_->span("verify", "shader", v0, "diags", res.diags.size(),
+                     "va", binary_va);
+    }
+    if (const analysis::Diag *d = analysis::firstRejected(res)) {
+        error = "shader verify: " + analysis::renderDiag(*d);
+        kind = JobFaultKind::ShaderVerify;
+        return nullptr;
     }
 
     auto shader =
@@ -666,7 +664,7 @@ GpuDevice::runJob(const JobDescriptor &desc)
 
     if (desc.argsVa != 0) {
         std::vector<uint8_t> argbytes;
-        if (!readVaRange(desc.argsVa, kMaxArgWords * 4, argbytes)) {
+        if (!readVaRange(desc.argsVa, bif::kMaxArgWords * 4, argbytes)) {
             return fail(JobFaultKind::BadDescriptor, desc.argsVa,
                         "argument table unreadable");
         }

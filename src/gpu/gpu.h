@@ -57,7 +57,6 @@
 
 #include "common/thread_annotations.h"
 
-#include "analysis/analysis.h"
 #include "gpu/gmmu.h"
 #include "gpu/shader_core.h"
 #include "gpu/work_queue.h"
@@ -112,25 +111,6 @@ struct GpuConfig
      * Required for bit-identical snapshot/resume in FullSystem mode.
      */
     bool syncSubmit = false;
-
-    /**
-     * Decode-time shader verifier strictness.  The Job Manager runs the
-     * static analyzer (src/analysis/) on every freshly decoded image:
-     *
-     *  - kOff:    execute anything that structurally decodes (the
-     *             pre-verifier behaviour).
-     *  - kUnsafe: reject images whose execution is architecturally
-     *             undefined — out-of-bounds ROM/argument indices, GRF
-     *             references past regCount, temp-scope violations, bad
-     *             branch targets.  The default.
-     *  - kStrict: additionally reject any error-severity lint finding
-     *             (e.g. a definitely-uninitialised GRF read).
-     *
-     * A rejected shader fails the job with JobFaultKind::ShaderVerify
-     * and raises kIrqJobFault; the diagnostics land in the trace stream
-     * as instants when tracing is on.
-     */
-    analysis::Strictness verify = analysis::Strictness::kUnsafe;
 };
 
 /** Merged results for the most recent job. */

@@ -45,6 +45,7 @@ constexpr unsigned kWarpWidth = 4;        ///< Threads per quad/warp.
 constexpr unsigned kNumGrfRegs = 64;      ///< Global register file size.
 constexpr unsigned kNumTempRegs = 8;      ///< Clause-temporary registers.
 constexpr unsigned kMaxTuplesPerClause = 8;
+constexpr uint32_t kMaxArgWords = 64;     ///< Argument-table words per job.
 constexpr uint32_t kBinaryMagic = 0x31464942u;   // "BIF1"
 
 /** Shader binary flags. */

@@ -83,7 +83,7 @@ DecodedShader::build(bif::Module m)
                     }
                 } else if (in.op == Op::LdArg) {
                     u.imm = static_cast<int32_t>(
-                        static_cast<uint32_t>(in.imm) % kMaxArgWords);
+                        static_cast<uint32_t>(in.imm) % bif::kMaxArgWords);
                 }
                 s.uops.push_back(u);
             }

@@ -125,7 +125,7 @@ enum class JobFaultKind : uint8_t
     BadAccess,         ///< Misaligned or out-of-range (local) access.
     DivergentBarrier,  ///< Barrier reached with divergent threads.
     ShaderVerify,      ///< Decode-time static verifier rejected the
-                       ///< image (see GpuConfig::verify).
+                       ///< image (see analysis::firstRejected).
 };
 
 /** Fault details (reflected into AS_FAULTSTATUS/AS_FAULTADDRESS). */
@@ -135,9 +135,6 @@ struct JobFault
     uint32_t va = 0;
     std::string detail;
 };
-
-/** Maximum argument-table words preloaded per job. */
-constexpr uint32_t kMaxArgWords = 64;
 
 /**
  * Everything shared by the workers executing one job.  Immutable while
@@ -155,7 +152,7 @@ struct JobContext
     SliceDeque *deques = nullptr;       ///< Per-worker slice queues
                                         ///< (numWorkers of them).
     unsigned numWorkers = 1;
-    uint32_t args[kMaxArgWords] = {};
+    uint32_t args[bif::kMaxArgWords] = {};
     uint32_t groups[3] = {1, 1, 1};
     uint32_t totalGroups = 1;
     bool collect = true;                ///< Instrumentation enabled.

@@ -13,32 +13,10 @@ namespace bifsim::kclc {
 CompilerOptions
 CompilerOptions::forLevel(int level)
 {
+    static const char *const kVersions[] = {"5.6", "5.7", "6.0", "6.1"};
     CompilerOptions o;
-    switch (level) {
-      case 0:
-        o.maxTuples = 1;
-        o.pairSlots = false;
-        o.constFold = o.cse = o.tempPromote = o.dualIssue = false;
-        o.versionName = "5.6";
-        break;
-      case 1:
-        o.maxTuples = 4;
-        o.constFold = true;
-        o.cse = o.tempPromote = o.dualIssue = false;
-        o.versionName = "5.7";
-        break;
-      case 2:
-        o.maxTuples = 8;
-        o.constFold = o.cse = o.tempPromote = true;
-        o.dualIssue = false;
-        o.versionName = "6.0";
-        break;
-      default:
-        o.maxTuples = 8;
-        o.constFold = o.cse = o.tempPromote = o.dualIssue = true;
-        o.versionName = "6.1";
-        break;
-    }
+    o.level = level;
+    o.versionName = kVersions[level >= 0 && level < 3 ? level : 3];
     return o;
 }
 
@@ -61,29 +39,46 @@ CompilerOptions::forVersion(const std::string &version)
 
 namespace {
 
+/** The passes one optimisation level runs. */
+struct Passes
+{
+    bool constFold;
+    bool cse;
+    ScheduleOptions sched;
+};
+
+/** The one level-to-pass map (see the version table in compiler.h). */
+Passes
+passesFor(int level)
+{
+    // ScheduleOptions: {maxTuples, pairSlots, dualIssue, tempPromote}.
+    switch (level) {
+      case 0:  return {false, false, {1, false, false, false}};
+      case 1:  return {true, false, {4, true, false, false}};
+      case 2:  return {true, true, {8, true, false, true}};
+      default: return {true, true, {8, true, true, true}};
+    }
+}
+
 CompiledKernel
 compileOne(const Kernel &k, const CompilerOptions &opts)
 {
+    const Passes p = passesFor(opts.level);
     LFunc f = lower(k);
 
     removeUnreachable(f);
-    if (opts.constFold)
+    if (p.constFold)
         constFold(f);
-    if (opts.cse) {
+    if (p.cse) {
         cse(f);
         copyProp(f);
     }
-    if (opts.constFold || opts.cse)
+    if (p.constFold || p.cse)
         deadCodeElim(f);
 
     AllocResult alloc = allocateRegisters(f);
 
-    ScheduleOptions so;
-    so.maxTuples = opts.maxTuples;
-    so.pairSlots = opts.pairSlots;
-    so.dualIssue = opts.dualIssue;
-    so.tempPromote = opts.tempPromote;
-    bif::Module mod = schedule(f, so);
+    bif::Module mod = schedule(f, p.sched);
 
     std::string verr = bif::validate(mod);
     if (!verr.empty())

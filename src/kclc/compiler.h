@@ -28,12 +28,8 @@ namespace bifsim::kclc {
 /** Compiler configuration (a "toolchain version"). */
 struct CompilerOptions
 {
-    unsigned maxTuples = 8;
-    bool pairSlots = true;
-    bool constFold = true;
-    bool cse = true;
-    bool tempPromote = true;
-    bool dualIssue = false;
+    int level = 2;   ///< Optimisation level 0..3 (table above; any
+                     ///< other value compiles as level 3).
     std::string versionName = "6.0";
 
     /** Preset for optimisation level 0..3. */

@@ -11,6 +11,14 @@ using gpu::counterSlot;
 
 namespace {
 
+/** Rate window; the refresh loop samples often enough that a few
+ *  samples land inside it. */
+constexpr uint64_t kWindowNs = 1'000'000'000;
+
+/** Every line is padded to this width so an ANSI cursor-up rewrite
+ *  fully covers the previous frame. */
+constexpr size_t kWidth = 64;
+
 std::string
 fmtRate(double v)
 {
@@ -27,20 +35,19 @@ fmtRate(double v)
 }
 
 void
-addLine(std::string &out, bool pad, const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
+addLine(std::string &out, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 void
-addLine(std::string &out, bool pad, const char *fmt, ...)
+addLine(std::string &out, const char *fmt, ...)
 {
-    constexpr size_t kWidth = 64;
     char buf[160];
     va_list ap;
     va_start(ap, fmt);
     std::vsnprintf(buf, sizeof buf, fmt, ap);
     va_end(ap);
     std::string line(buf);
-    if (pad && line.size() < kWidth)
+    if (line.size() < kWidth)
         line.append(kWidth - line.size(), ' ');
     out += line;
     out += '\n';
@@ -49,15 +56,14 @@ addLine(std::string &out, bool pad, const char *fmt, ...)
 } // namespace
 
 std::string
-renderHud(const Registry &reg, const HudOptions &opt)
+renderHud(const Registry &reg)
 {
-    const uint64_t w = opt.windowNs;
     Sample newest;
     bool have = reg.ringAt(0, newest);
     std::array<uint64_t, kMaxSlots> totals =
         have ? newest.v : reg.totals();
 
-    auto rate = [&](uint16_t slot) { return reg.rate(slot, w); };
+    auto rate = [&](uint16_t slot) { return reg.rate(slot, kWindowNs); };
 
     // CPU.
     double mips = rate(counterSlot("cpu.instret")) * 1e-6;
@@ -83,16 +89,15 @@ renderHud(const Registry &reg, const HudOptions &opt)
     double stealPct = attempts > 0 ? 100.0 * steals / attempts : 0;
 
     std::string out;
-    bool pad = opt.padLines;
-    addLine(out, pad, "cpu   %s insts/s   (%llu retired)",
+    addLine(out, "cpu   %s insts/s   (%llu retired)",
             fmtRate(mips * 1e6).c_str(),
             static_cast<unsigned long long>(instret));
-    addLine(out, pad, "gpu   %s kinsts/s  %6.1f jobs/s  (%llu jobs)",
+    addLine(out, "gpu   %s kinsts/s  %6.1f jobs/s  (%llu jobs)",
             fmtRate(kinstr).c_str(), jobs,
             static_cast<unsigned long long>(jobsTotal));
-    addLine(out, pad, "tlb   %5.1f%% hit      %s walks/s", tlbPct,
+    addLine(out, "tlb   %5.1f%% hit      %s walks/s", tlbPct,
             fmtRate(walks).c_str());
-    addLine(out, pad, "sched %5.1f%% steal    %s attempts/s", stealPct,
+    addLine(out, "sched %5.1f%% steal    %s attempts/s", stealPct,
             fmtRate(attempts).c_str());
 
     // Fleet block only when a server has ever published (gauges are
@@ -101,7 +106,7 @@ renderHud(const Registry &reg, const HudOptions &opt)
     uint64_t submitted = totals[counterSlot("fleet.jobs_submitted")];
     if (live || submitted) {
         double fjobs = rate(counterSlot("fleet.jobs_completed"));
-        addLine(out, pad,
+        addLine(out,
                 "fleet %6.1f jobs/s  depth %-4llu live %-3llu idle %-3llu",
                 fjobs,
                 static_cast<unsigned long long>(

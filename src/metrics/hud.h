@@ -13,36 +13,24 @@
  * decays to 0 instead of averaging over the whole run.
  */
 
-#include <cstdint>
 #include <string>
 
 namespace bifsim::metrics {
 
 class Registry;
 
-struct HudOptions
-{
-    /** Rate window; the refresh loop samples often enough that a few
-     *  samples land inside it. */
-    uint64_t windowNs = 1'000'000'000;
-
-    /** Lines always have the same width (padded) so an ANSI
-     *  cursor-up rewrite fully covers the previous frame. */
-    bool padLines = true;
-};
-
 /**
  * Renders the current HUD frame: CPU MIPS, GPU kernel MI/s and
  * jobs/s, TLB hit %, scheduler steal ratio, and — when the process
- * hosts a fleet server — queue depth and session gauges.  Every line
+ * hosts a fleet server — queue depth and session gauges.  Rates are
+ * over a fixed 1 s window.  Every line is padded to one width and
  * ends in '\n'; the line count is stable across frames for a fixed
  * registry population, so callers can move the cursor up by the
- * number of lines they previously printed.
+ * number of lines they previously printed and overwrite the frame.
  *
  * Threading: call from the sampling thread (reads the ring).
  */
-std::string renderHud(const Registry &reg,
-                      const HudOptions &opt = HudOptions());
+std::string renderHud(const Registry &reg);
 
 } // namespace bifsim::metrics
 

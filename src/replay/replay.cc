@@ -9,8 +9,6 @@
 #include <cstdarg>
 #include <cstring>
 
-#include "analysis/analysis.h"
-
 namespace bifsim::replay {
 
 namespace snap = snapshot;
@@ -31,6 +29,9 @@ constexpr size_t kPage = PhysMem::kPageBytes;
 constexpr uint64_t kMaxRam = 1ull << 31;
 constexpr uint32_t kMaxCores = 1024;
 constexpr uint32_t kMaxHostThreads = 4096;
+/** RCFG verifier byte: the one decode-time verifier policy, rejecting
+ *  unsafe-class findings (analysis::firstRejected). */
+constexpr uint8_t kVerifyPolicy = 1;
 
 bool
 knownKind(uint32_t kind)
@@ -71,7 +72,10 @@ parseConfig(snap::ChunkReader r)
     c.ramBytes = r.u64();
     c.numCores = r.u32();
     c.hostThreads = r.u32();
-    c.verify = r.u8();
+    // A log recorded under a retired verifier policy (0 = off,
+    // 2 = strict) cannot replay faithfully.
+    if (uint8_t verify = r.u8(); verify != kVerifyPolicy)
+        r.fail(strfmt("unsupported verifier policy %u", verify));
     c.instrument = r.u8() != 0;
     r.u8();   // Retired fastPath byte (0 = legacy interpreter): ignored.
     c.cpuDbt = r.u8() != 0;
@@ -87,9 +91,6 @@ parseConfig(snap::ChunkReader r)
     if (c.hostThreads > kMaxHostThreads)
         r.fail(strfmt("implausible host-thread count %u",
                       c.hostThreads));
-    if (c.verify >
-        static_cast<uint8_t>(analysis::Strictness::kStrict))
-        r.fail(strfmt("invalid verifier strictness %u", c.verify));
     return c;
 }
 
@@ -159,7 +160,7 @@ Recorder::Recorder(PhysMem &mem, gpu::GpuDevice &gpu, RecordInfo info)
     w.u64(mem_.size());
     w.u32(g.numCores);
     w.u32(g.hostThreads);
-    w.u8(static_cast<uint8_t>(g.verify));
+    w.u8(kVerifyPolicy);
     w.u8(g.instrument ? 1 : 0);
     w.u8(1);   // Retired interpreter-tier byte (see parseConfig).
     w.u8(info.cpuDbt ? 1 : 0);
@@ -453,10 +454,10 @@ describeEvent(const Log &log, size_t i)
         if (kind == kEvConfig) {
             const LogConfig &c = log.config();
             return strfmt("RCFG ram=%lluKiB cores=%u threads=%u "
-                          "verify=%u dbt=%u fullsys=%u",
+                          "dbt=%u fullsys=%u",
                           static_cast<unsigned long long>(c.ramBytes >>
                                                           10),
-                          c.numCores, c.hostThreads, c.verify,
+                          c.numCores, c.hostThreads,
                           c.cpuDbt ? 1 : 0, c.fullSystem ? 1 : 0);
         }
         if (kind == kEvMemDelta) {
@@ -526,9 +527,7 @@ replay(const Log &log, const ReplayOptions &opt)
     gcfg.numCores = c.numCores;
     gcfg.hostThreads = opt.hostThreads == 0 ? 1 : opt.hostThreads;
     gcfg.instrument = c.instrument;
-    gcfg.trace = opt.trace;
     gcfg.syncSubmit = true;
-    gcfg.verify = static_cast<analysis::Strictness>(c.verify);
     gpu::GpuDevice dev(mem, gcfg, nullptr);
 
     // Validation re-records the run through the same hooks (paying a

@@ -82,16 +82,15 @@ constexpr uint32_t kEvIrq = snapshot::makeTag("RIRQ");
 constexpr uint32_t kEvFingerprint = snapshot::makeTag("RFPR");
 
 /** The RCFG payload: what the recording world looked like.  Execution-
- *  relevant fields (RAM geometry, core count, verifier strictness,
- *  instrumentation) bind the replayer; the rest is informational so
- *  tier/worker crossings can be reported. */
+ *  relevant fields (RAM geometry, core count, instrumentation) bind the
+ *  replayer; the rest is informational so tier/worker crossings can be
+ *  reported. */
 struct LogConfig
 {
     uint64_t ramBase = 0;
     uint64_t ramBytes = 0;
     uint32_t numCores = 0;
     uint32_t hostThreads = 0;   ///< Informational: recording pool size.
-    uint8_t verify = 0;         ///< analysis::Strictness.
     bool instrument = true;
     bool cpuDbt = false;        ///< Informational: CPU tier (FullSystem).
     bool fullSystem = false;    ///< Informational: submission mode.
@@ -253,7 +252,6 @@ std::string describeEvent(const Log &log, size_t i);
 struct ReplayOptions
 {
     unsigned hostThreads = 1;
-    bool trace = false;
     bool validate = true;   ///< Re-record and diff against the source;
                             ///< false applies the inputs only (no
                             ///< per-chain RAM CRCs — the fast path

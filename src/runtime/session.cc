@@ -362,9 +362,9 @@ Session::enqueue(const KernelHandle &kernel, NDRange global,
     PhysMem &m = sys_.mem();
 
     // Argument table.
-    if (args.size() > gpu::kMaxArgWords)
+    if (args.size() > bif::kMaxArgWords)
         simError("too many kernel arguments");
-    for (size_t i = 0; i < gpu::kMaxArgWords; ++i) {
+    for (size_t i = 0; i < bif::kMaxArgWords; ++i) {
         uint32_t v = i < args.size() ? args[i].value : 0;
         m.write<uint32_t>(argsPa_ + i * 4, v);
     }

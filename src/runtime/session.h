@@ -216,9 +216,6 @@ class Session
     gpu::JobResult enqueue(const KernelHandle &kernel, NDRange global,
                            NDRange local, const std::vector<Arg> &args);
 
-    /** Result of the most recent launch. */
-    const gpu::JobResult &lastResult() const { return lastResult_; }
-
     /** Guest instructions spent in the driver across all launches
      *  (FullSystem mode; 0 in Direct mode). */
     uint64_t driverInstructions() const { return driverInstrs_; }

@@ -24,10 +24,10 @@ System::System(SystemConfig cfg)
     bus_.attachMemory(&mem_);
 
     uart_ = std::make_unique<soc::Uart>();
-    uart_->setEcho(cfg.uartEcho);
 
+    static_assert(sa32::kResetPc == kRamBase,
+                  "the CPU resets to the base of RAM");
     sa32::CoreConfig cpu_cfg;
-    cpu_cfg.resetPc = kRamBase;
     cpu_cfg.blockCache = cfg.cpuBlockCache;
     cpu_cfg.dbt = cfg.cpuDbt;
     cpu_ = std::make_unique<sa32::Core>(bus_, cpu_cfg);

@@ -42,7 +42,6 @@ struct SystemConfig
                                     ///< baseline; also disables DBT).
     bool cpuDbt = true;             ///< Threaded-code DBT tier (off =
                                     ///< interpreter oracle).
-    bool uartEcho = false;          ///< Echo guest console to stderr.
 
     /**
      * Shared warm-boot RAM backing (DESIGN.md §5j).  When set, guest

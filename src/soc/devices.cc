@@ -1,7 +1,5 @@
 #include "soc/devices.h"
 
-#include <cstdio>
-
 namespace bifsim::soc {
 
 // ---------------------------------------------------------------- Intc
@@ -210,16 +208,6 @@ Uart::output() const
 }
 
 void
-Uart::setEcho(bool echo)
-{
-    // mmioWrite reads echo_ under lock_ from whichever thread drives
-    // guest MMIO; toggling it unlocked was a data race (caught by the
-    // annotation migration; regression: test_soc.UartEchoToggleRace).
-    sim::LockGuard g(lock_);
-    echo_ = echo;
-}
-
-void
 Uart::clearOutput()
 {
     sim::LockGuard g(lock_);
@@ -240,16 +228,12 @@ Uart::mmioWrite(Addr offset, uint32_t value)
     if (offset != kRegThr)
         return;
     sim::LockGuard g(lock_);
-    char c = static_cast<char>(value & 0xff);
-    output_ += c;
-    if (echo_)
-        std::fputc(c, stderr);
+    output_ += static_cast<char>(value & 0xff);
 }
 
 void
 Uart::reset()
 {
-    // echo_ is host-side configuration, not guest-visible state.
     clearOutput();
 }
 

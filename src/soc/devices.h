@@ -150,11 +150,6 @@ class Uart : public Device
     /** Clears the captured output. */
     void clearOutput() EXCLUDES(lock_);
 
-    /** If true, echo guest output to the simulator's stderr.
-     *  Thread-safe: echo_ is read under lock_ by mmioWrite, so the
-     *  toggle takes the same lock. */
-    void setEcho(bool echo) EXCLUDES(lock_);
-
     uint32_t mmioRead(Addr offset) override EXCLUDES(lock_);
     void mmioWrite(Addr offset, uint32_t value) override EXCLUDES(lock_);
     void reset() override EXCLUDES(lock_);
@@ -172,7 +167,6 @@ class Uart : public Device
   private:
     mutable sim::Mutex lock_;
     std::string output_ GUARDED_BY(lock_);
-    bool echo_ GUARDED_BY(lock_) = false;
 };
 
 } // namespace bifsim::soc

@@ -19,9 +19,8 @@ nowNs()
             .count());
 }
 
-TraceBuffer::TraceBuffer(std::string thread_name, size_t capacity)
-    : threadName_(std::move(thread_name)),
-      ring_(std::max<size_t>(capacity, 16))
+TraceBuffer::TraceBuffer(std::string thread_name)
+    : threadName_(std::move(thread_name)), ring_(kCapacity)
 {
 }
 
@@ -98,8 +97,8 @@ TraceBuffer::snapshot(std::vector<Event> &out) const
         out.push_back(ring_[i % ring_.size()]);
 }
 
-Tracer::Tracer(bool enabled, size_t buffer_events)
-    : enabled_(enabled), cap_(buffer_events)
+Tracer::Tracer(bool enabled)
+    : enabled_(enabled)
 {
 }
 
@@ -109,7 +108,7 @@ Tracer::registerThread(const std::string &name)
     if (!enabled_)
         return nullptr;
     sim::LockGuard g(lock_);
-    buffers_.push_back(std::make_unique<TraceBuffer>(name, cap_));
+    buffers_.push_back(std::make_unique<TraceBuffer>(name));
     return buffers_.back().get();
 }
 

@@ -90,7 +90,10 @@ struct Event
 class TraceBuffer
 {
   public:
-    TraceBuffer(std::string thread_name, size_t capacity);
+    /** Ring capacity in events; the ring keeps the newest. */
+    static constexpr size_t kCapacity = 1u << 14;
+
+    explicit TraceBuffer(std::string thread_name);
 
     /** Instant event.  Threading: owning producer only. */
     void
@@ -182,7 +185,7 @@ class TraceBuffer
 class Tracer
 {
   public:
-    explicit Tracer(bool enabled, size_t buffer_events = 1u << 14);
+    explicit Tracer(bool enabled);
 
     /** Threading: any thread (immutable after construction). */
     bool enabled() const { return enabled_; }
@@ -225,7 +228,6 @@ class Tracer
     std::vector<TaggedEvent> merged() const EXCLUDES(lock_);
 
     bool enabled_;
-    size_t cap_;
     mutable sim::Mutex lock_;   ///< Guards buffers_ (registration).
     std::vector<std::unique_ptr<TraceBuffer>> buffers_ GUARDED_BY(lock_);
 };

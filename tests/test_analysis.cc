@@ -22,7 +22,6 @@ namespace {
 
 using analysis::Check;
 using analysis::Severity;
-using analysis::Strictness;
 using bif::Instr;
 using bif::Op;
 
@@ -403,13 +402,13 @@ TEST(Analyzer, RenderIncludesLocationAndExcerpt)
 }
 
 // ---------------------------------------------------------------------
-// Strictness / rejection policy.
+// Rejection policy.
 // ---------------------------------------------------------------------
 
-TEST(Analyzer, StrictnessGatesRejection)
+TEST(Analyzer, RejectsOnlyUnsafeClasses)
 {
-    // Lint-only defect (uninit read): executes at kUnsafe, rejected at
-    // kStrict, always accepted at kOff.
+    // Lint-only defect (uninit read): an error-severity finding, but
+    // the verifier's one policy lets it execute.
     bif::Module lint = buildModule(
         {{
             mk(Op::LdArg, 2, kNone, kNone, kNone, 0),
@@ -418,11 +417,10 @@ TEST(Analyzer, StrictnessGatesRejection)
         }},
         4);
     analysis::Result rl = analysis::analyze(lint);
-    EXPECT_EQ(analysis::firstRejected(rl, Strictness::kOff), nullptr);
-    EXPECT_EQ(analysis::firstRejected(rl, Strictness::kUnsafe), nullptr);
-    EXPECT_NE(analysis::firstRejected(rl, Strictness::kStrict), nullptr);
+    EXPECT_TRUE(rl.hasErrors());
+    EXPECT_EQ(analysis::firstRejected(rl), nullptr);
 
-    // Unsafe defect (OOB ROM): rejected at kUnsafe and kStrict.
+    // Unsafe defect (OOB ROM): rejected.
     bif::Module unsafe = buildModule(
         {{
             mk(Op::LdRom, 1, kNone, kNone, kNone, 4),
@@ -430,9 +428,7 @@ TEST(Analyzer, StrictnessGatesRejection)
         }},
         4);
     analysis::Result ru = analysis::analyze(unsafe);
-    EXPECT_EQ(analysis::firstRejected(ru, Strictness::kOff), nullptr);
-    const analysis::Diag *d =
-        analysis::firstRejected(ru, Strictness::kUnsafe);
+    const analysis::Diag *d = analysis::firstRejected(ru);
     ASSERT_NE(d, nullptr);
     EXPECT_EQ(d->check, Check::RomBounds);
 }
@@ -520,29 +516,10 @@ TEST(GpuVerifier, RejectsUnsafeShaderWithJobFault)
               static_cast<uint64_t>(gpu::JobFaultKind::ShaderVerify));
 }
 
-TEST(GpuVerifier, OffStrictnessExecutesTheSameShader)
+TEST(GpuVerifier, LintOnlyFindingExecutes)
 {
-    rt::SystemConfig cfg;
-    cfg.gpu.hostThreads = 2;
-    cfg.gpu.verify = Strictness::kOff;
-    rt::Session s(cfg, rt::Mode::Direct);
-    rt::KernelHandle k = loadModule(s, oobRomModule());
-    rt::Buffer out = s.alloc(16);
-    uint32_t sentinel = 0xdeadbeef;
-    s.write(out, &sentinel, 4);
-    gpu::JobResult r = s.enqueue(k, rt::NDRange{1, 1, 1},
-                                 rt::NDRange{1, 1, 1},
-                                 {rt::Arg::buf(out)});
-    ASSERT_FALSE(r.faulted) << r.fault.detail;
-    // The architectural semantics of an OOB ROM read is zero.
-    uint32_t got = 1;
-    s.read(out, &got, 4);
-    EXPECT_EQ(got, 0u);
-}
-
-TEST(GpuVerifier, StrictModeRejectsLintFindings)
-{
-    // Uninitialised GRF read: executes at default strictness...
+    // An uninitialised GRF read is a lint-class finding: the verifier
+    // lets the shader execute (the read is architectural zero).
     bif::Module m = buildModule(
         {{
             mk(Op::LdArg, 2, kNone, kNone, kNone, 0),
@@ -550,31 +527,15 @@ TEST(GpuVerifier, StrictModeRejectsLintFindings)
             mk(Op::Ret, kNone, kNone),
         }},
         4);
-    {
-        rt::SystemConfig cfg;
-        cfg.gpu.hostThreads = 2;
-        rt::Session s(cfg, rt::Mode::Direct);
-        rt::KernelHandle k = loadModule(s, m);
-        rt::Buffer out = s.alloc(16);
-        gpu::JobResult r = s.enqueue(k, rt::NDRange{1, 1, 1},
-                                     rt::NDRange{1, 1, 1},
-                                     {rt::Arg::buf(out)});
-        EXPECT_FALSE(r.faulted) << r.fault.detail;
-    }
-    // ...but kStrict refuses to run it.
-    {
-        rt::SystemConfig cfg;
-        cfg.gpu.hostThreads = 2;
-        cfg.gpu.verify = Strictness::kStrict;
-        rt::Session s(cfg, rt::Mode::Direct);
-        rt::KernelHandle k = loadModule(s, m);
-        rt::Buffer out = s.alloc(16);
-        gpu::JobResult r = s.enqueue(k, rt::NDRange{1, 1, 1},
-                                     rt::NDRange{1, 1, 1},
-                                     {rt::Arg::buf(out)});
-        ASSERT_TRUE(r.faulted);
-        EXPECT_EQ(r.fault.kind, gpu::JobFaultKind::ShaderVerify);
-    }
+    rt::SystemConfig cfg;
+    cfg.gpu.hostThreads = 2;
+    rt::Session s(cfg, rt::Mode::Direct);
+    rt::KernelHandle k = loadModule(s, m);
+    rt::Buffer out = s.alloc(16);
+    gpu::JobResult r = s.enqueue(k, rt::NDRange{1, 1, 1},
+                                 rt::NDRange{1, 1, 1},
+                                 {rt::Arg::buf(out)});
+    EXPECT_FALSE(r.faulted) << r.fault.detail;
 }
 
 TEST(GpuVerifier, FullSystemFaultRaisesIrqThroughDriver)

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <string>
 
+#include <poll.h>
 #include <pthread.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -397,25 +398,50 @@ TEST(FleetProto, JobRequestRoundTrips)
     EXPECT_TRUE(back.wantRamCrc);
 }
 
+/** Every strict prefix of @p msg's payload must throw from
+ *  Msg::parse, never yield a half-parsed message. */
+template <typename Msg>
+void
+expectEveryTruncationRejected(uint32_t kind, const Msg &msg)
+{
+    snapshot::ChunkWriter w;
+    msg.serialize(w);
+    std::vector<uint8_t> bytes = w.data();
+    for (size_t len = 0; len < bytes.size(); ++len) {
+        snapshot::ChunkReader r(kind, bytes.data(), len);
+        EXPECT_THROW(Msg::parse(r), snapshot::SnapshotError)
+            << snapshot::tagName(kind) << ": prefix of " << len
+            << " of " << bytes.size() << " bytes parsed";
+    }
+}
+
 TEST(FleetProto, EveryTruncationIsRejected)
 {
-    // Parse-then-commit: any strict prefix of a valid payload must
-    // throw, never yield a half-parsed job.
+    // Parse-then-commit, for every message a peer sends.
     fleet::JobRequest req;
     req.tenant = "t";
     req.args = {{fleet::ArgSpec::Kind::BufIndex, 0}};
     req.writes.push_back(fleet::WriteSpec{0, 0, {1, 2, 3, 4}});
     req.reads.push_back(fleet::ReadSpec{1, 8, 16});
-    snapshot::ChunkWriter w;
-    req.serialize(w);
-    std::vector<uint8_t> bytes = w.data();
+    expectEveryTruncationRejected(fleet::kMsgJob, req);
 
-    for (size_t len = 0; len < bytes.size(); ++len) {
-        snapshot::ChunkReader r(fleet::kMsgJob, bytes.data(), len);
-        EXPECT_THROW(fleet::JobRequest::parse(r),
-                     snapshot::SnapshotError)
-            << "prefix of " << len << " bytes parsed";
-    }
+    fleet::JobResultMsg res;
+    res.detail = "ok";
+    res.readback = {1, 2, 3};
+    expectEveryTruncationRejected(fleet::kMsgResult, res);
+
+    fleet::Welcome wl;
+    wl.kernels = {"sgemm1"};
+    wl.bufferBytes = {4096};
+    expectEveryTruncationRejected(fleet::kMsgWelcome, wl);
+
+    // A stats reply cut right after its counter list is a truncation,
+    // not a counters-only reply.
+    fleet::StatsReply sr;
+    sr.counters = {{"fleet.jobs_completed", 17}};
+    sr.uptimeNs = 5;
+    sr.tenants.push_back({"t", 3, 2, 1, 10, 20});
+    expectEveryTruncationRejected(fleet::kMsgStatsReply, sr);
 }
 
 TEST(FleetProto, ResultWelcomeStatsRoundTrip)
@@ -826,8 +852,24 @@ TEST(FleetServer, ClientThatStopsReadingIsDropped)
     }
     EXPECT_TRUE(ok);
 
-    // The stalled connection was shut down by the server: what was
-    // buffered drains (its last frame may be cut short), then EOF.
+    // Wait, without reading, until the server shuts the stalled
+    // connection down.  Its results cannot all fit in the socket
+    // buffers, so one send times out and the server's shutdown()
+    // raises POLLRDHUP here.  Draining any earlier could let a send
+    // still in progress complete, and then no send would time out.
+    pollfd p{stalled, POLLRDHUP, 0};
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::seconds(30);
+    while (!(p.revents & (POLLRDHUP | POLLHUP)) &&
+           std::chrono::steady_clock::now() < deadline) {
+        p.revents = 0;
+        ::poll(&p, 1, 100);
+    }
+    EXPECT_TRUE(p.revents & POLLRDHUP)
+        << "server never shut the stalled connection";
+
+    // What was buffered drains (its last frame may be cut short), then
+    // EOF.
     setReadTimeout(stalled, 30);
     try {
         while (fleet::readFrame(stalled, f)) {

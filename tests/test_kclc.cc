@@ -559,10 +559,56 @@ TEST(OptLevels, HigherLevelsEmitDenserCode)
 
 TEST(OptLevels, VersionPresets)
 {
-    EXPECT_EQ(CompilerOptions::forVersion("5.6").maxTuples, 1u);
-    EXPECT_EQ(CompilerOptions::forVersion("6.2").versionName, "6.2");
-    EXPECT_TRUE(CompilerOptions::forVersion("6.1").dualIssue);
+    // Each version names one optimisation level; 6.2 relabels 6.1.
+    const std::pair<const char *, int> kPresets[] = {
+        {"5.6", 0}, {"5.7", 1}, {"6.0", 2}, {"6.1", 3}, {"6.2", 3}};
+    for (auto [version, level] : kPresets) {
+        CompilerOptions o = CompilerOptions::forVersion(version);
+        EXPECT_EQ(o.level, level) << version;
+        EXPECT_EQ(o.versionName, version);
+    }
+    EXPECT_EQ(CompilerOptions().level, 2);
     EXPECT_THROW(CompilerOptions::forVersion("9.9"), SimError);
+
+    // scanlargearrays' second kernel: dual issue can pair its load
+    // with the address arithmetic.
+    static const char *kAddOffsets = R"(
+kernel void scan_add_offsets(global float* out,
+                             global const float* offsets, int n) {
+    int g = get_global_id(0);
+    if (g < n) {
+        out[g] += offsets[get_group_id(0)];
+    }
+}
+)";
+    auto build = [](const char *version) {
+        return compileKernel(kAddOffsets, "scan_add_offsets",
+                             CompilerOptions::forVersion(version));
+    };
+    struct Shape
+    {
+        size_t tuples = 0, paired = 0;
+    };
+    auto shape = [](const CompiledKernel &k) {
+        Shape s;
+        for (const bif::Clause &cl : k.mod.clauses) {
+            for (const bif::Tuple &t : cl.tuples) {
+                s.tuples++;
+                s.paired += t.slot[1].op != bif::Op::Nop ? 1 : 0;
+            }
+        }
+        return s;
+    };
+    // 5.6: one tuple per clause.
+    for (const bif::Clause &cl : build("5.6").mod.clauses)
+        EXPECT_EQ(cl.tuples.size(), 1u);
+    // 6.1/6.2: dual-issue scheduling fills more second issue slots
+    // than 6.0 in fewer tuples, and the two versions emit the same
+    // binary.
+    CompiledKernel k60 = build("6.0"), k61 = build("6.1");
+    EXPECT_GT(shape(k61).paired, shape(k60).paired);
+    EXPECT_LT(shape(k61).tuples, shape(k60).tuples);
+    EXPECT_EQ(k61.binary, build("6.2").binary);
 }
 
 // -------------------------------------------------- structural checks

@@ -925,24 +925,24 @@ smallConfig()
     c.ramBytes = 1u << 20;
     c.numCores = 8;
     c.hostThreads = 2;
-    c.verify = 1;
     return c;
 }
 
 /** Appends the RCFG event for @p c.  @p tier_byte is the retired
  *  interpreter-tier byte: the recorder writes 1, logs from the legacy
- *  interpreter carry 0. */
+ *  interpreter carry 0.  @p verify_byte is the verifier policy; the
+ *  recorder always writes 1. */
 void
 configEvent(snap::Writer &w,
             const replay::LogConfig &c = smallConfig(),
-            uint8_t tier_byte = 1)
+            uint8_t tier_byte = 1, uint8_t verify_byte = 1)
 {
     snap::ChunkWriter &e = w.chunk(replay::kEvConfig);
     e.u64(c.ramBase);
     e.u64(c.ramBytes);
     e.u32(c.numCores);
     e.u32(c.hostThreads);
-    e.u8(c.verify);
+    e.u8(verify_byte);
     e.u8(c.instrument ? 1 : 0);
     e.u8(tier_byte);
     e.u8(c.cpuDbt ? 1 : 0);
@@ -1100,6 +1100,35 @@ TEST(Replay, RetiredInterpreterTierByteIsIgnored)
         EXPECT_EQ(b.chains, a.chains);
         EXPECT_EQ(b.totalKernel.totalInstrs(),
                   a.totalKernel.totalInstrs());
+    }
+}
+
+TEST(Replay, RetiredVerifierPolicyIsRejected)
+{
+    // Policy 1 (reject unsafe-class findings) is the only verifier
+    // policy; a log recorded with the verifier off (0) or strict (2)
+    // cannot replay faithfully and is a located error at load.
+    {
+        snap::Writer w(replay::kMagic, replay::kVersion);
+        configEvent(w);
+        EXPECT_NO_THROW(replay::Log::fromBytes(w.finish()));
+    }
+    for (uint8_t policy : {0, 2}) {
+        snap::Writer w(replay::kMagic, replay::kVersion);
+        configEvent(w, smallConfig(), 1, policy);
+        try {
+            replay::Log::fromBytes(w.finish());
+            ADD_FAILURE() << "verifier policy " << int(policy)
+                          << " accepted";
+        } catch (const replay::ReplayError &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("RCFG"), std::string::npos) << what;
+            EXPECT_NE(what.find("offset 25"), std::string::npos) << what;
+            EXPECT_NE(what.find("verifier policy " +
+                                std::to_string(policy)),
+                      std::string::npos)
+                << what;
+        }
     }
 }
 

@@ -223,7 +223,7 @@ TEST(Session, TooManyArgsRejected)
 {
     Session s;
     KernelHandle k = s.compile(kSaxpy, "saxpy");
-    std::vector<Arg> args(gpu::kMaxArgWords + 1, Arg::i32(0));
+    std::vector<Arg> args(bif::kMaxArgWords + 1, Arg::i32(0));
     EXPECT_THROW(
         s.enqueue(k, NDRange{64, 1, 1}, NDRange{64, 1, 1}, args),
         SimError);

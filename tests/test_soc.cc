@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
 #include "soc/devices.h"
 
 namespace bifsim::soc {
@@ -181,27 +178,6 @@ TEST(Uart, ResetClearsCapturedOutput)
     EXPECT_EQ(u.output(), "x");
     u.reset();
     EXPECT_EQ(u.output(), "");
-}
-
-// Regression (pre-fix this is a data race TSan flags): setEcho() used
-// to write echo_ with no lock while mmioWrite() read it under lock_.
-// The host runtime toggles echo from its own thread while the guest
-// prints, so hammer exactly that interleaving.  Runs in the CI
-// thread-sanitizer job; echo stays false throughout so the test is
-// silent on stderr.
-TEST(Uart, EchoToggleRace)
-{
-    Uart u;
-    std::atomic<bool> stop{false};
-    std::thread toggler([&] {
-        while (!stop.load(std::memory_order_relaxed))
-            u.setEcho(false);
-    });
-    for (int i = 0; i < 20000; ++i)
-        u.mmioWrite(Uart::kRegThr, 'a' + (i % 26));
-    stop.store(true, std::memory_order_relaxed);
-    toggler.join();
-    EXPECT_EQ(u.output().size(), 20000u);
 }
 
 } // namespace

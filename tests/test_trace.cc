@@ -101,16 +101,17 @@ expectBalancedJson(const std::string &json)
 
 TEST(TraceBuffer, RingWrapsKeepingNewest)
 {
-    trace::TraceBuffer buf("t", 16);
-    for (uint64_t i = 0; i < 40; ++i)
+    constexpr uint64_t kCap = trace::TraceBuffer::kCapacity;
+    trace::TraceBuffer buf("t");
+    for (uint64_t i = 0; i < kCap + 24; ++i)
         buf.instant("ev", "cat", "i", i);
-    EXPECT_EQ(buf.pushed(), 40u);
-    EXPECT_EQ(buf.size(), 16u);
+    EXPECT_EQ(buf.pushed(), kCap + 24);
+    EXPECT_EQ(buf.size(), kCap);
     std::vector<trace::Event> evs;
     buf.snapshot(evs);
-    ASSERT_EQ(evs.size(), 16u);
-    EXPECT_EQ(evs.front().args[0].value, 24u);   // Oldest retained.
-    EXPECT_EQ(evs.back().args[0].value, 39u);    // Newest.
+    ASSERT_EQ(evs.size(), kCap);
+    EXPECT_EQ(evs.front().args[0].value, 24u);        // Oldest retained.
+    EXPECT_EQ(evs.back().args[0].value, kCap + 23);   // Newest.
 }
 
 TEST(Tracer, DisabledHandsOutNullBuffers)
@@ -128,7 +129,7 @@ TEST(Tracer, DisabledHandsOutNullBuffers)
 
 TEST(Tracer, SpanDurationAndCounterExport)
 {
-    trace::Tracer t(true, 64);
+    trace::Tracer t(true);
     trace::TraceBuffer *b = t.registerThread("worker");
     ASSERT_NE(b, nullptr);
     uint64_t t0 = trace::nowNs();
